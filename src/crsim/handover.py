@@ -6,7 +6,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .learning import KnowledgeBase
-from .spectrum_env import BandView
+from .spectrum_env import BandView, SpectrumBand
+
+Bands = Sequence[BandView] | Sequence[SpectrumBand]
 
 
 @dataclass(frozen=True, slots=True)
@@ -18,7 +20,7 @@ class HandoverPlan:
 
 
 def select_target(
-    bands: Sequence[BandView],
+    bands: Bands,
     current: int,
     demand: int,
     kb: KnowledgeBase | None = None,
@@ -28,7 +30,9 @@ def select_target(
     Candidates are every band other than the current one with enough free
     channels and no resident secondary session; the knowledge-base score
     ranks them, ties breaking toward the lowest band id.  The result is
-    independent of the order bands are listed in.
+    independent of the order bands are listed in.  ``bands`` may be
+    ``BandView`` snapshots or the live ``SpectrumBand`` objects; pass
+    ``current=-1`` when the session holds no band.
     """
     best: int | None = None
     best_score = -1.0
@@ -44,7 +48,7 @@ def select_target(
 
 def plan_handover(
     session_id: int,
-    bands: Sequence[BandView],
+    bands: Bands,
     current: int,
     demand: int,
     kb: KnowledgeBase | None,

@@ -1,93 +1,24 @@
-"""Hot Monte Carlo kernels with numba and pure-numpy backends.
+"""Hot Monte Carlo kernels in numpy.
 
 Two numerically heavy loops live here: the brute-force session-outcome
 Monte Carlo used to cross-check the absorbing-chain solve, and long
 occupancy-chain trajectories for empirical stationary histograms.
-
-Backend selection is controlled by the ``CRSIM_KERNELS`` environment
-variable: ``auto`` (default; numba when available), ``numba`` or ``numpy``.
-Both backends implement the same stochastic process with independent RNG
-streams, so results agree statistically but not bit-for-bit.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 from .markov import OccupancyChain, stationary
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-
-__all__ = ["HAVE_NUMBA", "active_backend", "mc_noncompletion", "occupancy_histogram"]
-
-
-def active_backend() -> str:
-    """Resolve the kernel backend from the CRSIM_KERNELS environment variable."""
-    choice = os.environ.get("CRSIM_KERNELS", "auto").strip().lower()
-    if choice in ("", "auto"):
-        return "numba" if HAVE_NUMBA else "numpy"
-    if choice == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("CRSIM_KERNELS=numba requested but numba is not importable")
-        return "numba"
-    if choice == "numpy":
-        return "numpy"
-    raise RuntimeError(f"CRSIM_KERNELS must be auto, numba or numpy, got {choice!r}")
+__all__ = ["mc_noncompletion", "occupancy_histogram"]
 
 
 # ---------------------------------------------------------------------------
 # session-outcome Monte Carlo
 # ---------------------------------------------------------------------------
 
-@njit(cache=True)
-def _mc_sessions_numba(boundary, p, q, c, gamma, cum_init, start_state, n_sessions, seed):
-    np.random.seed(seed)
-    drops = 0
-    for _ in range(n_sessions):
-        if start_state >= 0:
-            k = start_state
-        else:
-            u0 = np.random.random()
-            k = 0
-            while cum_init[k] < u0 and k < boundary:
-                k += 1
-        while True:
-            if np.random.random() < c:
-                break  # completed
-            u = np.random.random()
-            if u < p:
-                nk = k + 1
-                if nk < boundary:
-                    k = nk
-                elif nk == boundary:
-                    if np.random.random() < gamma:
-                        k = boundary - 1  # one channel yielded back
-                    else:
-                        drops += 1
-                        break
-                else:
-                    drops += 1  # rise past the boundary: no negotiation
-                    break
-            elif u < p + q and k > 0:
-                k -= 1
-    return drops
-
-
-def _mc_sessions_numpy(boundary, p, q, c, gamma, cum_init, start_state, n_sessions, seed):
+def _mc_sessions(boundary, p, q, c, gamma, cum_init, start_state, n_sessions, seed):
     rng = np.random.default_rng(seed)
     if start_state >= 0:
         k = np.full(n_sessions, start_state, dtype=np.int64)
@@ -146,7 +77,7 @@ def mc_noncompletion(
             raise ValueError(f"start_state must be in 0..{boundary}, got {start_state}")
         cum = np.ones(boundary + 1, dtype=float)
         start = int(start_state)
-    args = (
+    drops = _mc_sessions(
         boundary,
         float(chain.birth),
         float(chain.death),
@@ -157,10 +88,6 @@ def mc_noncompletion(
         int(n_sessions),
         int(seed),
     )
-    if active_backend() == "numba":
-        drops = _mc_sessions_numba(*args)
-    else:
-        drops = _mc_sessions_numpy(*args)
     return drops / n_sessions
 
 
@@ -168,24 +95,7 @@ def mc_noncompletion(
 # occupancy-chain trajectory histogram
 # ---------------------------------------------------------------------------
 
-@njit(cache=True)
-def _occupancy_histogram_numba(capacity, p, q, start, steps, seed):
-    np.random.seed(seed)
-    counts = np.zeros(capacity + 1, dtype=np.int64)
-    k = start
-    for _ in range(steps):
-        u = np.random.random()
-        if u < p:
-            if k < capacity:
-                k += 1
-        elif u < p + q:
-            if k > 0:
-                k -= 1
-        counts[k] += 1
-    return counts
-
-
-def _occupancy_histogram_numpy(capacity, p, q, start, steps, seed):
+def _occupancy_histogram(capacity, p, q, start, steps, seed):
     rng = np.random.default_rng(seed)
     counts = np.zeros(capacity + 1, dtype=np.int64)
     k = start
@@ -210,7 +120,4 @@ def occupancy_histogram(chain: OccupancyChain, start: int, steps: int, seed: int
         raise ValueError(f"start occupancy must be in 0..{chain.capacity}, got {start}")
     if steps < 1:
         raise ValueError("steps must be positive")
-    args = (chain.capacity, float(chain.birth), float(chain.death), int(start), int(steps), int(seed))
-    if active_backend() == "numba":
-        return _occupancy_histogram_numba(*args)
-    return _occupancy_histogram_numpy(*args)
+    return _occupancy_histogram(chain.capacity, float(chain.birth), float(chain.death), int(start), int(steps), int(seed))

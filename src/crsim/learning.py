@@ -3,12 +3,13 @@
 Counters are Laplace-smoothed into grant-rate and availability estimates
 whose product scores a band for admission and handover target selection.
 Fresh bands score 0.25 (both estimates at the 0.5 prior), so unexplored
-spectrum stays eligible.
+spectrum stays eligible.  Scores are cached per band until that band's
+next ``record_*`` call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterator
 
 if TYPE_CHECKING:
@@ -28,8 +29,10 @@ class KnowledgeBase:
 
     def __init__(self) -> None:
         self._records: dict[int, BandRecord] = {}
+        self._scores: dict[int, float] = {}
 
     def _record(self, band_id: int) -> BandRecord:
+        self._scores.pop(band_id, None)
         rec = self._records.get(band_id)
         if rec is None:
             rec = BandRecord()
@@ -48,6 +51,19 @@ class KnowledgeBase:
         if report.free >= demand:
             rec.available += 1
 
+    def record_senses(self, band_id: int, sensed: int, available: int) -> None:
+        """Record ``sensed`` reports, ``available`` of which met their demand.
+
+        Equal to ``sensed`` calls of ``record_sense``, ``available`` of them
+        with enough free channels.
+        """
+        if not 0 <= available <= sensed:
+            raise ValueError(f"need 0 <= available <= sensed, got available={available}, sensed={sensed}")
+        if sensed:
+            rec = self._record(band_id)
+            rec.sensed += sensed
+            rec.available += available
+
     def coop_estimate(self, band_id: int) -> float:
         rec = self._records.get(band_id)
         if rec is None:
@@ -61,14 +77,17 @@ class KnowledgeBase:
         return (rec.available + 1) / (rec.sensed + 2)
 
     def score(self, band_id: int) -> float:
-        return self.coop_estimate(band_id) * self.availability_estimate(band_id)
+        score = self._scores.get(band_id)
+        if score is None:
+            score = self._scores[band_id] = self.coop_estimate(band_id) * self.availability_estimate(band_id)
+        return score
 
     def band_ids(self) -> Iterator[int]:
         return iter(sorted(self._records))
 
     def counters(self, band_id: int) -> BandRecord:
-        """The raw counters for a band (zeros if never touched)."""
-        return self._records.get(band_id, BandRecord())
+        """A copy of the raw counters for a band (zeros if never touched)."""
+        return replace(self._records.get(band_id, BandRecord()))
 
     def to_json_dict(self) -> dict[str, dict[str, int]]:
         return {

@@ -7,6 +7,18 @@ mode and acts (transmit / negotiate / hand over), (7) transmitting sessions
 draw completion, (8) buffered knowledge-base updates apply, (9) metrics,
 histograms and invariant checks.
 
+Sensing in (4-6) only buffers knowledge-base counters; (8) applies them, so
+every score read during a step sees the counters as of the step's start.
+An active session senses its own band every step.  On a scan step (step
+index a multiple of the handover scan interval) it also scans every other
+band; a scan is counted by the session's demand alone, not sensed band by
+band.  (8) settles each band's share of those counts at the band's current
+occupancy: a scan counts as available where free >= demand.  Within (4-6)
+only a negotiation grant changes a band's occupancy, so the engine settles
+that band's pending scans right before the grant; scans counted earlier in
+the step thus see the occupancy before the grant, later ones the
+occupancy after it.
+
 Sessions admitted in (3) take part in (4-6) and (7) of the same step: they
 sense the occupancy that (1) has just produced and act on it at once.  A
 session admitted onto a band at the Warning boundary (occupancy + demand ==
@@ -603,7 +615,6 @@ class Engine:
             (decl.build() for decl in scenario.bands), key=lambda b: b.band_id
         )
         self.band_by_id = {b.band_id: b for b in self.bands}
-        self.holder: dict[int, SuSession | None] = {b.band_id: None for b in self.bands}
         self.kb = kb if kb is not None else KnowledgeBase()
         self.metrics = Metrics()
         self.trace = EventTrace(scenario.sha256(), self.seed, keep_records=keep_trace)
@@ -614,6 +625,12 @@ class Engine:
         self._hist = {b.band_id: [0] * (b.capacity + 1) for b in self.bands}
         self._neg_events: list[tuple[int, bool]] = []
         self._sense_events: list[tuple[int, spectrum_env.SensingReport, int]] = []
+        # scans of this step by demand; per band, the scan counts already
+        # settled into it; and the settled (band id, sensed, available)
+        # shares that (8) records
+        self._scan_counts: dict[int, int] = {}
+        self._scan_settled: dict[int, dict[int, int]] = {}
+        self._scan_shares: list[tuple[int, int, int]] = []
         self._single_arrivals: dict[int, list[SessionDecl]] = {}
         self._patterns: list[SessionDecl] = []
         for decl in scenario.sessions:
@@ -627,10 +644,8 @@ class Engine:
     # -- views ------------------------------------------------------------
 
     def band_views(self) -> list[BandView]:
-        return [
-            BandView(b.band_id, b.capacity, b.capacity - b.pu_used, self.holder[b.band_id] is not None)
-            for b in self.bands
-        ]
+        """Snapshots of the live bands; the engine itself ranks ``self.bands``."""
+        return [BandView(b.band_id, b.capacity, b.free, b.su_busy) for b in self.bands]
 
     # -- per-step machinery -------------------------------------------------
 
@@ -700,6 +715,14 @@ class Engine:
             for band_id, report, demand in self._sense_events:
                 self.kb.record_sense(band_id, report, demand)
             self._sense_events.clear()
+        if self._scan_counts:
+            for band in self.bands:
+                self._settle_scans(band)
+            for band_id, sensed, available in self._scan_shares:
+                self.kb.record_senses(band_id, sensed, available)
+            self._scan_counts.clear()
+            self._scan_settled.clear()
+            self._scan_shares.clear()
 
         # (9) metrics, histograms, invariants
         for band in self.bands:
@@ -722,7 +745,7 @@ class Engine:
         sid = self._arrival_seq
         self._arrival_seq += 1
         m.arrivals += 1
-        band_id = su_fsm.admit(traffic, self.band_views(), self.kb, demand=demand)
+        band_id = su_fsm.admit(traffic, self.bands, self.kb, demand=demand)
         if band_id is None:
             m.blocked += 1
             self.trace.add(t, EventKind.BLOCK, sid, -1, demand)
@@ -737,21 +760,22 @@ class Engine:
             band_id=band_id,
             started_at=t,
         )
-        self.holder[band_id] = session
+        self.band_by_id[band_id].su = session
         self.live.append(session)
         self.trace.add(t, EventKind.ADMIT, sid, band_id, demand)
 
     def _active_substep(self, session: SuSession, t: int) -> None:
         band = self.band_by_id[session.band_id]
+        demand = session.demand
         report = spectrum_env.sense(band, t)
-        self._sense_events.append((band.band_id, report, session.demand))
+        self._sense_events.append((band.band_id, report, demand))
         if t % self.scenario.handover.scan_interval == 0:
-            for other in self.bands:
-                if other.band_id != band.band_id:
-                    self._sense_events.append(
-                        (other.band_id, spectrum_env.sense(other, t), session.demand)
-                    )
-        if session.demand == 0:  # pure probe: no spectrum pressure, always Normal
+            counts = self._scan_counts
+            counts[demand] = counts.get(demand, 0) + 1
+            # the scan skips the session's own band, sensed above: mark it settled
+            own = self._scan_settled.setdefault(band.band_id, {})
+            own[demand] = own.get(demand, 0) + 1
+        if demand == 0:  # pure probe: no spectrum pressure, always Normal
             mode = Mode.NORMAL
         else:
             mode = su_fsm.classify_mode(band.pu_used, session.demand, band.capacity)
@@ -780,6 +804,8 @@ class Engine:
     def _resolve_negotiation(self, session: SuSession, t: int) -> None:
         band = self.band_by_id[session.band_id]
         request = NegotiationRequest(band.band_id, self.scenario.negotiation.grant_request)
+        if self._scan_counts:  # a grant would change what later scans see
+            self._settle_scans(band)
         outcome = negotiation.negotiate(band, request)
         m = self.metrics
         m.negotiations += 1
@@ -798,8 +824,7 @@ class Engine:
         session.transmitting = False
         session.hops += 1
         source = session.band_id
-        if source is not None and self.holder.get(source) is session:
-            self.holder[source] = None
+        self._vacate(session)
         if session.hops > self._hop_cap:
             log.warning("session %d bounced between bands within one step; dropping", session.session_id)
             self.metrics.failed_handovers += 1
@@ -807,7 +832,7 @@ class Engine:
             return
         plan = ho.plan_handover(
             session.session_id,
-            self.band_views(),
+            self.bands,
             current=source if source is not None else -1,
             demand=session.demand,
             kb=self.kb,
@@ -831,13 +856,13 @@ class Engine:
 
     def _arrive(self, session: SuSession, t: int) -> None:
         target = self.band_by_id[session.handover_target]
-        if self.holder[target.band_id] is None and target.free >= session.demand:
+        if target.su is None and target.free >= session.demand:
             replans_taken = session.replans
             session.band_id = target.band_id
             session.handover_target = None
             session.status = SessionStatus.ACTIVE
             session.replans = 0
-            self.holder[target.band_id] = session
+            target.su = session
             self.metrics.handovers += 1
             self.trace.add(t, EventKind.HANDOVER_COMPLETED, session.session_id, target.band_id, replans_taken)
             self._active_substep(session, t)  # fresh sensing, mode, action
@@ -851,13 +876,34 @@ class Engine:
             return
         self._start_handover(session, t)
 
+    def _settle_scans(self, band: SpectrumBand) -> None:
+        """Settle the scans counted since ``band`` was last settled, at its current occupancy."""
+        counts = self._scan_counts
+        done = self._scan_settled.get(band.band_id)
+        free = band.free
+        sensed = available = 0
+        for demand, n in counts.items():
+            if done:
+                n -= done.get(demand, 0)
+            sensed += n
+            if free >= demand:
+                available += n
+        if sensed:
+            self._scan_shares.append((band.band_id, sensed, available))
+        self._scan_settled[band.band_id] = counts.copy()
+
+    def _vacate(self, session: SuSession) -> None:
+        """Clear the session's band of it, if it is resident there."""
+        band = self.band_by_id.get(session.band_id)
+        if band is not None and band.su is session:
+            band.su = None
+
     def _drop(self, session: SuSession, t: int, reason: int) -> None:
         session.status = SessionStatus.DROPPED
         session.ended_at = t
         session.transmitting = False
         band = session.band_id if session.band_id is not None else -1
-        if band >= 0 and self.holder.get(band) is session:
-            self.holder[band] = None
+        self._vacate(session)
         self.metrics.dropped += 1
         self.trace.add(t, EventKind.DROPPED, session.session_id, band, reason)
         self.live.remove(session)
@@ -867,8 +913,7 @@ class Engine:
         session.ended_at = t
         session.transmitting = False
         band = session.band_id if session.band_id is not None else -1
-        if band >= 0 and self.holder.get(band) is session:
-            self.holder[band] = None
+        self._vacate(session)
         self.metrics.completed += 1
         self.trace.add(t, EventKind.COMPLETED, session.session_id, band, 0)
         self.live.remove(session)

@@ -14,6 +14,7 @@ from .markov import OccupancyChain
 
 if TYPE_CHECKING:
     from .negotiation import PuDisposition
+    from .su_fsm import SuSession
 
 
 class GrantError(ValueError):
@@ -22,12 +23,18 @@ class GrantError(ValueError):
 
 @dataclass(slots=True)
 class SpectrumBand:
-    """One spectrum band: occupancy chain parameters plus current state."""
+    """One spectrum band: occupancy chain parameters plus current state.
+
+    A band carries every field of a ``BandView`` (``band_id``, ``capacity``,
+    ``free``, ``su_busy``), so admission and handover rank live bands
+    directly.
+    """
 
     band_id: int
     chain: OccupancyChain
     pu_used: int
     disposition: "PuDisposition"
+    su: "SuSession | None" = None  # resident secondary session, if any
 
     @property
     def capacity(self) -> int:
@@ -36,6 +43,10 @@ class SpectrumBand:
     @property
     def free(self) -> int:
         return self.chain.capacity - self.pu_used
+
+    @property
+    def su_busy(self) -> bool:
+        return self.su is not None
 
     def __post_init__(self) -> None:
         if self.band_id < 0:

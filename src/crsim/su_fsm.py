@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from typing import Sequence
 
+from .handover import Bands, select_target
 from .learning import KnowledgeBase
 from .negotiation import NegotiationOutcome
 from .qos import TrafficType, channel_demand, priority
-from .spectrum_env import BandView
 
 
 class FsmError(RuntimeError):
@@ -70,9 +70,13 @@ def classify_mode(pu_used: int, demand: int, capacity: int) -> Mode:
     return Mode.FAILURE
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class SuSession:
-    """One secondary-user session; owned and mutated by the engine."""
+    """One secondary-user session; owned and mutated by the engine.
+
+    Sessions compare by identity: two sessions are never the same session
+    because their fields happen to match.
+    """
 
     session_id: int
     traffic: TrafficType
@@ -148,7 +152,7 @@ def order_arrivals(requests: Sequence[ArrivalRequest]) -> list[ArrivalRequest]:
 
 def admit(
     traffic: TrafficType,
-    bands: Sequence[BandView],
+    bands: Bands,
     kb: KnowledgeBase | None = None,
     demand: int | None = None,
 ) -> int | None:
@@ -157,15 +161,7 @@ def admit(
     A band qualifies when it has at least ``demand`` free channels and no
     resident secondary session.  Among qualifying bands the one with the
     highest knowledge-base score wins; ties break toward the lowest id.
+    This is handover target selection with no current band.
     """
     need = channel_demand(traffic) if demand is None else demand
-    best: int | None = None
-    best_score = -1.0
-    for view in bands:
-        if view.su_busy or view.free < need:
-            continue
-        score = kb.score(view.band_id) if kb is not None else 0.25
-        if score > best_score or (score == best_score and (best is None or view.band_id < best)):
-            best = view.band_id
-            best_score = score
-    return best
+    return select_target(bands, current=-1, demand=need, kb=kb)

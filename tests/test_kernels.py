@@ -6,23 +6,7 @@ from crsim import kernels
 from crsim.markov import OccupancyChain, noncompletion_probability, stationary
 
 
-def test_backend_resolution(monkeypatch):
-    monkeypatch.delenv("CRSIM_KERNELS", raising=False)
-    assert kernels.active_backend() == ("numba" if kernels.HAVE_NUMBA else "numpy")
-    monkeypatch.setenv("CRSIM_KERNELS", "numpy")
-    assert kernels.active_backend() == "numpy"
-    monkeypatch.setenv("CRSIM_KERNELS", "auto")
-    assert kernels.active_backend() in ("numba", "numpy")
-    monkeypatch.setenv("CRSIM_KERNELS", "fortran")
-    with pytest.raises(RuntimeError, match="CRSIM_KERNELS"):
-        kernels.active_backend()
-
-
-@pytest.mark.parametrize("backend", ["numba", "numpy"])
-def test_mc_noncompletion_deterministic_per_backend(monkeypatch, backend):
-    if backend == "numba" and not kernels.HAVE_NUMBA:
-        pytest.skip("numba unavailable")
-    monkeypatch.setenv("CRSIM_KERNELS", backend)
+def test_mc_noncompletion_deterministic_per_seed():
     chain = OccupancyChain(4, 0.25, 0.4)
     a = kernels.mc_noncompletion(chain, 2, 0.1, 0.5, 50_000, seed=9)
     b = kernels.mc_noncompletion(chain, 2, 0.1, 0.5, 50_000, seed=9)
@@ -31,22 +15,7 @@ def test_mc_noncompletion_deterministic_per_backend(monkeypatch, backend):
     assert a != c
 
 
-def test_backends_agree_statistically(monkeypatch):
-    if not kernels.HAVE_NUMBA:
-        pytest.skip("numba unavailable")
-    chain = OccupancyChain(6, 0.2, 0.4)
-    monkeypatch.setenv("CRSIM_KERNELS", "numba")
-    via_numba = kernels.mc_noncompletion(chain, 3, 0.1, 0.4, 400_000, seed=21)
-    monkeypatch.setenv("CRSIM_KERNELS", "numpy")
-    via_numpy = kernels.mc_noncompletion(chain, 3, 0.1, 0.4, 400_000, seed=21)
-    assert abs(via_numba - via_numpy) < 0.005
-
-
-@pytest.mark.parametrize("backend", ["numba", "numpy"])
-def test_mc_matches_solve_on_both_backends(monkeypatch, backend):
-    if backend == "numba" and not kernels.HAVE_NUMBA:
-        pytest.skip("numba unavailable")
-    monkeypatch.setenv("CRSIM_KERNELS", backend)
+def test_mc_matches_solve():
     chain = OccupancyChain(5, 0.2, 0.5)
     solve = noncompletion_probability(chain, 3, 0.15, 0.6)
     mc = kernels.mc_noncompletion(chain, 3, 0.15, 0.6, 300_000, seed=4)
@@ -63,11 +32,7 @@ def test_mc_validates_arguments():
         kernels.mc_noncompletion(chain, 2, 0.1, 0.5, 100, seed=1, start_state=5)
 
 
-@pytest.mark.parametrize("backend", ["numba", "numpy"])
-def test_histogram_tracks_stationary(monkeypatch, backend):
-    if backend == "numba" and not kernels.HAVE_NUMBA:
-        pytest.skip("numba unavailable")
-    monkeypatch.setenv("CRSIM_KERNELS", backend)
+def test_histogram_tracks_stationary():
     chain = OccupancyChain(8, 0.2, 0.2)
     counts = kernels.occupancy_histogram(chain, start=4, steps=400_000, seed=3)
     assert counts.sum() == 400_000

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from crsim.learning import KnowledgeBase
 from crsim.spectrum_env import SensingReport
@@ -121,3 +123,56 @@ def test_json_round_trip():
 def test_json_rejects_inconsistent_counters():
     with pytest.raises(ValueError):
         KnowledgeBase.from_json_dict({"0": {"attempts": 1, "grants": 2, "sensed": 0, "available": 0}})
+
+
+band_ids = st.integers(min_value=0, max_value=3)
+
+
+@given(
+    band_id=band_ids,
+    reports=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=30),
+    warm=st.integers(0, 5),
+)
+def test_bulk_senses_equal_single_senses(band_id, reports, warm):
+    single, bulk = KnowledgeBase(), KnowledgeBase()
+    for kb in (single, bulk):  # same earlier history on both
+        for _ in range(warm):
+            kb.record_sense(band_id, report(free=8), demand=4)
+    for free, demand in reports:
+        single.record_sense(band_id, report(free=free, band_id=band_id), demand)
+    available = sum(free >= demand for free, demand in reports)
+    bulk.record_senses(band_id, len(reports), available)
+    assert bulk.to_json_dict() == single.to_json_dict()
+    assert bulk.score(band_id) == single.score(band_id)
+
+
+@pytest.mark.parametrize("sensed, available", [(-1, 0), (0, -1), (2, 3), (0, 1), (-2, -1)])
+def test_bulk_senses_reject_inconsistent_counts(sensed, available):
+    kb = KnowledgeBase()
+    with pytest.raises(ValueError):
+        kb.record_senses(0, sensed, available)
+    assert kb.to_json_dict() == {}
+
+
+record_ops = st.one_of(
+    st.tuples(st.just("negotiation"), band_ids, st.booleans()),
+    st.tuples(st.just("sense"), band_ids, st.integers(0, 8)),
+    st.tuples(st.just("senses"), band_ids, st.integers(0, 5)),
+    st.tuples(st.just("score"), band_ids, st.none()),
+)
+
+
+@given(ops=st.lists(record_ops, max_size=60))
+def test_cached_score_matches_fresh_estimates(ops):
+    kb = KnowledgeBase()
+    for op, band_id, arg in ops:
+        if op == "negotiation":
+            kb.record_negotiation(band_id, granted=arg)
+        elif op == "sense":
+            kb.record_sense(band_id, report(free=arg, band_id=band_id), demand=4)
+        elif op == "senses":
+            kb.record_senses(band_id, arg, arg // 2)
+        else:
+            kb.score(band_id)
+        for b in range(4):
+            assert kb.score(b) == kb.coop_estimate(b) * kb.availability_estimate(b)

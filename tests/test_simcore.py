@@ -1,0 +1,349 @@
+"""Engine tests: golden runs that pin behaviour bit for bit, plus invariants.
+
+The golden values (trace hash, knowledge-base counters, metrics and
+occupancy histograms) were recorded with an engine that sensed every
+scanned band one report at a time and ranked rebuilt band snapshots.
+Any change to the engine must reproduce them exactly.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from crsim import su_fsm
+from crsim.handover import select_target
+from crsim.learning import KnowledgeBase
+from crsim.negotiation import PuState
+from crsim.qos import TrafficType
+from crsim.simcore import (
+    DROP_REPLANS_EXHAUSTED,
+    BandDecl,
+    Engine,
+    EventKind,
+    HandoverParams,
+    NegotiationParams,
+    Scenario,
+    SessionDecl,
+    canonical_preset,
+    run,
+)
+
+COOP = PuState.COOPERATIVE
+NONCOOP = PuState.NONCOOPERATIVE
+T = TrafficType
+
+
+def canonical_short() -> Scenario:
+    return dataclasses.replace(canonical_preset(), horizon=3_000)
+
+
+def multiband_latency() -> Scenario:
+    """Eight bands, four holding patterns and a probe, nonzero latencies, frequent scans."""
+    return Scenario(
+        name="multiband-latency",
+        bands=(
+            BandDecl(0, 8, 0.10, 0.30, 2, COOP, 0.05, 0.05),
+            BandDecl(1, 6, 0.20, 0.20, 3, NONCOOP, 0.10, 0.20),
+            BandDecl(2, 12, 0.05, 0.25, 0, COOP, 0.02, 0.10),
+            BandDecl(3, 8, 0.30, 0.30, 4, COOP, 0.30, 0.30),
+            BandDecl(4, 10, 0.15, 0.35, 5, NONCOOP, 0.05, 0.05),
+            BandDecl(5, 7, 0.20, 0.30, 1, COOP, 0.00, 0.00),
+            BandDecl(6, 9, 0.25, 0.25, 4, COOP, 0.10, 0.10),
+            BandDecl(7, 5, 0.10, 0.20, 0, NONCOOP, 0.20, 0.20),
+        ),
+        sessions=(
+            SessionDecl(T.VIDEO_CONFERENCING, 0.15, every=3),
+            SessionDecl(T.VOICE, 0.20, every=2, start=1),
+            SessionDecl(T.SERIOUS_BROWSING, 0.15, every=5, until=500),
+            SessionDecl(T.EMAIL, 0.20, every=4, start=2),
+            SessionDecl(T.CASUAL_BROWSING, 1.0, every=7, demand=0),
+            SessionDecl(T.FILE_TRANSFERS, 0.01, arrival=10),
+        ),
+        horizon=600,
+        seed=11,
+        negotiation=NegotiationParams(grant_request=1, latency=1),
+        handover=HandoverParams(latency=2, max_replans=3, scan_interval=3),
+    )
+
+
+def replan_exhaustion() -> Scenario:
+    """Fast-churning bands and a long handover latency: targets fill while sessions travel."""
+    return Scenario(
+        name="replan-exhaustion",
+        bands=tuple(
+            BandDecl(i, 8, 0.40, 0.40, 2 * i, COOP if i % 2 else NONCOOP, 0.30, 0.30) for i in range(4)
+        ),
+        sessions=(
+            SessionDecl(T.VIDEO_CONFERENCING, 0.10, every=2),
+            SessionDecl(T.FILE_TRANSFERS, 0.10, every=3),
+            SessionDecl(T.SERIOUS_BROWSING, 0.10, every=2, start=1),
+        ),
+        horizon=800,
+        seed=5,
+        negotiation=NegotiationParams(grant_request=1, latency=0),
+        handover=HandoverParams(latency=3, max_replans=1, scan_interval=4),
+    )
+
+
+WARM_KB = {
+    "0": {"attempts": 10, "grants": 1, "sensed": 40, "available": 5},
+    "2": {"attempts": 4, "grants": 4, "sensed": 30, "available": 29},
+    "3": {"attempts": 0, "grants": 0, "sensed": 12, "available": 12},
+    "5": {"attempts": 7, "grants": 6, "sensed": 3, "available": 1},
+}
+
+
+def grant_after_scan() -> Scenario:
+    """A grant lands on a band that an earlier session already scanned in the same step.
+
+    Static bands (p = q = 0).  Session 0 (demand 3) sits on band 0 from step
+    0.  At step 5, a scan step, session 1 (demand 2) is admitted to band 1
+    (6 of 8 used: Warning), negotiates at once and is granted one channel.
+    Session 0 scanned band 1 earlier in that step and saw 2 free channels,
+    too few for its demand; only session 1's own sense sees band 1 available.
+    """
+    return Scenario(
+        name="grant-after-scan",
+        bands=(
+            BandDecl(0, 8, 0.0, 0.0, 0, COOP, 0.0, 0.0),
+            BandDecl(1, 8, 0.0, 0.0, 6, COOP, 0.0, 0.0),
+        ),
+        sessions=(
+            SessionDecl(T.SERIOUS_BROWSING, 0.001, arrival=0),
+            SessionDecl(T.EMAIL, 0.001, arrival=5),
+        ),
+        horizon=6,
+        seed=2,
+        negotiation=NegotiationParams(grant_request=1, latency=0),
+        handover=HandoverParams(latency=0, max_replans=3, scan_interval=5),
+    )
+
+
+def golden_run(name: str):
+    if name == "kb_warm_start":
+        return run(multiband_latency(), seed=23, kb=KnowledgeBase.from_json_dict(WARM_KB))
+    return run(SCENARIOS[name]())
+
+
+SCENARIOS = {
+    "canonical_short": canonical_short,
+    "multiband_latency": multiband_latency,
+    "replan_exhaustion": replan_exhaustion,
+    "grant_after_scan": grant_after_scan,
+}
+
+GOLDEN: dict[str, dict] = {
+    "canonical_short": {
+        "trace_hash": "cf00617aeab575084ff1ff64e07da99d",
+        "kb": {
+            "0": {"attempts": 341, "available": 1598, "grants": 0, "sensed": 1598},
+        },
+        "metrics": {
+            "admitted": 1598, "arrivals": 3000, "blocked": 1402, "completed": 1257, "dropped": 341,
+            "empirical_blocking": 0.4673333333333333,
+            "empirical_noncompletion": 0.21339173967459324, "failed_handovers": 341, "grants": 0,
+            "handovers": 0, "interference_steps": 0,
+            "mode_histogram": {"Failure": 0, "Normal": 1257, "Warning": 341}, "negotiations": 341,
+            "refusals": 341, "still_active": 0,
+        },
+        "band_histograms": {
+            "0": [279, 274, 333, 371, 341, 341, 291, 350, 420],
+        },
+    },
+    "grant_after_scan": {
+        "trace_hash": "755d1e3365bce270971f54243f642769",
+        "kb": {
+            "0": {"attempts": 0, "available": 7, "grants": 0, "sensed": 7},
+            "1": {"attempts": 1, "available": 1, "grants": 1, "sensed": 3},
+        },
+        "metrics": {
+            "admitted": 2, "arrivals": 2, "blocked": 0, "completed": 0, "dropped": 0,
+            "empirical_blocking": 0.0, "empirical_noncompletion": 0.0, "failed_handovers": 0,
+            "grants": 1, "handovers": 0, "interference_steps": 0,
+            "mode_histogram": {"Failure": 0, "Normal": 6, "Warning": 1}, "negotiations": 1,
+            "refusals": 0, "still_active": 2,
+        },
+        "band_histograms": {
+            "0": [6, 0, 0, 0, 0, 0, 0, 0, 0], "1": [0, 0, 0, 0, 0, 1, 5, 0, 0],
+        },
+    },
+    "kb_warm_start": {
+        "trace_hash": "d374cd11fe4dd113f6b3cae10d0abaa6",
+        "kb": {
+            "0": {"attempts": 10, "available": 1517, "grants": 1, "sensed": 1552},
+            "1": {"attempts": 50, "available": 1389, "grants": 42, "sensed": 1602},
+            "2": {"attempts": 4, "available": 1710, "grants": 4, "sensed": 1711},
+            "3": {"attempts": 21, "available": 1583, "grants": 11, "sensed": 1634},
+            "4": {"attempts": 0, "available": 1616, "grants": 0, "sensed": 1616},
+            "5": {"attempts": 26, "available": 1611, "grants": 25, "sensed": 1663},
+            "6": {"attempts": 6, "available": 1329, "grants": 1, "sensed": 1518},
+            "7": {"attempts": 16, "available": 1520, "grants": 8, "sensed": 1567},
+        },
+        "metrics": {
+            "admitted": 749, "arrivals": 837, "blocked": 88, "completed": 722, "dropped": 23,
+            "empirical_blocking": 0.10513739545997611,
+            "empirical_noncompletion": 0.030707610146862484, "failed_handovers": 34, "grants": 81,
+            "handovers": 12, "interference_steps": 4,
+            "mode_histogram": {"Failure": 4, "Normal": 3583, "Warning": 112}, "negotiations": 112,
+            "refusals": 31, "still_active": 4,
+        },
+        "band_histograms": {
+            "0": [422, 126, 43, 8, 1, 0, 0, 0, 0], "1": [181, 151, 98, 65, 59, 26, 20],
+            "2": [487, 102, 11, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+            "3": [142, 137, 142, 71, 44, 25, 20, 6, 13],
+            "4": [338, 155, 80, 11, 4, 6, 6, 0, 0, 0, 0], "5": [260, 150, 84, 48, 29, 18, 7, 4],
+            "6": [87, 110, 74, 59, 49, 48, 50, 34, 49, 40], "7": [371, 177, 43, 9, 0, 0],
+        },
+    },
+    "multiband_latency": {
+        "trace_hash": "dfe4f76ae2f6c07063ecbda3d3402467",
+        "kb": {
+            "0": {"attempts": 6, "available": 1676, "grants": 4, "sensed": 1685},
+            "1": {"attempts": 37, "available": 1485, "grants": 31, "sensed": 1657},
+            "2": {"attempts": 0, "available": 1639, "grants": 0, "sensed": 1639},
+            "3": {"attempts": 28, "available": 1558, "grants": 19, "sensed": 1661},
+            "4": {"attempts": 1, "available": 1688, "grants": 1, "sensed": 1693},
+            "5": {"attempts": 13, "available": 1681, "grants": 13, "sensed": 1699},
+            "6": {"attempts": 13, "available": 1582, "grants": 7, "sensed": 1657},
+            "7": {"attempts": 17, "available": 1371, "grants": 7, "sensed": 1529},
+        },
+        "metrics": {
+            "admitted": 730, "arrivals": 837, "blocked": 107, "completed": 697, "dropped": 28,
+            "empirical_blocking": 0.12783751493428913,
+            "empirical_noncompletion": 0.038356164383561646, "failed_handovers": 49, "grants": 82,
+            "handovers": 9, "interference_steps": 4,
+            "mode_histogram": {"Failure": 4, "Normal": 3714, "Warning": 115}, "negotiations": 115,
+            "refusals": 33, "still_active": 5,
+        },
+        "band_histograms": {
+            "0": [282, 125, 94, 61, 30, 8, 0, 0, 0], "1": [210, 171, 88, 49, 42, 30, 10],
+            "2": [490, 99, 11, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+            "3": [120, 120, 103, 89, 71, 58, 35, 4, 0],
+            "4": [310, 148, 76, 32, 12, 10, 3, 5, 3, 1, 0], "5": [259, 186, 99, 33, 11, 9, 3, 0],
+            "6": [102, 102, 134, 105, 45, 47, 34, 19, 9, 3], "7": [276, 176, 125, 19, 4, 0],
+        },
+    },
+    "replan_exhaustion": {
+        "trace_hash": "178183c0ca8229bef0b8853b2bd7d6d6",
+        "kb": {
+            "0": {"attempts": 67, "available": 1017, "grants": 35, "sensed": 1108},
+            "1": {"attempts": 87, "available": 1115, "grants": 57, "sensed": 1175},
+            "2": {"attempts": 77, "available": 1070, "grants": 40, "sensed": 1143},
+            "3": {"attempts": 69, "available": 930, "grants": 34, "sensed": 1060},
+        },
+        "metrics": {
+            "admitted": 395, "arrivals": 1067, "blocked": 672, "completed": 260, "dropped": 132,
+            "empirical_blocking": 0.6298031865042174,
+            "empirical_noncompletion": 0.3341772151898734, "failed_handovers": 132, "grants": 166,
+            "handovers": 2, "interference_steps": 0,
+            "mode_histogram": {"Failure": 0, "Normal": 2287, "Warning": 300}, "negotiations": 300,
+            "refusals": 134, "still_active": 3,
+        },
+        "band_histograms": {
+            "0": [152, 133, 134, 141, 79, 34, 34, 46, 47],
+            "1": [177, 137, 128, 145, 113, 34, 30, 19, 17],
+            "2": [152, 147, 151, 155, 80, 29, 26, 33, 27],
+            "3": [125, 132, 123, 116, 73, 50, 56, 62, 63],
+        },
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_run(name):
+    result = golden_run(name)
+    golden = GOLDEN[name]
+    assert result.trace_hash == golden["trace_hash"]
+    assert result.kb.to_json_dict() == golden["kb"]
+    assert result.metrics.to_dict() == golden["metrics"]
+    assert {str(b): h for b, h in result.band_histograms.items()} == golden["band_histograms"]
+
+
+def test_grant_after_scan_counts_the_scan_before_the_grant():
+    result = run(grant_after_scan())
+    assert result.metrics.grants == 1
+    # band 0: session 0 senses it in steps 0-5, session 1 scans it at step 5
+    assert result.kb.to_json_dict()["0"] == {"attempts": 0, "grants": 0, "sensed": 7, "available": 7}
+    # band 1: session 0 scans it at steps 0 and 5 (2 free < 3 both times),
+    # session 1 senses it before its grant (2 free >= 2)
+    assert result.kb.to_json_dict()["1"] == {"attempts": 1, "grants": 1, "sensed": 3, "available": 1}
+
+
+def test_replan_exhaustion_scenario_exhausts_replans():
+    engine = Engine(replan_exhaustion(), keep_trace=True)
+    engine.run()
+    reasons = [c for _, kind, _, _, c in engine.trace.records if kind == EventKind.DROPPED]
+    assert DROP_REPLANS_EXHAUSTED in reasons
+    assert any(kind == EventKind.HANDOVER_REPLANNED for _, kind, *_ in engine.trace.records)
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_runs_are_deterministic_per_seed(name):
+    scenario = SCENARIOS[name]()
+    a, b = run(scenario), run(scenario)
+    assert a.trace_hash == b.trace_hash
+    assert a.kb.to_json_dict() == b.kb.to_json_dict()
+    assert a.band_histograms == b.band_histograms
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_conservation_holds(name):
+    m = run(SCENARIOS[name]()).metrics
+    assert m.admitted + m.blocked == m.arrivals
+    assert m.completed + m.dropped + m.still_active == m.admitted
+    assert m.grants + m.refusals == m.negotiations
+
+
+def test_scenario_round_trips_through_dict():
+    scenario = multiband_latency()
+    again = Scenario.from_dict(scenario.to_dict())
+    assert again == scenario
+    assert again.sha256() == scenario.sha256()
+
+
+band_decls = st.builds(
+    lambda capacity, p, q, occupancy, coop: (capacity, p, q, occupancy, coop),
+    st.integers(4, 12),
+    st.floats(0.0, 0.5),
+    st.floats(0.0, 0.5),
+    st.integers(0, 12),
+    st.booleans(),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    bands=st.lists(band_decls, min_size=1, max_size=6),
+    traffic=st.lists(st.sampled_from(list(TrafficType)), min_size=1, max_size=4),
+    steps=st.integers(0, 40),
+    seed=st.integers(0, 2**16),
+)
+def test_ranking_live_bands_equals_ranking_views(bands, traffic, steps, seed):
+    scenario = Scenario(
+        bands=tuple(
+            BandDecl(i, c, p, q, min(occ, c), COOP if coop else NONCOOP, 0.2, 0.2)
+            for i, (c, p, q, occ, coop) in enumerate(bands)
+        ),
+        sessions=tuple(SessionDecl(t, 0.1, every=1 + i) for i, t in enumerate(traffic)),
+        horizon=max(steps, 1),
+        seed=seed,
+        negotiation=NegotiationParams(grant_request=1, latency=1),
+        handover=HandoverParams(latency=1, max_replans=2, scan_interval=3),
+    )
+    engine = Engine(scenario)
+    for _ in range(steps):
+        engine.step()
+    views = engine.band_views()
+    assert [(v.band_id, v.capacity, v.free, v.su_busy) for v in views] == [
+        (b.band_id, b.capacity, b.free, b.su_busy) for b in engine.bands
+    ]
+    for kb in (None, engine.kb):
+        for t in TrafficType:
+            assert su_fsm.admit(t, engine.bands, kb) == su_fsm.admit(t, views, kb)
+        for demand in range(13):
+            for current in [-1, *range(len(bands))]:
+                assert select_target(engine.bands, current, demand, kb) == select_target(views, current, demand, kb)

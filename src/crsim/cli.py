@@ -9,20 +9,19 @@ import os
 import sys
 from statistics import mean, stdev
 
-from . import __version__, markov, qos
+from . import __version__, qos
 from .learning import KnowledgeBase
 from .mac_tdma import NodeProfile, TdmaError, discover
-from .markov import ChainError, OccupancyChain
-from .negotiation import PuDisposition, stationary_cooperative_probability
+from .markov import ChainError
 from .simcore import (
     PRESETS,
     ComparisonError,
     Scenario,
     ScenarioError,
+    analytic_figures,
     compare,
     run,
 )
-from .simcore import _uniform_session_parameters  # shared analytic guard
 
 log = logging.getLogger(__name__)
 
@@ -92,7 +91,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             kb_template = json.load(fh)
 
     if replications == 1:
-        kb = KnowledgeBase.from_json_dict(kb_template) if kb_template else None
+        kb = KnowledgeBase.from_json_dict(kb_template) if args.kb_in else None
         result = run(
             scenario,
             seed=seed,
@@ -134,7 +133,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     seeds = [seed + i for i in range(replications)]
     runs = []
     for s in seeds:
-        kb = KnowledgeBase.from_json_dict(kb_template) if kb_template else None
+        kb = KnowledgeBase.from_json_dict(kb_template) if args.kb_in else None
         runs.append(run(scenario, seed=s, kb=kb))
     metric_dicts = [r.metrics.to_dict() for r in runs]
     numeric_keys = [
@@ -163,49 +162,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args)
     seed = args.seed if args.seed is not None else scenario.seed
-    demand, completion = _uniform_session_parameters(scenario)
-    chains = {b.band_id: OccupancyChain(b.capacity, b.p, b.q) for b in scenario.bands}
-    bands_out = []
-    for decl in scenario.bands:
-        chain = chains[decl.band_id]
-        bands_out.append(
-            {
-                "id": decl.band_id,
-                "capacity": decl.capacity,
-                "stationary": list(markov.stationary(chain).probabilities),
-                "admit_probability": (
-                    markov.prob_free_at_least(chain, demand) if demand <= decl.capacity else 0.0
-                ),
-            }
-        )
-    payload: dict = {
-        "provenance": _provenance(scenario, seed),
-        "demand": demand,
-        "completion": completion,
-        "blocking": markov.blocking_probability(list(chains.values()), demand),
-    }
-    notes: list[str] = []
-    if demand == 0:
-        payload["noncompletion"] = None
-        notes.append("non-completion skipped: zero-demand probe sessions never hold spectrum")
-    elif len(scenario.bands) != 1:
-        payload["noncompletion"] = None
-        notes.append("non-completion skipped: analytic model covers a single band with no alternative")
-    elif completion >= 1.0:
-        payload["noncompletion"] = None
-        notes.append("non-completion skipped: instant-completion probes never race the occupancy chain")
-    else:
-        decl = scenario.bands[0]
-        gamma = stationary_cooperative_probability(
-            PuDisposition(decl.disposition_state, decl.alpha, decl.beta)
-        )
-        payload["noncompletion"] = markov.noncompletion_probability(
-            chains[decl.band_id], demand, completion, gamma
-        )
-        payload["grant_probability"] = gamma
-    payload["bands"] = bands_out
-    if notes:
-        payload["notes"] = notes
+    payload = {"provenance": _provenance(scenario, seed), **analytic_figures(scenario)}
+    skipped = payload.pop("skipped", None)
+    if skipped:
+        payload["notes"] = [f"non-completion skipped: {skipped}"]
     _emit(json.dumps(payload, indent=2), args.out)
     return 0
 

@@ -102,6 +102,8 @@ class KnowledgeBase:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "KnowledgeBase":
+        if not isinstance(data, dict) or not all(isinstance(c, dict) for c in data.values()):
+            raise ValueError("knowledge-base snapshot must be a JSON object of per-band objects")
         kb = cls()
         for band_id, counters in data.items():
             rec = BandRecord(

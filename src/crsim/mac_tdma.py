@@ -1,40 +1,28 @@
 """Slotted layer-2 bootstrap: neighbor discovery and common channel set.
 
 Time is organized in rounds of frames of N timeslots, node i owning slot i
-of every frame.  Phase 1 runs one round of M frames, frame m bound to
+of every frame.  Phase 1 is one round of M frames, frame m bound to
 channel m: a node beacons in its slot on the frame's channel when that
-channel is in its own set, so a neighbor hears it exactly on the channels
-both can use.  Phase 2 runs rounds of a single frame in which every node
+channel is in its own set, and a neighbor listening on that channel hears
+it.  A node therefore hears each neighbor exactly on the channels both can
+use: whatever the slot order, phase 1 yields the per-edge intersection
+common(i, j) = channels(i) & channels(j), and is computed as just that.
+Phase 2 runs rounds of a single frame in which every node, in slot order,
 broadcasts its current candidate set to each reachable neighbor (lowest
 shared channel) and intersects what it receives; after as many rounds as
 the network diameter, every node of a connected network holds the global
-intersection.
+intersection.  With fewer rounds the slot order shows in the candidates.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 
 class TdmaError(ValueError):
-    """Raised for out-of-range nodes, phases, or malformed topologies."""
-
-
-@dataclass(frozen=True, slots=True)
-class TdmaConfig:
-    node_count: int
-    channel_count: int
-    diameter_bound: int = 1
-
-    def __post_init__(self) -> None:
-        if self.node_count < 1:
-            raise TdmaError(f"node_count must be >= 1, got {self.node_count}")
-        if self.channel_count < 1:
-            raise TdmaError(f"channel_count must be >= 1, got {self.channel_count}")
-        if self.diameter_bound < 1:
-            raise TdmaError(f"diameter_bound must be >= 1, got {self.diameter_bound}")
+    """Raised for negative ids or channels, bad round counts, or malformed topologies."""
 
 
 @dataclass(frozen=True)
@@ -44,15 +32,12 @@ class NodeProfile:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "channel_set", frozenset(self.channel_set))
+        if self.node_id < 0:
+            raise TdmaError(f"node id must be nonnegative, got {self.node_id}")
         if not self.channel_set:
             raise TdmaError(f"node {self.node_id}: channel set must be nonempty")
-
-
-class Beacon(NamedTuple):
-    frame: int
-    slot: int
-    node: int
-    channel: int
+        if min(self.channel_set) < 0:
+            raise TdmaError(f"node {self.node_id}: channels must be nonnegative, got {min(self.channel_set)}")
 
 
 @dataclass(frozen=True)
@@ -71,22 +56,6 @@ class DiscoveryResult:
         return values.pop() if len(values) == 1 else None
 
 
-def transmit_slot(config: TdmaConfig, node_id: int) -> int:
-    """The timeslot node i transmits in (the i-th of every frame)."""
-    if not 0 <= node_id < config.node_count:
-        raise TdmaError(f"node {node_id} outside 0..{config.node_count - 1}")
-    return node_id
-
-
-def round_length(config: TdmaConfig, phase: int) -> int:
-    """Slots per round: M frames of N slots in phase 1, one frame in phase 2."""
-    if phase == 1:
-        return config.channel_count * config.node_count
-    if phase == 2:
-        return config.node_count
-    raise TdmaError(f"phase must be 1 or 2, got {phase}")
-
-
 def _build_adjacency(profiles: Sequence[NodeProfile], edges: Iterable[tuple[int, int]]) -> dict[int, set[int]]:
     ids = {p.node_id for p in profiles}
     if len(ids) != len(profiles):
@@ -102,41 +71,19 @@ def _build_adjacency(profiles: Sequence[NodeProfile], edges: Iterable[tuple[int,
     return adjacency
 
 
-def schedule_phase1(profiles: Sequence[NodeProfile], config: TdmaConfig) -> list[Beacon]:
-    """Every beacon transmission of one phase-1 round, in slot order."""
-    beacons = []
-    by_slot = sorted(profiles, key=lambda p: p.node_id)
-    for frame in range(config.channel_count):
-        for profile in by_slot:
-            if frame in profile.channel_set:
-                beacons.append(Beacon(frame, transmit_slot(config, profile.node_id), profile.node_id, frame))
-    return beacons
-
-
 def run_phase1(
     profiles: Sequence[NodeProfile], edges: Iterable[tuple[int, int]]
 ) -> dict[int, dict[int, frozenset[int]]]:
     """Neighbor tables after one discovery round: common(i, j) per adjacent pair.
 
-    Frame m is bound to channel m; node i beacons on it in slot i when it
-    can use the channel, and every adjacent node listening on that channel
-    records the reception.  The table keeps an (empty) entry for adjacent
-    pairs that never heard each other.
+    Node ids are sorted at both levels.  The table keeps an (empty) entry
+    for adjacent pairs that share no channel and so never heard each other.
     """
     adjacency = _build_adjacency(profiles, edges)
     channels = {p.node_id: p.channel_set for p in profiles}
-    m = max((max(s) for s in channels.values()), default=0) + 1
-    config = TdmaConfig(node_count=max(channels) + 1 if channels else 1, channel_count=m)
-    heard: dict[int, dict[int, set[int]]] = {
-        i: {j: set() for j in neighbors} for i, neighbors in adjacency.items()
-    }
-    for beacon in schedule_phase1(profiles, config):
-        for receiver in adjacency[beacon.node]:
-            if beacon.channel in channels[receiver]:
-                heard[receiver][beacon.node].add(beacon.channel)
     return {
-        i: {j: frozenset(common) for j, common in sorted(table.items())}
-        for i, table in sorted(heard.items())
+        i: {j: channels[i] & channels[j] for j in sorted(adjacency[i])}
+        for i in sorted(adjacency)
     }
 
 
@@ -153,8 +100,8 @@ def run_phase2(
     (a link exists only where phase 1 found a nonempty common set), and
     receivers intersect the payload into their own candidate.
     """
-    if rounds < 0:
-        raise TdmaError(f"rounds must be nonnegative, got {rounds}")
+    if isinstance(rounds, bool) or not isinstance(rounds, int) or rounds < 0:
+        raise TdmaError(f"rounds must be a nonnegative integer, got {rounds!r}")
     adjacency = _build_adjacency(profiles, edges)
     candidates: dict[int, set[int]] = {p.node_id: set(p.channel_set) for p in profiles}
     order = sorted(candidates)

@@ -38,6 +38,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -68,6 +69,7 @@ __all__ = [
     "Engine",
     "run",
     "compare",
+    "analytic_figures",
     "CompareReport",
     "canonical_preset",
     "PRESETS",
@@ -236,6 +238,9 @@ class Scenario:
                 problems.append(f"{path}: must be a number, got {value!r}")
                 return None
             v = float(value)
+            if not math.isfinite(v):
+                problems.append(f"{path}: must be a finite number, got {value!r}")
+                return None
             if v < lo or v > hi or (lo_open and v <= lo):
                 bound = f"({lo}, {hi}]" if lo_open else f"[{lo}, {hi}]"
                 problems.append(f"{path}: must be within {bound}, got {value}")
@@ -670,18 +675,9 @@ class Engine:
         if due or pattern_hits:
             decls = (due or []) + pattern_hits
             if len(decls) > 1:
-                requests = su_fsm.order_arrivals(
-                    [
-                        su_fsm.ArrivalRequest(i, d.traffic, d.completion, d.effective_demand())
-                        for i, d in enumerate(decls)
-                    ]
-                )
-                ordered = [(r.traffic, r.completion, r.effective_demand()) for r in requests]
-            else:
-                d = decls[0]
-                ordered = [(d.traffic, d.completion, d.effective_demand())]
-            for traffic, completion, demand in ordered:
-                self._admit_one(t, traffic, completion, demand)
+                decls = su_fsm.order_arrivals(decls)
+            for decl in decls:
+                self._admit_one(t, decl)
 
         # (4-6) sense, classify, decide, act
         for session in tuple(self.live):
@@ -740,7 +736,8 @@ class Engine:
             )
         self.step_index = t + 1
 
-    def _admit_one(self, t: int, traffic: TrafficType, completion: float, demand: int) -> None:
+    def _admit_one(self, t: int, decl: SessionDecl) -> None:
+        traffic, demand = decl.traffic, decl.effective_demand()
         m = self.metrics
         sid = self._arrival_seq
         self._arrival_seq += 1
@@ -755,7 +752,7 @@ class Engine:
             session_id=sid,
             traffic=traffic,
             demand=demand,
-            completion=completion,
+            completion=decl.completion,
             status=SessionStatus.ACTIVE,
             band_id=band_id,
             started_at=t,
@@ -1002,7 +999,18 @@ class CompareReport:
         return "\n".join(lines)
 
 
-def _uniform_session_parameters(scenario: Scenario) -> tuple[int, float]:
+def analytic_figures(scenario: Scenario) -> dict:
+    """The analytic model's figures for a scenario, and which of them apply.
+
+    The model has one session type: every declaration must share one demand
+    and one completion probability, else ``ComparisonError``.  ``blocking``
+    and, per band, the ``stationary`` occupancy law and ``admit_probability``
+    always apply; a static band (p = q = 0) has no stationary law and raises
+    ``ChainError``.  ``noncompletion`` (with the ``grant_probability`` it
+    uses) applies only to sessions that hold spectrum (demand > 0) on a
+    single band with no alternative and that do not complete instantly
+    (completion < 1); otherwise it is None and ``skipped`` says why.
+    """
     demands = {decl.effective_demand() for decl in scenario.sessions}
     traffics = {decl.traffic for decl in scenario.sessions}
     completions = {decl.completion for decl in scenario.sessions}
@@ -1012,16 +1020,49 @@ def _uniform_session_parameters(scenario: Scenario) -> tuple[int, float]:
         raise ComparisonError("analytic comparison assumes a single traffic type (one demand value)")
     if len(completions) > 1:
         raise ComparisonError("analytic comparison assumes a single completion probability")
-    return demands.pop(), completions.pop()
+    demand, completion = demands.pop(), completions.pop()
+
+    chains = [OccupancyChain(b.capacity, b.p, b.q) for b in scenario.bands]
+    bands = [
+        {
+            "id": decl.band_id,
+            "capacity": decl.capacity,
+            "stationary": list(markov.stationary(chain).probabilities),
+            "admit_probability": (
+                markov.prob_free_at_least(chain, demand) if demand <= decl.capacity else 0.0
+            ),
+        }
+        for decl, chain in zip(scenario.bands, chains)
+    ]
+    figures: dict = {
+        "demand": demand,
+        "completion": completion,
+        "blocking": markov.blocking_probability(chains, demand),
+        "noncompletion": None,
+    }
+    if demand == 0:
+        figures["skipped"] = "zero-demand probe sessions never hold spectrum"
+    elif len(scenario.bands) != 1:
+        figures["skipped"] = "analytic model covers a single band with no alternative"
+    elif completion >= 1.0:
+        figures["skipped"] = "instant-completion probes never race the occupancy chain"
+    else:
+        band = scenario.bands[0]
+        gamma = negotiation.stationary_cooperative_probability(
+            PuDisposition(band.disposition_state, band.alpha, band.beta)
+        )
+        figures["noncompletion"] = markov.noncompletion_probability(chains[0], demand, completion, gamma)
+        figures["grant_probability"] = gamma
+    figures["bands"] = bands
+    return figures
 
 
 def compare(scenario: Scenario, seed: int | None = None) -> CompareReport:
     """Run the scenario and set empirical figures against the analytic ones.
 
-    Requires the scenario to satisfy the analytic model's assumptions:
-    zero negotiation and handover latency and a single session type.  The
-    non-completion row additionally needs a single band and sessions that
-    do not complete instantly; otherwise it is skipped with a note.
+    Requires zero negotiation and handover latency; ``analytic_figures``
+    decides which rows apply, and a skipped non-completion row leaves a
+    note.
     """
     if scenario.negotiation.latency != 0:
         raise ComparisonError(
@@ -1031,31 +1072,14 @@ def compare(scenario: Scenario, seed: int | None = None) -> CompareReport:
         raise ComparisonError(
             f"non-completion analytic assumes zero latency (handover latency {scenario.handover.latency})"
         )
-    demand, completion = _uniform_session_parameters(scenario)
-
-    chains = [OccupancyChain(b.capacity, b.p, b.q) for b in scenario.bands]
-    analytic_blocking = markov.blocking_probability(chains, demand)
-
+    figures = analytic_figures(scenario)
     result = run(scenario, seed=seed)
-    rows = [CompareRow("blocking", analytic_blocking, result.metrics.empirical_blocking or 0.0)]
-    notes: list[str] = []
-
-    if demand == 0:
-        notes.append("non-completion row skipped: zero-demand probe sessions never hold spectrum")
-    elif len(scenario.bands) != 1:
-        notes.append("non-completion row skipped: analytic model covers a single band with no alternative")
-    elif completion >= 1.0:
-        notes.append("non-completion row skipped: instant-completion probes never race the occupancy chain")
-    else:
-        band = scenario.bands[0]
-        gamma = negotiation.stationary_cooperative_probability(
-            PuDisposition(band.disposition_state, band.alpha, band.beta)
-        )
-        analytic_nc = markov.noncompletion_probability(chains[0], demand, completion, gamma)
+    rows = [CompareRow("blocking", figures["blocking"], result.metrics.empirical_blocking or 0.0)]
+    if figures["noncompletion"] is not None:
         rows.append(
-            CompareRow("non-completion", analytic_nc, result.metrics.empirical_noncompletion or 0.0)
+            CompareRow("non-completion", figures["noncompletion"], result.metrics.empirical_noncompletion or 0.0)
         )
-
+    notes = [f"non-completion row skipped: {figures['skipped']}"] if "skipped" in figures else []
     return CompareReport(
         rows=tuple(rows),
         notes=tuple(notes),

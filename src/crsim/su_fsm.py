@@ -10,14 +10,17 @@ no negotiation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, IntEnum
-from typing import Sequence
+from typing import Sequence, TypeVar
 
 from .handover import Bands, select_target
 from .learning import KnowledgeBase
 from .negotiation import NegotiationOutcome
 from .qos import TrafficType, channel_demand, priority
+
+
+_T = TypeVar("_T")
 
 
 class FsmError(RuntimeError):
@@ -132,22 +135,13 @@ def apply_outcome(session: SuSession, outcome: NegotiationOutcome) -> SuSession:
     return session
 
 
-@dataclass(frozen=True, slots=True)
-class ArrivalRequest:
-    """A pending session request, ordered by priority then arrival sequence."""
+def order_arrivals(requests: Sequence[_T]) -> list[_T]:
+    """Sort same-step requests (anything with a ``traffic``) by QoS priority.
 
-    seq: int
-    traffic: TrafficType
-    completion: float
-    demand: int = field(default=-1)
-
-    def effective_demand(self) -> int:
-        return self.demand if self.demand >= 0 else channel_demand(self.traffic)
-
-
-def order_arrivals(requests: Sequence[ArrivalRequest]) -> list[ArrivalRequest]:
-    """Sort same-step requests: higher QoS priority first, then arrival order."""
-    return sorted(requests, key=lambda r: (-priority(r.traffic), r.seq))
+    Higher priority goes first; the sort is stable, so ties keep the
+    listed (arrival) order.
+    """
+    return sorted(requests, key=lambda r: -priority(r.traffic))
 
 
 def admit(

@@ -1,0 +1,246 @@
+"""Command-line tests: ``main(argv)`` for every subcommand and error exit.
+
+``tests/data/cli_golden.json`` holds the exact stdout, stderr and exit
+code of ``analyze``, ``compare``, ``compare --json``, ``simulate``,
+``tdma`` and ``qos list`` on the canonical preset and on one scenario per
+analytic regime: a single band with holding sessions (the non-completion
+row applies), several bands and zero-demand probes (skipped with a note),
+mixed traffic and no sessions (refused), and negotiation latency (analyze
+only).  Any change to the CLI or the analytic path must reproduce them
+byte for byte.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import pytest
+
+from crsim import __version__, qos
+from crsim.cli import main
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text(encoding="utf-8"))
+
+
+def band(band_id: int = 0, capacity: int = 8, p: float = 0.2, q: float = 0.2, **disposition) -> dict:
+    return {
+        "id": band_id,
+        "capacity": capacity,
+        "p": p,
+        "q": q,
+        "initial_occupancy": 2,
+        "disposition": {"state": "cooperative", "alpha": 0.3, "beta": 0.3, **disposition},
+    }
+
+
+def scenario(sessions: list[dict], bands: list[dict] | None = None, **overrides) -> dict:
+    out = {
+        "bands": bands if bands is not None else [band()],
+        "sessions": sessions,
+        "negotiation": {"grant_request": 1, "latency": 0},
+        "handover": {"latency": 0, "max_replans": 3, "scan_interval": 10},
+        "horizon": 3_000,
+        "seed": 7,
+    }
+    out.update(overrides)
+    return out
+
+
+VIDEO_HOLDING = {"traffic": "VideoConferencing", "c": 0.05, "every": 1}
+
+SCENARIOS = {
+    # single band, holding sessions: the non-completion row applies
+    "holding": scenario([VIDEO_HOLDING]),
+    # two bands: non-completion is skipped (the model has no alternative band)
+    "multiband": scenario(
+        [{"traffic": "VideoConferencing", "c": 0.1, "every": 2}],
+        bands=[band(0), band(1, capacity=6, p=0.1, q=0.3, state="noncooperative")],
+    ),
+    # two bands and instant completion: the single-band rule is checked first
+    "multiband_instant": scenario(
+        [{"traffic": "VideoConferencing", "c": 1.0, "every": 1}], bands=[band(0), band(1, capacity=6)]
+    ),
+    # zero-demand probes: non-completion is skipped, blocking is 0
+    "probe": scenario([{"traffic": "VideoConferencing", "c": 0.5, "every": 1, "demand": 0}]),
+    # two traffic types: no single demand, both commands refuse
+    "mixed": scenario([VIDEO_HOLDING, {"traffic": "Email", "c": 0.05, "every": 3}]),
+    # nothing to compare: both commands refuse
+    "empty": scenario([]),
+    # negotiation latency: analyze answers, compare refuses
+    "latency": scenario([VIDEO_HOLDING], negotiation={"grant_request": 1, "latency": 2}),
+}
+
+TOPOLOGY = {
+    "nodes": [
+        {"id": 0, "channels": [0, 1, 2]},
+        {"id": 1, "channels": [1, 2, 3]},
+        {"id": 2, "channels": [2, 3]},
+        {"id": 3, "channels": [0, 4]},
+        {"id": 4, "channels": [2, 4]},
+    ],
+    "edges": [[0, 1], [1, 2], [2, 4], [0, 3], [3, 4]],
+}
+
+# golden key -> argv (a "{scenario}" / "{topology}" placeholder becomes a file path)
+GOLDEN_ARGV = {
+    "analyze canonical": ["analyze", "--preset", "canonical"],
+    "compare --json canonical": ["compare", "--json", "--preset", "canonical"],
+    **{f"analyze {name}": ["analyze", "--scenario", "{scenario}"] for name in SCENARIOS},
+    **{f"compare --json {name}": ["compare", "--json", "--scenario", "{scenario}"] for name in SCENARIOS},
+    "compare holding": ["compare", "--scenario", "{scenario}"],
+    "simulate holding": ["simulate", "--scenario", "{scenario}"],
+    "simulate --replications 3 multiband": ["simulate", "--replications", "3", "--scenario", "{scenario}"],
+    "tdma topology": ["tdma", "--topology", "{topology}"],
+    "tdma --rounds 1 topology": ["tdma", "--rounds", "1", "--topology", "{topology}"],
+    "qos list": ["qos", "list"],
+}
+
+
+def write_json(path: Path, data) -> str:
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
+
+
+def run_cli(capsys, argv: list[str]) -> tuple[int, str, str]:
+    code = main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def resolve(key: str, tmp_path: Path) -> list[str]:
+    subject = key.rsplit(" ", 1)[1]
+    argv = []
+    for arg in GOLDEN_ARGV[key]:
+        if arg == "{scenario}":
+            arg = write_json(tmp_path / f"{subject}.json", SCENARIOS[subject])
+        elif arg == "{topology}":
+            arg = write_json(tmp_path / "topology.json", TOPOLOGY)
+        argv.append(arg)
+    return argv
+
+
+def test_golden_table_covers_every_case():
+    assert sorted(GOLDEN) == sorted(GOLDEN_ARGV)
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_ARGV))
+def test_golden_output(key, tmp_path, capsys):
+    code, out, err = run_cli(capsys, resolve(key, tmp_path))
+    golden = GOLDEN[key]
+    assert code == golden["exit"], err
+    assert out == golden["stdout"]
+    assert err == golden["stderr"]
+
+
+def test_goldens_cover_each_regime():
+    """Each scenario's goldens show the regime it was written for."""
+
+    def payload(key):
+        return json.loads(GOLDEN[key]["stdout"])
+
+    assert payload("analyze holding")["noncompletion"] is not None
+    assert [r["metric"] for r in payload("compare --json holding")["rows"]] == ["blocking", "non-completion"]
+    for name, reason in (("multiband", "single band"), ("multiband_instant", "single band"), ("probe", "zero-demand")):
+        assert payload(f"analyze {name}")["noncompletion"] is None
+        (analyze_note,) = payload(f"analyze {name}")["notes"]
+        (compare_note,) = payload(f"compare --json {name}")["notes"]
+        assert analyze_note.startswith("non-completion skipped: ") and reason in analyze_note
+        assert compare_note.startswith("non-completion row skipped: ") and reason in compare_note
+    for key in ("analyze mixed", "compare --json mixed", "analyze empty", "compare --json empty", "compare --json latency"):
+        assert (GOLDEN[key]["exit"], GOLDEN[key]["stdout"]) == (1, "")
+        assert GOLDEN[key]["stderr"].startswith("error: ")
+    assert GOLDEN["analyze latency"]["exit"] == 0
+
+
+def test_analyze_and_compare_agree_on_a_static_band(tmp_path, capsys):
+    """A static band (p = q = 0) has no stationary law, so both commands refuse
+    it, also where the blocking product skips it (demand above its capacity)."""
+    static = scenario([VIDEO_HOLDING], bands=[band(0), band(1, capacity=3, p=0.0, q=0.0)])
+    path = write_json(tmp_path / "static.json", static)
+    for argv in (["analyze", "--scenario", path], ["compare", "--json", "--scenario", path]):
+        assert run_cli(capsys, argv) == (
+            1,
+            "",
+            "error: frozen chain (birth = death = 0): no unique stationary distribution\n",
+        )
+
+
+def test_qos_list_is_the_table(capsys):
+    assert run_cli(capsys, ["qos", "list"]) == (0, qos.table_csv(), "")
+
+
+def test_version(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"crsim {__version__}\n"
+
+
+def test_out_file_matches_stdout(tmp_path, capsys):
+    path = write_json(tmp_path / "holding.json", SCENARIOS["holding"])
+    out_path = tmp_path / "analyze.json"
+    assert run_cli(capsys, ["analyze", "--scenario", path, "--out", str(out_path)]) == (0, "", "")
+    assert out_path.read_text(encoding="utf-8") + "\n" == GOLDEN["analyze holding"]["stdout"]
+
+
+def test_kb_snapshot_round_trip(tmp_path, capsys):
+    """--kb-in warm-starts from a --kb-out snapshot.
+
+    With a single band the knowledge base ranks nothing, so the warm run
+    repeats the cold one and every counter of its snapshot doubles.
+    """
+    path = write_json(tmp_path / "holding.json", SCENARIOS["holding"])
+    cold_kb, warm_kb = tmp_path / "cold.json", tmp_path / "warm.json"
+    code, cold, _ = run_cli(capsys, ["simulate", "--scenario", path, "--kb-out", str(cold_kb)])
+    assert (code, cold) == (0, GOLDEN["simulate holding"]["stdout"])
+    argv = ["simulate", "--scenario", path, "--kb-in", str(cold_kb), "--kb-out", str(warm_kb)]
+    assert run_cli(capsys, argv) == (0, cold, "")
+    cold_counters = json.loads(cold_kb.read_text(encoding="utf-8"))
+    warm_counters = json.loads(warm_kb.read_text(encoding="utf-8"))
+    assert cold_counters["0"]["sensed"] > 0
+    assert warm_counters == {
+        band_id: {key: 2 * value for key, value in counters.items()}
+        for band_id, counters in cold_counters.items()
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, files",
+    [
+        # a topology whose "rounds" is not a nonnegative integer
+        (["tdma", "--topology", "{t}"], {"t": {**TOPOLOGY, "rounds": "2"}}),
+        (["tdma", "--topology", "{t}"], {"t": {**TOPOLOGY, "rounds": 1.5}}),
+        (["tdma", "--topology", "{t}"], {"t": {**TOPOLOGY, "rounds": -1}}),
+        # negative node ids and channels
+        (["tdma", "--topology", "{t}"], {"t": {"nodes": [{"id": 0, "channels": [-1, 2]}], "edges": []}}),
+        (["tdma", "--topology", "{t}"], {"t": {"nodes": [{"id": -1, "channels": [2]}], "edges": []}}),
+        # a knowledge-base snapshot that is not an object of objects
+        (["simulate", "--scenario", "{s}", "--kb-in", "{t}"], {"s": SCENARIOS["holding"], "t": [1, 2]}),
+        (["simulate", "--scenario", "{s}", "--kb-in", "{t}"], {"s": SCENARIOS["holding"], "t": {"0": 3}}),
+        (["simulate", "--scenario", "{s}", "--kb-in", "{t}"], {"s": SCENARIOS["holding"], "t": []}),
+        # a non-finite completion probability
+        (["simulate", "--scenario", "{s}"], {"s": scenario([{**VIDEO_HOLDING, "c": float("nan")}])}),
+        # a missing file
+        (["analyze", "--scenario", "{missing}"], {}),
+    ],
+    ids=[
+        "rounds-string",
+        "rounds-float",
+        "rounds-negative",
+        "negative-channel",
+        "negative-node",
+        "kb-list",
+        "kb-scalar-counters",
+        "kb-empty-list",
+        "nan-completion",
+        "missing-scenario",
+    ],
+)
+def test_malformed_input_exits_1_with_error_line(argv, files, tmp_path, capsys):
+    paths = {name: write_json(tmp_path / f"{name}.json", data) for name, data in files.items()}
+    paths["missing"] = str(tmp_path / "missing.json")
+    code, out, err = run_cli(capsys, [arg.format(**paths) for arg in argv])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -27,6 +27,7 @@ from crsim.simcore import (
     HandoverParams,
     NegotiationParams,
     Scenario,
+    ScenarioError,
     SessionDecl,
     canonical_preset,
     run,
@@ -303,6 +304,26 @@ def test_scenario_round_trips_through_dict():
     again = Scenario.from_dict(scenario.to_dict())
     assert again == scenario
     assert again.sha256() == scenario.sha256()
+
+
+def test_from_dict_reports_every_non_finite_number():
+    nan = float("nan")
+    data = multiband_latency().to_dict()
+    data["bands"][1].update(p=nan, q=nan)
+    data["bands"][2]["disposition"].update(alpha=nan, beta=nan)
+    data["sessions"][0]["c"] = nan
+    with pytest.raises(ScenarioError) as exc:
+        Scenario.from_dict(data)
+    assert exc.value.problems == [
+        f"{path}: must be a finite number, got nan"
+        for path in (
+            "bands[1].p",
+            "bands[1].q",
+            "bands[2].disposition.alpha",
+            "bands[2].disposition.beta",
+            "sessions[0].c",
+        )
+    ]
 
 
 band_decls = st.builds(

@@ -5,10 +5,10 @@ import pytest
 from crsim.learning import KnowledgeBase
 from crsim.negotiation import NegotiationOutcome
 from crsim.qos import TrafficType
+from crsim.simcore import SessionDecl
 from crsim.spectrum_env import BandView
 from crsim.su_fsm import (
     Action,
-    ArrivalRequest,
     FsmError,
     Mode,
     SessionStatus,
@@ -156,13 +156,13 @@ def test_admit_demand_override_for_probes():
 
 def test_order_arrivals_by_priority_then_sequence():
     requests = [
-        ArrivalRequest(0, TrafficType.EMAIL, 0.5),  # priority 10
-        ArrivalRequest(1, TrafficType.MULTICASTING, 0.5),  # priority 16
-        ArrivalRequest(2, TrafficType.VOICE, 0.5),  # priority 12
-        ArrivalRequest(3, TrafficType.ECOMMERCE, 0.5),  # priority 12
+        SessionDecl(TrafficType.EMAIL, 0.5, arrival=0),  # priority 10
+        SessionDecl(TrafficType.MULTICASTING, 0.5, arrival=0),  # priority 16
+        SessionDecl(TrafficType.VOICE, 0.5, arrival=0),  # priority 12
+        SessionDecl(TrafficType.ECOMMERCE, 0.5, arrival=0),  # priority 12
     ]
     ordered = order_arrivals(requests)
-    assert [r.seq for r in ordered] == [1, 2, 3, 0]
+    assert [requests.index(r) for r in ordered] == [1, 2, 3, 0]
 
 
 def test_terminal_marker():

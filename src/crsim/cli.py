@@ -12,10 +12,8 @@ from statistics import mean, stdev
 from . import __version__, qos
 from .learning import KnowledgeBase
 from .mac_tdma import NodeProfile, TdmaError, discover
-from .markov import ChainError
 from .simcore import (
     PRESETS,
-    ComparisonError,
     Scenario,
     ScenarioError,
     analytic_figures,
@@ -275,10 +273,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, ComparisonError, ChainError, TdmaError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,33 +18,6 @@ __all__ = ["mc_noncompletion", "occupancy_histogram"]
 # session-outcome Monte Carlo
 # ---------------------------------------------------------------------------
 
-def _mc_sessions(boundary, p, q, c, gamma, cum_init, start_state, n_sessions, seed):
-    rng = np.random.default_rng(seed)
-    if start_state >= 0:
-        k = np.full(n_sessions, start_state, dtype=np.int64)
-    else:
-        k = np.searchsorted(cum_init, rng.random(n_sessions), side="right").astype(np.int64)
-        np.clip(k, 0, boundary, out=k)
-    drops = 0
-    while k.size:
-        k = k[rng.random(k.size) >= c]  # completions leave the pool
-        if k.size == 0:
-            break
-        u = rng.random(k.size)
-        birth = u < p
-        death = ~birth & (u < p + q) & (k > 0)
-        nk = k + birth - death
-        dropped = birth & (nk > boundary)
-        into = np.flatnonzero(birth & (nk == boundary))
-        if into.size:
-            refused = rng.random(into.size) >= gamma
-            nk[into] = boundary - 1  # granted walkers resume just below the boundary
-            dropped[into[refused]] = True
-        drops += int(np.count_nonzero(dropped))
-        k = nk[~dropped]
-    return drops
-
-
 def mc_noncompletion(
     chain: OccupancyChain,
     demand: int,
@@ -68,26 +41,34 @@ def mc_noncompletion(
     if n_sessions < 1:
         raise ValueError("n_sessions must be positive")
     boundary = chain.capacity - demand
+    if start_state is not None and not 0 <= start_state <= boundary:
+        raise ValueError(f"start_state must be in 0..{boundary}, got {start_state}")
+    p, q = chain.birth, chain.death
+    rng = np.random.default_rng(seed)
     if start_state is None:
         pi = stationary(chain).probabilities[: boundary + 1]
         cum = np.cumsum(pi / pi.sum())
-        start = -1
+        k = np.searchsorted(cum, rng.random(n_sessions), side="right").astype(np.int64)
+        np.clip(k, 0, boundary, out=k)
     else:
-        if not 0 <= start_state <= boundary:
-            raise ValueError(f"start_state must be in 0..{boundary}, got {start_state}")
-        cum = np.ones(boundary + 1, dtype=float)
-        start = int(start_state)
-    drops = _mc_sessions(
-        boundary,
-        float(chain.birth),
-        float(chain.death),
-        float(completion),
-        float(grant_probability),
-        cum,
-        start,
-        int(n_sessions),
-        int(seed),
-    )
+        k = np.full(n_sessions, start_state, dtype=np.int64)
+    drops = 0
+    while k.size:
+        k = k[rng.random(k.size) >= completion]  # completions leave the pool
+        if k.size == 0:
+            break
+        u = rng.random(k.size)
+        birth = u < p
+        death = ~birth & (u < p + q) & (k > 0)
+        nk = k + birth - death
+        dropped = birth & (nk > boundary)
+        into = np.flatnonzero(birth & (nk == boundary))
+        if into.size:
+            refused = rng.random(into.size) >= grant_probability
+            nk[into] = boundary - 1  # granted walkers resume just below the boundary
+            dropped[into[refused]] = True
+        drops += int(np.count_nonzero(dropped))
+        k = nk[~dropped]
     return drops / n_sessions
 
 
@@ -95,7 +76,13 @@ def mc_noncompletion(
 # occupancy-chain trajectory histogram
 # ---------------------------------------------------------------------------
 
-def _occupancy_histogram(capacity, p, q, start, steps, seed):
+def occupancy_histogram(chain: OccupancyChain, start: int, steps: int, seed: int) -> np.ndarray:
+    """Visit counts per occupancy state along one simulated trajectory."""
+    if not 0 <= start <= chain.capacity:
+        raise ValueError(f"start occupancy must be in 0..{chain.capacity}, got {start}")
+    if steps < 1:
+        raise ValueError("steps must be positive")
+    capacity, p, q = chain.capacity, chain.birth, chain.death
     rng = np.random.default_rng(seed)
     counts = np.zeros(capacity + 1, dtype=np.int64)
     k = start
@@ -112,12 +99,3 @@ def _occupancy_histogram(capacity, p, q, start, steps, seed):
             counts[k] += 1
         remaining -= block
     return counts
-
-
-def occupancy_histogram(chain: OccupancyChain, start: int, steps: int, seed: int) -> np.ndarray:
-    """Visit counts per occupancy state along one simulated trajectory."""
-    if not 0 <= start <= chain.capacity:
-        raise ValueError(f"start occupancy must be in 0..{chain.capacity}, got {start}")
-    if steps < 1:
-        raise ValueError("steps must be positive")
-    return _occupancy_histogram(chain.capacity, float(chain.birth), float(chain.death), int(start), int(steps), int(seed))

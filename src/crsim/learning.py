@@ -106,12 +106,11 @@ class KnowledgeBase:
             raise ValueError("knowledge-base snapshot must be a JSON object of per-band objects")
         kb = cls()
         for band_id, counters in data.items():
-            rec = BandRecord(
-                attempts=int(counters.get("attempts", 0)),
-                grants=int(counters.get("grants", 0)),
-                sensed=int(counters.get("sensed", 0)),
-                available=int(counters.get("available", 0)),
-            )
+            values = {key: counters.get(key, 0) for key in ("attempts", "grants", "sensed", "available")}
+            for key, value in values.items():
+                if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+                    raise ValueError(f"band {band_id}: {key} must be a nonnegative integer, got {value!r}")
+            rec = BandRecord(**values)
             if not 0 <= rec.grants <= rec.attempts:
                 raise ValueError(f"band {band_id}: grants must be within 0..attempts")
             if not 0 <= rec.available <= rec.sensed:

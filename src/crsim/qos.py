@@ -87,7 +87,8 @@ def channel_demand(traffic: TrafficType) -> int:
 def priority(traffic: TrafficType) -> int:
     """Admission priority: the sum of all four sensitivities (higher first).
 
-    Ties between equal-priority types are broken by enumeration order.
+    Equal priorities are not ordered here; ``su_fsm.order_arrivals`` keeps
+    such arrivals in their listed order.
     """
     p = _PROFILES[traffic]
     return p.bandwidth + p.delay + p.loss + p.jitter

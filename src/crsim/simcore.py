@@ -25,6 +25,13 @@ session admitted onto a band at the Warning boundary (occupancy + demand ==
 capacity) therefore negotiates in its admission step, and one admitted in
 Normal mode may complete in that step.
 
+A session's turn in (4-6) runs handlers (sense and act, negotiate, hand
+over, arrive) one after another, each returning the next one due in this
+step, until one returns none.  Within one step a session is never handed
+back to a band it has already left in that step, so a turn visits each band
+at most once and ends by itself; a session that every band it can still
+reach refuses is dropped for want of a target.
+
 Determinism contract: a single uniform stream seeded from the scenario
 seed is consumed in a documented order — bands by ascending id, then
 dispositions by ascending id, then completion draws by ascending session
@@ -37,11 +44,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -53,8 +59,6 @@ from .negotiation import NegotiationRequest, PuDisposition, PuState
 from .qos import TrafficType, channel_demand
 from .spectrum_env import BandView, SpectrumBand
 from .su_fsm import Action, Mode, SessionStatus, SuSession
-
-log = logging.getLogger(__name__)
 
 __all__ = [
     "ScenarioError",
@@ -509,12 +513,10 @@ _KIND_PAYLOAD = {
 
 DROP_NO_TARGET = 1
 DROP_REPLANS_EXHAUSTED = 2
-DROP_LOOP_GUARD = 3
 
 _DROP_REASONS = {
     DROP_NO_TARGET: "no_target",
     DROP_REPLANS_EXHAUSTED: "replans_exhausted",
-    DROP_LOOP_GUARD: "loop_guard",
 }
 
 _EVENT_PACK = struct.Struct("<IBqqq").pack
@@ -602,6 +604,11 @@ class RandomStream:
         return self._buf[i]
 
 
+# one step of a session's turn in (4-6): it returns the next handler due in
+# this step, or None when the turn is over
+_Handler = Callable[[SuSession, int], "_Handler | None"]
+
+
 class Engine:
     """Owns all mutable world state for one run."""
 
@@ -643,7 +650,8 @@ class Engine:
                 self._single_arrivals.setdefault(decl.arrival, []).append(decl)
             else:
                 self._patterns.append(decl)
-        self._hop_cap = 2 * len(self.bands) + scenario.handover.max_replans + 2
+        # bands the acting session has left in its current turn of (4-6)
+        self._left: set[int] = set()
         self.timeseries: list[tuple] | None = [] if collect_timeseries else None
 
     # -- views ------------------------------------------------------------
@@ -679,19 +687,22 @@ class Engine:
             for decl in decls:
                 self._admit_one(t, decl)
 
-        # (4-6) sense, classify, decide, act
+        # (4-6) sense, classify, decide, act: one turn per live session
+        left = self._left
         for session in tuple(self.live):
             status = session.status
             if status is SessionStatus.ACTIVE:
-                self._active_substep(session, t)
+                action = self._active_substep
             elif status is SessionStatus.NEGOTIATING:
                 session.negotiation_wait -= 1
-                if session.negotiation_wait <= 0:
-                    self._resolve_negotiation(session, t)
-            elif status is SessionStatus.HANDING_OVER:
+                action = self._resolve_negotiation if session.negotiation_wait <= 0 else None
+            else:  # HANDING_OVER
                 session.handover_wait -= 1
-                if session.handover_wait <= 0:
-                    self._arrive(session, t)
+                action = self._arrive if session.handover_wait <= 0 else None
+            while action is not None:
+                action = action(session, t)
+            if left:
+                left.clear()
 
         # (7) completion draws, ascending session id
         for session in tuple(self.live):
@@ -700,7 +711,6 @@ class Engine:
                     self._complete(session, t)
                 else:
                     session.transmitting = False
-            session.hops = 0
 
         # (8) knowledge-base updates buffered during this step
         if self._neg_events:
@@ -753,15 +763,13 @@ class Engine:
             traffic=traffic,
             demand=demand,
             completion=decl.completion,
-            status=SessionStatus.ACTIVE,
             band_id=band_id,
-            started_at=t,
         )
         self.band_by_id[band_id].su = session
         self.live.append(session)
         self.trace.add(t, EventKind.ADMIT, sid, band_id, demand)
 
-    def _active_substep(self, session: SuSession, t: int) -> None:
+    def _active_substep(self, session: SuSession, t: int) -> _Handler | None:
         band = self.band_by_id[session.band_id]
         demand = session.demand
         report = spectrum_env.sense(band, t)
@@ -783,22 +791,23 @@ class Engine:
         action = su_fsm.decide(session, mode)
         if action is Action.CONTINUE_TRANSMIT:
             session.transmitting = True
-        elif action is Action.START_NEGOTIATION:
-            self._begin_negotiation(session, t)
-        else:  # START_HANDOVER (Failure: no negotiation phase)
-            session.status = SessionStatus.HANDING_OVER
-            self._start_handover(session, t)
+            return None
+        if action is Action.START_NEGOTIATION:
+            return self._begin_negotiation
+        # START_HANDOVER (Failure: no negotiation phase)
+        session.status = SessionStatus.HANDING_OVER
+        return self._start_handover
 
-    def _begin_negotiation(self, session: SuSession, t: int) -> None:
+    def _begin_negotiation(self, session: SuSession, t: int) -> _Handler | None:
         session.status = SessionStatus.NEGOTIATING
         latency = self.scenario.negotiation.latency
         if latency == 0:
-            self._resolve_negotiation(session, t)
-        else:
-            session.negotiation_wait = latency
-            self.trace.add(t, EventKind.NEGOTIATION_STARTED, session.session_id, session.band_id, latency)
+            return self._resolve_negotiation
+        session.negotiation_wait = latency
+        self.trace.add(t, EventKind.NEGOTIATION_STARTED, session.session_id, session.band_id, latency)
+        return None
 
-    def _resolve_negotiation(self, session: SuSession, t: int) -> None:
+    def _resolve_negotiation(self, session: SuSession, t: int) -> _Handler | None:
         band = self.band_by_id[session.band_id]
         request = NegotiationRequest(band.band_id, self.scenario.negotiation.grant_request)
         if self._scan_counts:  # a grant would change what later scans see
@@ -812,25 +821,23 @@ class Engine:
             m.grants += 1
             self.trace.add(t, EventKind.NEGOTIATION_GRANTED, session.session_id, band.band_id, outcome.channels)
             session.transmitting = True
-        else:
-            m.refusals += 1
-            self.trace.add(t, EventKind.NEGOTIATION_REFUSED, session.session_id, band.band_id, 0)
-            self._start_handover(session, t)
+            return None
+        m.refusals += 1
+        self.trace.add(t, EventKind.NEGOTIATION_REFUSED, session.session_id, band.band_id, 0)
+        return self._start_handover
 
-    def _start_handover(self, session: SuSession, t: int) -> None:
+    def _start_handover(self, session: SuSession, t: int) -> _Handler | None:
         session.transmitting = False
-        session.hops += 1
         source = session.band_id
         self._vacate(session)
-        if session.hops > self._hop_cap:
-            log.warning("session %d bounced between bands within one step; dropping", session.session_id)
-            self.metrics.failed_handovers += 1
-            self._drop(session, t, DROP_LOOP_GUARD)
-            return
+        # never hand the session back to a band it has left in this step
+        left = self._left
+        left.add(source)
+        bands = self.bands if len(left) == 1 else [b for b in self.bands if b.band_id not in left]
         plan = ho.plan_handover(
             session.session_id,
-            self.bands,
-            current=source if source is not None else -1,
+            bands,
+            current=source,
             demand=session.demand,
             kb=self.kb,
             latency=self.scenario.handover.latency,
@@ -839,19 +846,18 @@ class Engine:
             t,
             EventKind.HANDOVER_STARTED,
             session.session_id,
-            source if source is not None else -1,
+            source,
             plan.target if plan.target is not None else -1,
         )
         if plan.target is None:
             self.metrics.failed_handovers += 1
             self._drop(session, t, DROP_NO_TARGET)
-            return
+            return None
         session.handover_target = plan.target
         session.handover_wait = plan.latency
-        if plan.latency == 0:
-            self._arrive(session, t)
+        return self._arrive if plan.latency == 0 else None
 
-    def _arrive(self, session: SuSession, t: int) -> None:
+    def _arrive(self, session: SuSession, t: int) -> _Handler | None:
         target = self.band_by_id[session.handover_target]
         if target.su is None and target.free >= session.demand:
             replans_taken = session.replans
@@ -862,16 +868,15 @@ class Engine:
             target.su = session
             self.metrics.handovers += 1
             self.trace.add(t, EventKind.HANDOVER_COMPLETED, session.session_id, target.band_id, replans_taken)
-            self._active_substep(session, t)  # fresh sensing, mode, action
-            return
+            return self._active_substep  # fresh sensing, mode, action
         # target filled up during the latency window: plan again
         session.replans += 1
         self.metrics.failed_handovers += 1
         self.trace.add(t, EventKind.HANDOVER_REPLANNED, session.session_id, target.band_id, session.replans)
         if session.replans >= self.scenario.handover.max_replans:
             self._drop(session, t, DROP_REPLANS_EXHAUSTED)
-            return
-        self._start_handover(session, t)
+            return None
+        return self._start_handover
 
     def _settle_scans(self, band: SpectrumBand) -> None:
         """Settle the scans counted since ``band`` was last settled, at its current occupancy."""
@@ -891,28 +896,24 @@ class Engine:
 
     def _vacate(self, session: SuSession) -> None:
         """Clear the session's band of it, if it is resident there."""
-        band = self.band_by_id.get(session.band_id)
-        if band is not None and band.su is session:
+        band = self.band_by_id[session.band_id]
+        if band.su is session:
             band.su = None
 
     def _drop(self, session: SuSession, t: int, reason: int) -> None:
         session.status = SessionStatus.DROPPED
-        session.ended_at = t
         session.transmitting = False
-        band = session.band_id if session.band_id is not None else -1
         self._vacate(session)
         self.metrics.dropped += 1
-        self.trace.add(t, EventKind.DROPPED, session.session_id, band, reason)
+        self.trace.add(t, EventKind.DROPPED, session.session_id, session.band_id, reason)
         self.live.remove(session)
 
     def _complete(self, session: SuSession, t: int) -> None:
         session.status = SessionStatus.COMPLETED
-        session.ended_at = t
         session.transmitting = False
-        band = session.band_id if session.band_id is not None else -1
         self._vacate(session)
         self.metrics.completed += 1
-        self.trace.add(t, EventKind.COMPLETED, session.session_id, band, 0)
+        self.trace.add(t, EventKind.COMPLETED, session.session_id, session.band_id, 0)
         self.live.remove(session)
 
     def run(self) -> RunResult:

@@ -37,19 +37,14 @@ class Action(Enum):
     CONTINUE_TRANSMIT = "continue_transmit"
     START_NEGOTIATION = "start_negotiation"
     START_HANDOVER = "start_handover"
-    DROP = "drop"
 
 
 class SessionStatus(Enum):
-    IDLE = "idle"
     ACTIVE = "active"
     NEGOTIATING = "negotiating"
     HANDING_OVER = "handing_over"
     COMPLETED = "completed"
     DROPPED = "dropped"
-
-
-TERMINAL = (SessionStatus.COMPLETED, SessionStatus.DROPPED)
 
 
 def classify_mode(pu_used: int, demand: int, capacity: int) -> Mode:
@@ -85,22 +80,15 @@ class SuSession:
     traffic: TrafficType
     demand: int
     completion: float  # per-step completion probability
-    status: SessionStatus = SessionStatus.IDLE
-    band_id: int | None = None
+    band_id: int
+    status: SessionStatus = SessionStatus.ACTIVE
     mode: Mode | None = None
     negotiation_wait: int = 0
     handover_target: int | None = None
     handover_wait: int = 0
     replans: int = 0
-    started_at: int | None = None
-    ended_at: int | None = None
     # engine-transient bookkeeping, reset every step
     transmitting: bool = False
-    hops: int = 0
-
-    @property
-    def terminal(self) -> bool:
-        return self.status in TERMINAL
 
 
 def decide(session: SuSession, mode: Mode) -> Action:

@@ -219,6 +219,19 @@ def test_kb_snapshot_round_trip(tmp_path, capsys):
         (["simulate", "--scenario", "{s}", "--kb-in", "{t}"], {"s": SCENARIOS["holding"], "t": [1, 2]}),
         (["simulate", "--scenario", "{s}", "--kb-in", "{t}"], {"s": SCENARIOS["holding"], "t": {"0": 3}}),
         (["simulate", "--scenario", "{s}", "--kb-in", "{t}"], {"s": SCENARIOS["holding"], "t": []}),
+        # counters that are not nonnegative JSON integers
+        (
+            ["simulate", "--scenario", "{s}", "--kb-in", "{t}"],
+            {"s": SCENARIOS["holding"], "t": {"0": {"attempts": [1]}}},
+        ),
+        (
+            ["simulate", "--scenario", "{s}", "--kb-in", "{t}"],
+            {"s": SCENARIOS["holding"], "t": {"0": {"attempts": 2.7}}},
+        ),
+        (
+            ["simulate", "--scenario", "{s}", "--kb-in", "{t}"],
+            {"s": SCENARIOS["holding"], "t": {"0": {"sensed": True}}},
+        ),
         # a non-finite completion probability
         (["simulate", "--scenario", "{s}"], {"s": scenario([{**VIDEO_HOLDING, "c": float("nan")}])}),
         # a missing file
@@ -233,6 +246,9 @@ def test_kb_snapshot_round_trip(tmp_path, capsys):
         "kb-list",
         "kb-scalar-counters",
         "kb-empty-list",
+        "kb-list-counter",
+        "kb-float-counter",
+        "kb-bool-counter",
         "nan-completion",
         "missing-scenario",
     ],

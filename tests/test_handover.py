@@ -1,10 +1,14 @@
 from itertools import permutations
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from crsim.handover import HandoverPlan, plan_handover, select_target
 from crsim.learning import KnowledgeBase
 from crsim.negotiation import PuState
 from crsim.qos import TrafficType
 from crsim.simcore import (
+    DROP_NO_TARGET,
     BandDecl,
     Engine,
     EventKind,
@@ -92,12 +96,14 @@ def test_target_filled_during_latency_triggers_replan():
     assert session.band_id == 2
 
 
-def test_replan_exhaustion_drops_session():
+def refusing_bands(count: int) -> tuple[BandDecl, ...]:
+    """Static bands exactly at the Warning boundary for demand 4, all refusing."""
+    return tuple(BandDecl(i, 8, 0.0, 0.0, 4, PuState.NONCOOPERATIVE, 0.0, 0.0) for i in range(count))
+
+
+def one_session_step(bands: tuple[BandDecl, ...]) -> Engine:
     scenario = Scenario(
-        bands=(
-            BandDecl(0, 8, 0.0, 0.0, 4, PuState.NONCOOPERATIVE, 0.0, 0.0),
-            BandDecl(1, 8, 0.0, 0.0, 4, PuState.NONCOOPERATIVE, 0.0, 0.0),
-        ),
+        bands=bands,
         sessions=(SessionDecl(TrafficType.VIDEO_CONFERENCING, 0.001, arrival=0),),
         horizon=2,
         seed=3,
@@ -106,12 +112,73 @@ def test_replan_exhaustion_drops_session():
     )
     engine = Engine(scenario, keep_trace=True)
     engine.step()
-    # both bands sit exactly at the Warning boundary and always refuse, so a
-    # zero-latency run bounces between them until the loop guard drops it
-    assert engine.metrics.dropped == 1
+    return engine
+
+
+def test_two_refusing_bands_are_each_negotiated_once_then_no_target():
+    # both bands sit exactly at the Warning boundary and always refuse: the
+    # session is refused on band 0, hands over to band 1, is refused there,
+    # and finds no band it has not left in this step
+    engine = one_session_step(refusing_bands(2))
+    records = engine.trace.records
     assert engine.metrics.admitted == 1
-    drop = [r for r in engine.trace.records if r[1] == EventKind.DROPPED]
-    assert len(drop) == 1
+    assert engine.metrics.dropped == 1
+    refused = [b for _, kind, _, b, _ in records if kind == EventKind.NEGOTIATION_REFUSED]
+    assert refused == [0, 1]
+    started = [(b, c) for _, kind, _, b, c in records if kind == EventKind.HANDOVER_STARTED]
+    assert started == [(0, 1), (1, -1)]
+    drops = [(b, c) for _, kind, _, b, c in records if kind == EventKind.DROPPED]
+    assert drops == [(1, DROP_NO_TARGET)]
+
+
+def test_a_turn_through_300_refusing_bands_ends_without_recursion():
+    count = 300
+    engine = one_session_step(refusing_bands(count))
+    records = engine.trace.records
+    refused = [b for _, kind, _, b, _ in records if kind == EventKind.NEGOTIATION_REFUSED]
+    assert refused == list(range(count))
+    assert engine.metrics.handovers == count - 1
+    drops = [(b, c) for _, kind, _, b, c in records if kind == EventKind.DROPPED]
+    assert drops == [(count - 1, DROP_NO_TARGET)]
+
+
+band_decls = st.tuples(
+    st.integers(4, 8),
+    st.floats(0.0, 0.5),
+    st.floats(0.0, 0.5),
+    st.integers(0, 8),
+    st.sampled_from(list(PuState)),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    bands=st.lists(band_decls, min_size=2, max_size=6),
+    demands=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    horizon=st.integers(1, 60),
+    seed=st.integers(0, 2**16),
+)
+def test_no_session_starts_two_handovers_from_one_band_in_a_step(bands, demands, horizon, seed):
+    scenario = Scenario(
+        bands=tuple(
+            BandDecl(i, c, p, q, min(occ, c), state, alpha, beta)
+            for i, (c, p, q, occ, state, alpha, beta) in enumerate(bands)
+        ),
+        sessions=tuple(
+            SessionDecl(TrafficType.VIDEO_CONFERENCING, 0.1, every=1 + i % 2, demand=d) for i, d in enumerate(demands)
+        ),
+        horizon=horizon,
+        seed=seed,
+        negotiation=NegotiationParams(1, 0),
+        handover=HandoverParams(latency=0, max_replans=3, scan_interval=5),
+    )
+    engine = Engine(scenario, keep_trace=True)
+    engine.run()
+    records = engine.trace.records
+    started = [(step, sid, source) for step, kind, sid, source, _ in records if kind == EventKind.HANDOVER_STARTED]
+    assert len(started) == len(set(started))
 
 
 def test_handover_sessions_do_not_transmit_during_latency():

@@ -163,10 +163,3 @@ def test_order_arrivals_by_priority_then_sequence():
     ]
     ordered = order_arrivals(requests)
     assert [requests.index(r) for r in ordered] == [1, 2, 3, 0]
-
-
-def test_terminal_marker():
-    session = active_session()
-    assert not session.terminal
-    session.status = SessionStatus.DROPPED
-    assert session.terminal

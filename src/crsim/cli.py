@@ -21,8 +21,6 @@ from .simcore import (
     run,
 )
 
-log = logging.getLogger(__name__)
-
 _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
 
 

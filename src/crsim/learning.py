@@ -10,7 +10,7 @@ next ``record_*`` call.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .spectrum_env import SensingReport
@@ -81,9 +81,6 @@ class KnowledgeBase:
         if score is None:
             score = self._scores[band_id] = self.coop_estimate(band_id) * self.availability_estimate(band_id)
         return score
-
-    def band_ids(self) -> Iterator[int]:
-        return iter(sorted(self._records))
 
     def counters(self, band_id: int) -> BandRecord:
         """A copy of the raw counters for a band (zeros if never touched)."""

@@ -74,12 +74,6 @@ class Distribution:
         if abs(float(p.sum()) - 1.0) > 1e-12:
             raise ChainError(f"distribution entries must sum to 1, got {p.sum()!r}")
 
-    def __len__(self) -> int:
-        return len(self.probabilities)
-
-    def __getitem__(self, k: int) -> float:
-        return float(self.probabilities[k])
-
 
 def transition_matrix(chain: OccupancyChain) -> np.ndarray:
     """Row-stochastic (C+1)x(C+1) one-step matrix of the occupancy chain.

@@ -9,15 +9,16 @@ histograms and invariant checks.
 
 Sensing in (4-6) only buffers knowledge-base counters; (8) applies them, so
 every score read during a step sees the counters as of the step's start.
-An active session senses its own band every step.  On a scan step (step
-index a multiple of the handover scan interval) it also scans every other
-band; a scan is counted by the session's demand alone, not sensed band by
-band.  (8) settles each band's share of those counts at the band's current
+Each time an active session senses and classifies its mode it observes
+every band once on a scan step (step index a multiple of the handover scan
+interval), its own band included, and only its own band on any other step.
+A scan is counted by the session's demand alone, not sensed band by band.
+(8) settles each band's share of those counts at the band's current
 occupancy: a scan counts as available where free >= demand.  Within (4-6)
 only a negotiation grant changes a band's occupancy, so the engine settles
 that band's pending scans right before the grant; scans counted earlier in
 the step thus see the occupancy before the grant, later ones the
-occupancy after it.
+occupancy after it, exactly as a band-by-band sense would.
 
 Sessions admitted in (3) take part in (4-6) and (7) of the same step: they
 sense the occupancy that (1) has just produced and act on it at once.  A
@@ -58,7 +59,7 @@ from .markov import OccupancyChain
 from .negotiation import NegotiationRequest, PuDisposition, PuState
 from .qos import TrafficType, channel_demand
 from .spectrum_env import BandView, SpectrumBand
-from .su_fsm import Action, Mode, SessionStatus, SuSession
+from .su_fsm import MODE_NAMES, Action, Mode, SessionStatus, SuSession
 
 __all__ = [
     "ScenarioError",
@@ -258,13 +259,11 @@ class Scenario:
         for key in sorted(set(data) - known):
             problems.append(f"{key}: unknown top-level key")
 
-        horizon = intval(data.get("horizon"), "horizon", 1) or 1
+        horizon = intval(data.get("horizon"), "horizon", 1)
         seed = intval(data.get("seed"), "seed", 0)
-        seed = 0 if seed is None else seed
-        name = data.get("name", "")
+        name = data.get("name", cls.name)
         if not isinstance(name, str):
             problems.append("name: must be a string")
-            name = ""
 
         bands: list[BandDecl] = []
         raw_bands = data.get("bands")
@@ -283,22 +282,21 @@ class Scenario:
             q = floatval(raw.get("q"), f"{path}.q", 0.0, 1.0)
             if p is not None and q is not None and p + q > 1.0 + 1e-12:
                 problems.append(f"{path}: p + q must not exceed 1, got {p} + {q}")
-            occ = raw.get("initial_occupancy", 0)
-            occ = intval(occ, f"{path}.initial_occupancy", 0)
+            occ = intval(raw.get("initial_occupancy", BandDecl.initial_occupancy), f"{path}.initial_occupancy", 0)
             if capacity is not None and occ is not None and occ > capacity:
                 problems.append(f"{path}.initial_occupancy: exceeds capacity {capacity}")
             disp = raw.get("disposition", {})
             if not isinstance(disp, dict):
                 problems.append(f"{path}.disposition: must be an object")
                 disp = {}
-            state_name = disp.get("state", "cooperative")
+            state_name = disp.get("state", BandDecl.disposition_state.value)
             state = _DISPOSITION_STATES.get(state_name)
             if state is None:
                 problems.append(
                     f"{path}.disposition.state: must be one of {sorted(_DISPOSITION_STATES)}, got {state_name!r}"
                 )
-            alpha = floatval(disp.get("alpha", 0.0), f"{path}.disposition.alpha", 0.0, 1.0)
-            beta = floatval(disp.get("beta", 0.0), f"{path}.disposition.beta", 0.0, 1.0)
+            alpha = floatval(disp.get("alpha", BandDecl.alpha), f"{path}.disposition.alpha", 0.0, 1.0)
+            beta = floatval(disp.get("beta", BandDecl.beta), f"{path}.disposition.beta", 0.0, 1.0)
             if band_id is not None:
                 if band_id in seen_ids:
                     problems.append(f"{path}.id: duplicate band id {band_id}")
@@ -341,7 +339,7 @@ class Scenario:
                     sessions.append(SessionDecl(traffic, completion, arrival=arrival, demand=demand))
             else:
                 every = intval(raw.get("every"), f"{path}.every", 1)
-                start = intval(raw.get("start", 0), f"{path}.start", 0)
+                start = intval(raw.get("start", SessionDecl.start), f"{path}.start", 0)
                 until = raw.get("until")
                 if until is not None:
                     until = intval(until, f"{path}.until", 1)
@@ -355,17 +353,21 @@ class Scenario:
             problems.append("negotiation: must be an object")
             raw_neg = {}
         neg = NegotiationParams(
-            grant_request=intval(raw_neg.get("grant_request", 1), "negotiation.grant_request", 1) or 1,
-            latency=intval(raw_neg.get("latency", 1), "negotiation.latency", 0) or 0,
+            grant_request=intval(
+                raw_neg.get("grant_request", NegotiationParams.grant_request), "negotiation.grant_request", 1
+            ),
+            latency=intval(raw_neg.get("latency", NegotiationParams.latency), "negotiation.latency", 0),
         )
         raw_ho = data.get("handover", {})
         if not isinstance(raw_ho, dict):
             problems.append("handover: must be an object")
             raw_ho = {}
         hop = HandoverParams(
-            latency=intval(raw_ho.get("latency", 1), "handover.latency", 0) or 0,
-            max_replans=intval(raw_ho.get("max_replans", 3), "handover.max_replans", 0) or 0,
-            scan_interval=intval(raw_ho.get("scan_interval", 10), "handover.scan_interval", 1) or 1,
+            latency=intval(raw_ho.get("latency", HandoverParams.latency), "handover.latency", 0),
+            max_replans=intval(raw_ho.get("max_replans", HandoverParams.max_replans), "handover.max_replans", 0),
+            scan_interval=intval(
+                raw_ho.get("scan_interval", HandoverParams.scan_interval), "handover.scan_interval", 1
+            ),
         )
 
         if problems:
@@ -438,10 +440,12 @@ class Metrics:
     refusals: int = 0
     handovers: int = 0
     failed_handovers: int = 0
-    interference_steps: int = 0
-    mode_histogram: dict[str, int] = field(
-        default_factory=lambda: {"Normal": 0, "Warning": 0, "Failure": 0}
-    )
+    mode_histogram: dict[str, int] = field(default_factory=lambda: dict.fromkeys(MODE_NAMES, 0))
+
+    @property
+    def interference_steps(self) -> int:
+        """Session steps spent in Failure mode, where the demand no longer fits."""
+        return self.mode_histogram[MODE_NAMES[Mode.FAILURE]]
 
     @property
     def empirical_blocking(self) -> float | None:
@@ -484,31 +488,18 @@ class EventKind:
     COMPLETED = 10
 
 
-_KIND_NAMES = {
-    EventKind.ADMIT: "admit",
-    EventKind.BLOCK: "block",
-    EventKind.NEGOTIATION_STARTED: "negotiation_started",
-    EventKind.NEGOTIATION_GRANTED: "negotiation_granted",
-    EventKind.NEGOTIATION_REFUSED: "negotiation_refused",
-    EventKind.HANDOVER_STARTED: "handover_started",
-    EventKind.HANDOVER_COMPLETED: "handover_completed",
-    EventKind.HANDOVER_REPLANNED: "handover_replanned",
-    EventKind.DROPPED: "dropped",
-    EventKind.COMPLETED: "completed",
-}
-
-# payload key names for NDJSON export, per kind: (b, c)
-_KIND_PAYLOAD = {
-    EventKind.ADMIT: ("band", "demand"),
-    EventKind.BLOCK: ("band", "demand"),
-    EventKind.NEGOTIATION_STARTED: ("band", "latency"),
-    EventKind.NEGOTIATION_GRANTED: ("band", "channels"),
-    EventKind.NEGOTIATION_REFUSED: ("band", "channels"),
-    EventKind.HANDOVER_STARTED: ("source", "target"),
-    EventKind.HANDOVER_COMPLETED: ("band", "replans"),
-    EventKind.HANDOVER_REPLANNED: ("band", "replans"),
-    EventKind.DROPPED: ("band", "reason"),
-    EventKind.COMPLETED: ("band", "unused"),
+# NDJSON export per kind: (event name, key of b, key of c or None when c is not exported)
+_KINDS = {
+    EventKind.ADMIT: ("admit", "band", "demand"),
+    EventKind.BLOCK: ("block", "band", "demand"),
+    EventKind.NEGOTIATION_STARTED: ("negotiation_started", "band", "latency"),
+    EventKind.NEGOTIATION_GRANTED: ("negotiation_granted", "band", "channels"),
+    EventKind.NEGOTIATION_REFUSED: ("negotiation_refused", "band", "channels"),
+    EventKind.HANDOVER_STARTED: ("handover_started", "source", "target"),
+    EventKind.HANDOVER_COMPLETED: ("handover_completed", "band", "replans"),
+    EventKind.HANDOVER_REPLANNED: ("handover_replanned", "band", "replans"),
+    EventKind.DROPPED: ("dropped", "band", "reason"),
+    EventKind.COMPLETED: ("completed", "band", None),
 }
 
 DROP_NO_TARGET = 1
@@ -550,12 +541,12 @@ class EventTrace:
         if not self.keep_records:
             raise EngineError("trace records were not retained; run with keep_trace=True")
         for step, kind, a, b, c in self.records:
-            key_b, key_c = _KIND_PAYLOAD[kind]
-            row = {"step": step, "event": _KIND_NAMES[kind], "session": a}
+            name, key_b, key_c = _KINDS[kind]
+            row = {"step": step, "event": name, "session": a}
             row[key_b] = b if b >= 0 else None
             if kind == EventKind.DROPPED:
                 row[key_c] = _DROP_REASONS.get(c, str(c))
-            elif key_c != "unused":
+            elif key_c is not None:
                 row[key_c] = c if c >= 0 else None
             yield json.dumps(row, separators=(",", ":"))
 
@@ -633,7 +624,6 @@ class Engine:
         self.live: list[SuSession] = []
         self.step_index = 0
         self._arrival_seq = 0
-        self._mode_names = ("Normal", "Warning", "Failure")
         self._hist = {b.band_id: [0] * (b.capacity + 1) for b in self.bands}
         self._neg_events: list[tuple[int, bool]] = []
         self._sense_events: list[tuple[int, spectrum_env.SensingReport, int]] = []
@@ -693,12 +683,14 @@ class Engine:
             status = session.status
             if status is SessionStatus.ACTIVE:
                 action = self._active_substep
-            elif status is SessionStatus.NEGOTIATING:
-                session.negotiation_wait -= 1
-                action = self._resolve_negotiation if session.negotiation_wait <= 0 else None
-            else:  # HANDING_OVER
-                session.handover_wait -= 1
-                action = self._arrive if session.handover_wait <= 0 else None
+            else:
+                session.wait -= 1
+                if session.wait > 0:
+                    action = None
+                elif status is SessionStatus.NEGOTIATING:
+                    action = self._resolve_negotiation
+                else:  # HANDING_OVER
+                    action = self._arrive
             while action is not None:
                 action = action(session, t)
             if left:
@@ -760,7 +752,6 @@ class Engine:
         m.admitted += 1
         session = SuSession(
             session_id=sid,
-            traffic=traffic,
             demand=demand,
             completion=decl.completion,
             band_id=band_id,
@@ -772,22 +763,13 @@ class Engine:
     def _active_substep(self, session: SuSession, t: int) -> _Handler | None:
         band = self.band_by_id[session.band_id]
         demand = session.demand
-        report = spectrum_env.sense(band, t)
-        self._sense_events.append((band.band_id, report, demand))
         if t % self.scenario.handover.scan_interval == 0:
             counts = self._scan_counts
             counts[demand] = counts.get(demand, 0) + 1
-            # the scan skips the session's own band, sensed above: mark it settled
-            own = self._scan_settled.setdefault(band.band_id, {})
-            own[demand] = own.get(demand, 0) + 1
-        if demand == 0:  # pure probe: no spectrum pressure, always Normal
-            mode = Mode.NORMAL
         else:
-            mode = su_fsm.classify_mode(band.pu_used, session.demand, band.capacity)
-        session.mode = mode
-        self.metrics.mode_histogram[self._mode_names[mode]] += 1
-        if mode is Mode.FAILURE:
-            self.metrics.interference_steps += 1
+            self._sense_events.append((band.band_id, spectrum_env.sense(band, t), demand))
+        mode = su_fsm.classify_mode(band.pu_used, demand, band.capacity)
+        self.metrics.mode_histogram[MODE_NAMES[mode]] += 1
         action = su_fsm.decide(session, mode)
         if action is Action.CONTINUE_TRANSMIT:
             session.transmitting = True
@@ -803,7 +785,7 @@ class Engine:
         latency = self.scenario.negotiation.latency
         if latency == 0:
             return self._resolve_negotiation
-        session.negotiation_wait = latency
+        session.wait = latency
         self.trace.add(t, EventKind.NEGOTIATION_STARTED, session.session_id, session.band_id, latency)
         return None
 
@@ -827,7 +809,6 @@ class Engine:
         return self._start_handover
 
     def _start_handover(self, session: SuSession, t: int) -> _Handler | None:
-        session.transmitting = False
         source = session.band_id
         self._vacate(session)
         # never hand the session back to a band it has left in this step
@@ -854,7 +835,7 @@ class Engine:
             self._drop(session, t, DROP_NO_TARGET)
             return None
         session.handover_target = plan.target
-        session.handover_wait = plan.latency
+        session.wait = plan.latency
         return self._arrive if plan.latency == 0 else None
 
     def _arrive(self, session: SuSession, t: int) -> _Handler | None:
@@ -862,7 +843,6 @@ class Engine:
         if target.su is None and target.free >= session.demand:
             replans_taken = session.replans
             session.band_id = target.band_id
-            session.handover_target = None
             session.status = SessionStatus.ACTIVE
             session.replans = 0
             target.su = session
@@ -901,16 +881,12 @@ class Engine:
             band.su = None
 
     def _drop(self, session: SuSession, t: int, reason: int) -> None:
-        session.status = SessionStatus.DROPPED
-        session.transmitting = False
-        self._vacate(session)
+        # a session is dropped only while handing over, when no band holds it
         self.metrics.dropped += 1
         self.trace.add(t, EventKind.DROPPED, session.session_id, session.band_id, reason)
         self.live.remove(session)
 
     def _complete(self, session: SuSession, t: int) -> None:
-        session.status = SessionStatus.COMPLETED
-        session.transmitting = False
         self._vacate(session)
         self.metrics.completed += 1
         self.trace.add(t, EventKind.COMPLETED, session.session_id, session.band_id, 0)

@@ -5,7 +5,8 @@ the licensed user on ``pu_used`` channels and a session demanding
 ``demand`` of ``capacity``, the session is in Normal mode while everything
 fits with slack, Warning mode when usage would exactly reach capacity
 (negotiate), and Failure mode when the demand no longer fits (handover,
-no negotiation).
+no negotiation).  A zero-demand probe claims no channels, so it is always
+in Normal mode.
 """
 
 from __future__ import annotations
@@ -33,6 +34,10 @@ class Mode(IntEnum):
     FAILURE = 2
 
 
+# display names, indexed by Mode
+MODE_NAMES = ("Normal", "Warning", "Failure")
+
+
 class Action(Enum):
     CONTINUE_TRANSMIT = "continue_transmit"
     START_NEGOTIATION = "start_negotiation"
@@ -43,8 +48,6 @@ class SessionStatus(Enum):
     ACTIVE = "active"
     NEGOTIATING = "negotiating"
     HANDING_OVER = "handing_over"
-    COMPLETED = "completed"
-    DROPPED = "dropped"
 
 
 def classify_mode(pu_used: int, demand: int, capacity: int) -> Mode:
@@ -52,14 +55,16 @@ def classify_mode(pu_used: int, demand: int, capacity: int) -> Mode:
 
     Normal while pu_used + demand < capacity, Warning at exact equality,
     Failure beyond.  For capacity 8 and demand 4 this maps occupancies
-    0..3 / 4 / 5..8 respectively.
+    0..3 / 4 / 5..8 respectively.  A probe (demand 0) is always Normal.
     """
-    if demand <= 0:
-        raise ValueError(f"demand must be positive, got {demand}")
+    if demand < 0:
+        raise ValueError(f"demand must be nonnegative, got {demand}")
     if demand > capacity:
         raise ValueError(f"band cannot ever satisfy demand ({demand} > capacity {capacity})")
     if not 0 <= pu_used <= capacity:
         raise ValueError(f"occupancy {pu_used} outside 0..{capacity}")
+    if demand == 0:
+        return Mode.NORMAL
     total = pu_used + demand
     if total < capacity:
         return Mode.NORMAL
@@ -77,15 +82,12 @@ class SuSession:
     """
 
     session_id: int
-    traffic: TrafficType
     demand: int
     completion: float  # per-step completion probability
     band_id: int
     status: SessionStatus = SessionStatus.ACTIVE
-    mode: Mode | None = None
-    negotiation_wait: int = 0
+    wait: int = 0  # steps left in the negotiation or handover that ``status`` names
     handover_target: int | None = None
-    handover_wait: int = 0
     replans: int = 0
     # engine-transient bookkeeping, reset every step
     transmitting: bool = False
@@ -105,21 +107,14 @@ def decide(session: SuSession, mode: Mode) -> Action:
 def apply_outcome(session: SuSession, outcome: NegotiationOutcome) -> SuSession:
     """Fold a negotiation outcome into the session (in place).
 
-    Granted returns the session to Active/Normal on its band; Refused sends
-    it into handover (target to be planned).
+    Granted returns the session to Active on its band; Refused sends it
+    into handover (target to be planned).
     """
     if session.status is not SessionStatus.NEGOTIATING:
         raise FsmError(
             f"apply_outcome() needs a negotiating session, session {session.session_id} is {session.status.value}"
         )
-    if outcome.granted:
-        session.status = SessionStatus.ACTIVE
-        session.mode = Mode.NORMAL
-    else:
-        session.status = SessionStatus.HANDING_OVER
-        session.handover_target = None
-        session.handover_wait = 0
-    session.negotiation_wait = 0
+    session.status = SessionStatus.ACTIVE if outcome.granted else SessionStatus.HANDING_OVER
     return session
 
 

@@ -5,13 +5,16 @@ code of ``analyze``, ``compare``, ``compare --json``, ``simulate``,
 ``tdma`` and ``qos list`` on the canonical preset and on one scenario per
 analytic regime: a single band with holding sessions (the non-completion
 row applies), several bands and zero-demand probes (skipped with a note),
-mixed traffic and no sessions (refused), and negotiation latency (analyze
-only).  Any change to the CLI or the analytic path must reproduce them
-byte for byte.
+mixed traffic and no sessions (refused), and negotiation or handover
+latency (analyze only).  For ``simulate --trace`` and ``--timeseries`` it
+also holds the line count, SHA-256 and first lines of the exported file.
+Any change to the CLI, the analytic path or the engine's event export must
+reproduce them byte for byte.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -69,6 +72,13 @@ SCENARIOS = {
     "empty": scenario([]),
     # negotiation latency: analyze answers, compare refuses
     "latency": scenario([VIDEO_HOLDING], negotiation={"grant_request": 1, "latency": 2}),
+    # handover latency: analyze answers, compare refuses; sessions that find
+    # their target filled on arrival are dropped after one replan
+    "handover_latency": scenario(
+        [VIDEO_HOLDING],
+        bands=[band(0), band(1, capacity=6)],
+        handover={"latency": 2, "max_replans": 1, "scan_interval": 10},
+    ),
 }
 
 TOPOLOGY = {
@@ -91,6 +101,15 @@ GOLDEN_ARGV = {
     "compare holding": ["compare", "--scenario", "{scenario}"],
     "simulate holding": ["simulate", "--scenario", "{scenario}"],
     "simulate --replications 3 multiband": ["simulate", "--replications", "3", "--scenario", "{scenario}"],
+    # between them the traces hold every event kind and both drop reasons
+    **{
+        f"simulate --trace {name}": ["simulate", "--scenario", "{scenario}", "--trace", "{export}"]
+        for name in ("multiband", "probe", "latency", "handover_latency")
+    },
+    **{
+        f"simulate --timeseries {name}": ["simulate", "--scenario", "{scenario}", "--timeseries", "{export}"]
+        for name in ("multiband", "probe")
+    },
     "tdma topology": ["tdma", "--topology", "{topology}"],
     "tdma --rounds 1 topology": ["tdma", "--rounds", "1", "--topology", "{topology}"],
     "qos list": ["qos", "list"],
@@ -116,8 +135,20 @@ def resolve(key: str, tmp_path: Path) -> list[str]:
             arg = write_json(tmp_path / f"{subject}.json", SCENARIOS[subject])
         elif arg == "{topology}":
             arg = write_json(tmp_path / "topology.json", TOPOLOGY)
+        elif arg == "{export}":
+            arg = str(tmp_path / "export")
         argv.append(arg)
     return argv
+
+
+def export_digest(path: Path) -> dict:
+    """What a golden pins of an exported file: its length, hash and first lines."""
+    text = path.read_text(encoding="utf-8")
+    return {
+        "lines": text.count("\n"),
+        "sha256": hashlib.sha256(text.encode()).hexdigest(),
+        "head": text.splitlines()[:3],
+    }
 
 
 def test_golden_table_covers_every_case():
@@ -131,6 +162,8 @@ def test_golden_output(key, tmp_path, capsys):
     assert code == golden["exit"], err
     assert out == golden["stdout"]
     assert err == golden["stderr"]
+    if "export" in golden:
+        assert export_digest(tmp_path / "export") == golden["export"]
 
 
 def test_goldens_cover_each_regime():
@@ -147,10 +180,23 @@ def test_goldens_cover_each_regime():
         (compare_note,) = payload(f"compare --json {name}")["notes"]
         assert analyze_note.startswith("non-completion skipped: ") and reason in analyze_note
         assert compare_note.startswith("non-completion row skipped: ") and reason in compare_note
-    for key in ("analyze mixed", "compare --json mixed", "analyze empty", "compare --json empty", "compare --json latency"):
+    for key in (
+        "analyze mixed",
+        "compare --json mixed",
+        "analyze empty",
+        "compare --json empty",
+        "compare --json latency",
+        "compare --json handover_latency",
+    ):
         assert (GOLDEN[key]["exit"], GOLDEN[key]["stdout"]) == (1, "")
         assert GOLDEN[key]["stderr"].startswith("error: ")
+    assert "negotiation latency 2" in GOLDEN["compare --json latency"]["stderr"]
+    assert "handover latency 2" in GOLDEN["compare --json handover_latency"]["stderr"]
     assert GOLDEN["analyze latency"]["exit"] == 0
+    assert GOLDEN["analyze handover_latency"]["exit"] == 0
+    timeseries = GOLDEN["simulate --timeseries multiband"]["export"]
+    assert timeseries["lines"] == 1 + SCENARIOS["multiband"]["horizon"]
+    assert timeseries["head"][0] == "step,band0_pu_used,band1_pu_used,active_sessions,arrivals,blocked,completed,dropped"
 
 
 def test_analyze_and_compare_agree_on_a_static_band(tmp_path, capsys):

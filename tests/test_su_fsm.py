@@ -54,14 +54,21 @@ def test_classify_mode_rejects_bad_arguments():
         classify_mode(0, 9, 8)
     with pytest.raises(ValueError):
         classify_mode(9, 4, 8)
+    with pytest.raises(ValueError, match="nonnegative"):
+        classify_mode(0, -1, 8)
     with pytest.raises(ValueError):
-        classify_mode(0, 0, 8)
+        classify_mode(9, 0, 8)
+
+
+def test_a_probe_is_always_normal():
+    for capacity in (1, 4, 8):
+        for pu_used in range(capacity + 1):
+            assert classify_mode(pu_used, 0, capacity) is Mode.NORMAL
 
 
 def active_session() -> SuSession:
     return SuSession(
         session_id=1,
-        traffic=TrafficType.VIDEO_CONFERENCING,
         demand=4,
         completion=0.2,
         status=SessionStatus.ACTIVE,
@@ -82,10 +89,11 @@ def test_decide_is_pure():
 
 
 def test_decide_requires_active_session():
-    session = active_session()
-    session.status = SessionStatus.COMPLETED
-    with pytest.raises(FsmError):
-        decide(session, Mode.NORMAL)
+    for status in (SessionStatus.NEGOTIATING, SessionStatus.HANDING_OVER):
+        session = active_session()
+        session.status = status
+        with pytest.raises(FsmError):
+            decide(session, Mode.NORMAL)
 
 
 def test_apply_outcome_granted_returns_to_normal():
@@ -93,7 +101,6 @@ def test_apply_outcome_granted_returns_to_normal():
     session.status = SessionStatus.NEGOTIATING
     apply_outcome(session, NegotiationOutcome(granted=True, channels=1))
     assert session.status is SessionStatus.ACTIVE
-    assert session.mode is Mode.NORMAL
     assert session.band_id == 0
 
 
@@ -102,20 +109,16 @@ def test_apply_outcome_refused_enters_handover():
     session.status = SessionStatus.NEGOTIATING
     apply_outcome(session, NegotiationOutcome(granted=False))
     assert session.status is SessionStatus.HANDING_OVER
-    assert session.handover_target is None
-
-
-def test_apply_outcome_rejects_terminal_sessions():
-    for terminal in (SessionStatus.COMPLETED, SessionStatus.DROPPED):
-        session = active_session()
-        session.status = terminal
-        with pytest.raises(FsmError):
-            apply_outcome(session, NegotiationOutcome(granted=True, channels=1))
+    assert session.band_id == 0
 
 
 def test_apply_outcome_rejects_non_negotiating_sessions():
-    with pytest.raises(FsmError):
-        apply_outcome(active_session(), NegotiationOutcome(granted=False))
+    for status in (SessionStatus.ACTIVE, SessionStatus.HANDING_OVER):
+        session = active_session()
+        session.status = status
+        for outcome in (NegotiationOutcome(granted=False), NegotiationOutcome(granted=True, channels=1)):
+            with pytest.raises(FsmError):
+                apply_outcome(session, outcome)
 
 
 def view(band_id: int, free: int, busy=False, capacity=8) -> BandView:

@@ -178,6 +178,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+def _json_int(value) -> int:
+    """``value`` itself if it is a JSON integer; booleans, floats and strings are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"not a JSON integer: {value!r}")
+    return value
+
+
 def _cmd_tdma(args: argparse.Namespace) -> int:
     path = args.topology
     try:
@@ -189,10 +196,10 @@ def _cmd_tdma(args: argparse.Namespace) -> int:
         raise TdmaError(f"topology file {path} is not valid JSON: {exc}") from None
     try:
         profiles = [
-            NodeProfile(int(node["id"]), frozenset(int(c) for c in node["channels"]))
+            NodeProfile(_json_int(node["id"]), frozenset(_json_int(c) for c in node["channels"]))
             for node in data["nodes"]
         ]
-        edges = [(int(i), int(j)) for i, j in data.get("edges", [])]
+        edges = [(_json_int(i), _json_int(j)) for i, j in data.get("edges", [])]
     except (KeyError, TypeError, ValueError) as exc:
         raise TdmaError(f"topology file {path}: expected nodes[].id, nodes[].channels, edges[][2] ({exc})")
     rounds = args.rounds if args.rounds is not None else data.get("rounds")

@@ -13,10 +13,8 @@ Bands = Sequence[BandView] | Sequence[SpectrumBand]
 
 @dataclass(frozen=True, slots=True)
 class HandoverPlan:
-    session_id: int
     source: int
     target: int | None
-    latency: int
 
 
 def select_target(
@@ -31,8 +29,9 @@ def select_target(
     channels and no resident secondary session; the knowledge-base score
     ranks them, ties breaking toward the lowest band id.  The result is
     independent of the order bands are listed in.  ``bands`` may be
-    ``BandView`` snapshots or the live ``SpectrumBand`` objects; pass
-    ``current=-1`` when the session holds no band.
+    ``BandView`` snapshots or the live ``SpectrumBand`` objects: only
+    ``band_id``, ``free`` and ``su_busy`` are read.  Pass ``current=-1``
+    when the session holds no band.
     """
     best: int | None = None
     best_score = -1.0
@@ -46,14 +45,6 @@ def select_target(
     return best
 
 
-def plan_handover(
-    session_id: int,
-    bands: Bands,
-    current: int,
-    demand: int,
-    kb: KnowledgeBase | None,
-    latency: int,
-) -> HandoverPlan:
-    """Build a handover plan; target is None when no band qualifies."""
-    target = select_target(bands, current, demand, kb)
-    return HandoverPlan(session_id=session_id, source=current, target=target, latency=latency)
+def plan_handover(bands: Bands, current: int, demand: int, kb: KnowledgeBase | None) -> HandoverPlan:
+    """Plan a handover away from ``current``; target is None when no band qualifies."""
+    return HandoverPlan(source=current, target=select_target(bands, current, demand, kb))

@@ -10,10 +10,6 @@ next ``record_*`` call.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from .spectrum_env import SensingReport
 
 
 @dataclass(slots=True)
@@ -45,17 +41,10 @@ class KnowledgeBase:
         if granted:
             rec.grants += 1
 
-    def record_sense(self, band_id: int, report: "SensingReport", demand: int) -> None:
-        rec = self._record(band_id)
-        rec.sensed += 1
-        if report.free >= demand:
-            rec.available += 1
+    def record_sense(self, band_id: int, sensed: int, available: int) -> None:
+        """Record ``sensed`` observations of a band, ``available`` of which met their demand.
 
-    def record_senses(self, band_id: int, sensed: int, available: int) -> None:
-        """Record ``sensed`` reports, ``available`` of which met their demand.
-
-        Equal to ``sensed`` calls of ``record_sense``, ``available`` of them
-        with enough free channels.
+        Counters are sums, so n unit records equal one record of n.
         """
         if not 0 <= available <= sensed:
             raise ValueError(f"need 0 <= available <= sensed, got available={available}, sensed={sensed}")

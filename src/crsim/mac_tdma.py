@@ -88,29 +88,27 @@ def run_phase1(
 
 
 def run_phase2(
-    tables: Mapping[int, Mapping[int, frozenset[int]]],
+    links: Mapping[int, Iterable[int]],
     profiles: Sequence[NodeProfile],
-    edges: Iterable[tuple[int, int]],
     rounds: int,
 ) -> dict[int, frozenset[int]]:
     """Candidate sets after ``rounds`` dissemination rounds.
 
     Each round is a single frame: in slot order every node broadcasts its
     current candidate set on the lowest channel shared with each neighbor
-    (a link exists only where phase 1 found a nonempty common set), and
-    receivers intersect the payload into their own candidate.
+    over ``links``, the pairs where phase 1 found a nonempty common set
+    (see ``restricted_links``), and receivers intersect the payload into
+    their own candidate.
     """
     if isinstance(rounds, bool) or not isinstance(rounds, int) or rounds < 0:
         raise TdmaError(f"rounds must be a nonnegative integer, got {rounds!r}")
-    adjacency = _build_adjacency(profiles, edges)
     candidates: dict[int, set[int]] = {p.node_id: set(p.channel_set) for p in profiles}
     order = sorted(candidates)
     for _ in range(rounds):
         for node in order:  # slot i of the frame
             payload = frozenset(candidates[node])
-            for neighbor in adjacency[node]:
-                if tables.get(node, {}).get(neighbor):
-                    candidates[neighbor] &= payload
+            for neighbor in links[node]:
+                candidates[neighbor] &= payload
     return {node: frozenset(c) for node, c in sorted(candidates.items())}
 
 
@@ -156,12 +154,11 @@ def discover(
     rounds: int | None = None,
 ) -> DiscoveryResult:
     """Run both phases; rounds defaults to the restricted-graph diameter."""
-    edge_list = list(edges)
-    tables = run_phase1(profiles, edge_list)
+    tables = run_phase1(profiles, edges)
     links = restricted_links(tables)
     diameter, connected = restricted_diameter(links)
     used = max(1, diameter) if rounds is None else rounds
-    candidates = run_phase2(tables, profiles, edge_list, used)
+    candidates = run_phase2(links, profiles, used)
     return DiscoveryResult(
         neighbor_tables=tables, candidates=candidates, connected=connected, rounds=used
     )

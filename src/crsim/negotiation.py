@@ -40,16 +40,6 @@ class PuDisposition:
 
 
 @dataclass(frozen=True, slots=True)
-class NegotiationRequest:
-    band_id: int
-    channels_requested: int = 1
-
-    def __post_init__(self) -> None:
-        if self.channels_requested < 1:
-            raise ValueError(f"a negotiation requests at least one channel, got {self.channels_requested}")
-
-
-@dataclass(frozen=True, slots=True)
 class NegotiationOutcome:
     """Granted(channels >= 1) or Refused (channels == 0)."""
 
@@ -84,14 +74,17 @@ def stationary_cooperative_probability(disposition: PuDisposition) -> float:
     return disposition.beta / (disposition.alpha + disposition.beta)
 
 
-def negotiate(band: SpectrumBand, request: NegotiationRequest) -> NegotiationOutcome:
-    """Resolve one negotiation against the band's current disposition.
+def negotiate(band: SpectrumBand, channels: int) -> NegotiationOutcome:
+    """Resolve one request for ``channels`` against the band's current disposition.
 
-    A cooperative licensed user yields min(requested, pu_used) channels and
+    A cooperative licensed user yields min(channels, pu_used) channels and
     the band is updated in place; a non-cooperative one refuses and the
     band is left untouched.  Outcome depends only on the disposition state
-    at this step (plus the clamp).
+    at this step (plus the clamp).  A request for fewer than one channel is
+    an error, whatever the disposition.
     """
+    if channels < 1:
+        raise ValueError(f"a negotiation requests at least one channel, got {channels}")
     if band.disposition.state is PuState.NONCOOPERATIVE:
         return REFUSED
     if band.pu_used == 0:
@@ -100,6 +93,6 @@ def negotiate(band: SpectrumBand, request: NegotiationRequest) -> NegotiationOut
         # engine bug (or the degenerate demand == capacity configuration).
         log.warning("negotiation on band %d with idle PU: nothing to yield, refusing", band.band_id)
         return REFUSED
-    yielded = min(request.channels_requested, band.pu_used)
+    yielded = min(channels, band.pu_used)
     grant_channels(band, yielded)
     return NegotiationOutcome(granted=True, channels=yielded)

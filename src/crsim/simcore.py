@@ -12,13 +12,18 @@ every score read during a step sees the counters as of the step's start.
 Each time an active session senses and classifies its mode it observes
 every band once on a scan step (step index a multiple of the handover scan
 interval), its own band included, and only its own band on any other step.
-A scan is counted by the session's demand alone, not sensed band by band.
-(8) settles each band's share of those counts at the band's current
-occupancy: a scan counts as available where free >= demand.  Within (4-6)
-only a negotiation grant changes a band's occupancy, so the engine settles
-that band's pending scans right before the grant; scans counted earlier in
-the step thus see the occupancy before the grant, later ones the
-occupancy after it, exactly as a band-by-band sense would.
+Every observation reaches (8) as one (band, sensed, available) record: an
+own-band sense is buffered at once as (band, 1, free >= demand).  A scan is
+counted by the session's demand alone, not sensed band by band, and each
+band's share of those counts is settled into one record at the band's
+current occupancy: sensed is the number of scans, available those with
+free >= demand.  (8) settles every pending share, then applies the records.
+Within (4-6) only a negotiation grant changes a band's occupancy, so the
+engine settles that band's pending scans right before the grant; scans
+counted earlier in the step thus see the occupancy before the grant, later
+ones the occupancy after it, exactly as a band-by-band sense would.  The
+knowledge base's counters are sums, so the order of the records within (8)
+does not matter.
 
 Sessions admitted in (3) take part in (4-6) and (7) of the same step: they
 sense the occupancy that (1) has just produced and act on it at once.  A
@@ -56,7 +61,7 @@ from . import handover as ho
 from . import markov, negotiation, spectrum_env, su_fsm
 from .learning import KnowledgeBase
 from .markov import OccupancyChain
-from .negotiation import NegotiationRequest, PuDisposition, PuState
+from .negotiation import PuDisposition, PuState
 from .qos import TrafficType, channel_demand
 from .spectrum_env import BandView, SpectrumBand
 from .su_fsm import MODE_NAMES, Action, Mode, SessionStatus, SuSession
@@ -626,13 +631,12 @@ class Engine:
         self._arrival_seq = 0
         self._hist = {b.band_id: [0] * (b.capacity + 1) for b in self.bands}
         self._neg_events: list[tuple[int, bool]] = []
-        self._sense_events: list[tuple[int, spectrum_env.SensingReport, int]] = []
-        # scans of this step by demand; per band, the scan counts already
-        # settled into it; and the settled (band id, sensed, available)
-        # shares that (8) records
+        # the (band id, sensed, available) records that (8) applies
+        self._senses: list[tuple[int, int, int]] = []
+        # scans of this step by demand, and per band the scan counts
+        # already settled into its records
         self._scan_counts: dict[int, int] = {}
         self._scan_settled: dict[int, dict[int, int]] = {}
-        self._scan_shares: list[tuple[int, int, int]] = []
         self._single_arrivals: dict[int, list[SessionDecl]] = {}
         self._patterns: list[SessionDecl] = []
         for decl in scenario.sessions:
@@ -709,18 +713,15 @@ class Engine:
             for band_id, granted in self._neg_events:
                 self.kb.record_negotiation(band_id, granted)
             self._neg_events.clear()
-        if self._sense_events:
-            for band_id, report, demand in self._sense_events:
-                self.kb.record_sense(band_id, report, demand)
-            self._sense_events.clear()
         if self._scan_counts:
             for band in self.bands:
                 self._settle_scans(band)
-            for band_id, sensed, available in self._scan_shares:
-                self.kb.record_senses(band_id, sensed, available)
             self._scan_counts.clear()
             self._scan_settled.clear()
-            self._scan_shares.clear()
+        if self._senses:
+            for band_id, sensed, available in self._senses:
+                self.kb.record_sense(band_id, sensed, available)
+            self._senses.clear()
 
         # (9) metrics, histograms, invariants
         for band in self.bands:
@@ -739,12 +740,12 @@ class Engine:
         self.step_index = t + 1
 
     def _admit_one(self, t: int, decl: SessionDecl) -> None:
-        traffic, demand = decl.traffic, decl.effective_demand()
+        demand = decl.effective_demand()
         m = self.metrics
         sid = self._arrival_seq
         self._arrival_seq += 1
         m.arrivals += 1
-        band_id = su_fsm.admit(traffic, self.bands, self.kb, demand=demand)
+        band_id = su_fsm.admit(self.bands, demand, self.kb)
         if band_id is None:
             m.blocked += 1
             self.trace.add(t, EventKind.BLOCK, sid, -1, demand)
@@ -767,7 +768,7 @@ class Engine:
             counts = self._scan_counts
             counts[demand] = counts.get(demand, 0) + 1
         else:
-            self._sense_events.append((band.band_id, spectrum_env.sense(band, t), demand))
+            self._senses.append((band.band_id, 1, spectrum_env.sense(band) >= demand))
         mode = su_fsm.classify_mode(band.pu_used, demand, band.capacity)
         self.metrics.mode_histogram[MODE_NAMES[mode]] += 1
         action = su_fsm.decide(session, mode)
@@ -791,10 +792,9 @@ class Engine:
 
     def _resolve_negotiation(self, session: SuSession, t: int) -> _Handler | None:
         band = self.band_by_id[session.band_id]
-        request = NegotiationRequest(band.band_id, self.scenario.negotiation.grant_request)
         if self._scan_counts:  # a grant would change what later scans see
             self._settle_scans(band)
-        outcome = negotiation.negotiate(band, request)
+        outcome = negotiation.negotiate(band, self.scenario.negotiation.grant_request)
         m = self.metrics
         m.negotiations += 1
         self._neg_events.append((band.band_id, outcome.granted))
@@ -815,14 +815,7 @@ class Engine:
         left = self._left
         left.add(source)
         bands = self.bands if len(left) == 1 else [b for b in self.bands if b.band_id not in left]
-        plan = ho.plan_handover(
-            session.session_id,
-            bands,
-            current=source,
-            demand=session.demand,
-            kb=self.kb,
-            latency=self.scenario.handover.latency,
-        )
+        plan = ho.plan_handover(bands, current=source, demand=session.demand, kb=self.kb)
         self.trace.add(
             t,
             EventKind.HANDOVER_STARTED,
@@ -834,9 +827,10 @@ class Engine:
             self.metrics.failed_handovers += 1
             self._drop(session, t, DROP_NO_TARGET)
             return None
+        latency = self.scenario.handover.latency
         session.handover_target = plan.target
-        session.wait = plan.latency
-        return self._arrive if plan.latency == 0 else None
+        session.wait = latency
+        return self._arrive if latency == 0 else None
 
     def _arrive(self, session: SuSession, t: int) -> _Handler | None:
         target = self.band_by_id[session.handover_target]
@@ -871,7 +865,7 @@ class Engine:
             if free >= demand:
                 available += n
         if sensed:
-            self._scan_shares.append((band.band_id, sensed, available))
+            self._senses.append((band.band_id, sensed, available))
         self._scan_settled[band.band_id] = counts.copy()
 
     def _vacate(self, session: SuSession) -> None:
@@ -1038,8 +1032,9 @@ def compare(scenario: Scenario, seed: int | None = None) -> CompareReport:
     """Run the scenario and set empirical figures against the analytic ones.
 
     Requires zero negotiation and handover latency; ``analytic_figures``
-    decides which rows apply, and a skipped non-completion row leaves a
-    note.
+    decides which rows apply.  A row is also left out when the run leaves
+    its empirical figure undefined: blocking without arrivals,
+    non-completion without admissions.  Each skipped row leaves a note.
     """
     if scenario.negotiation.latency != 0:
         raise ComparisonError(
@@ -1051,12 +1046,19 @@ def compare(scenario: Scenario, seed: int | None = None) -> CompareReport:
         )
     figures = analytic_figures(scenario)
     result = run(scenario, seed=seed)
-    rows = [CompareRow("blocking", figures["blocking"], result.metrics.empirical_blocking or 0.0)]
-    if figures["noncompletion"] is not None:
-        rows.append(
-            CompareRow("non-completion", figures["noncompletion"], result.metrics.empirical_noncompletion or 0.0)
-        )
-    notes = [f"non-completion row skipped: {figures['skipped']}"] if "skipped" in figures else []
+    m = result.metrics
+    rows: list[CompareRow] = []
+    notes: list[str] = []
+    if m.arrivals:
+        rows.append(CompareRow("blocking", figures["blocking"], m.empirical_blocking))
+    else:
+        notes.append("blocking row skipped: no arrivals within the horizon")
+    if "skipped" in figures:
+        notes.append(f"non-completion row skipped: {figures['skipped']}")
+    elif m.admitted:
+        rows.append(CompareRow("non-completion", figures["noncompletion"], m.empirical_noncompletion))
+    else:
+        notes.append("non-completion row skipped: no session admitted within the horizon")
     return CompareReport(
         rows=tuple(rows),
         notes=tuple(notes),

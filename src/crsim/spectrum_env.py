@@ -2,7 +2,8 @@
 
 Bands are owned and mutated by the simulation engine (single writer per
 run); the functions here change band state in place and consume exactly
-one uniform draw per call where randomness is involved.
+one uniform draw per call where randomness is involved.  Sensing is
+noise-free and reads one number, the band's free channels.
 """
 
 from __future__ import annotations
@@ -57,15 +58,6 @@ class SpectrumBand:
             )
 
 
-class SensingReport(NamedTuple):
-    """Noise-free snapshot of a band at one time step."""
-
-    band_id: int
-    pu_used: int
-    free: int
-    step: int
-
-
 class BandView(NamedTuple):
     """Read-only band snapshot used for admission and handover decisions."""
 
@@ -92,9 +84,9 @@ def step_band(band: SpectrumBand, rng) -> None:
             band.pu_used -= 1
 
 
-def sense(band: SpectrumBand, step: int) -> SensingReport:
-    """Return a faithful sensing report for the band at the given step."""
-    return SensingReport(band.band_id, band.pu_used, band.capacity - band.pu_used, step)
+def sense(band: SpectrumBand) -> int:
+    """Sense the band without noise: the channels its licensed user leaves free."""
+    return band.capacity - band.pu_used
 
 
 def grant_channels(band: SpectrumBand, channels: int) -> None:

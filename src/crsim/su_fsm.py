@@ -18,7 +18,7 @@ from typing import Sequence, TypeVar
 from .handover import Bands, select_target
 from .learning import KnowledgeBase
 from .negotiation import NegotiationOutcome
-from .qos import TrafficType, channel_demand, priority
+from .qos import priority
 
 
 _T = TypeVar("_T")
@@ -127,12 +127,7 @@ def order_arrivals(requests: Sequence[_T]) -> list[_T]:
     return sorted(requests, key=lambda r: -priority(r.traffic))
 
 
-def admit(
-    traffic: TrafficType,
-    bands: Bands,
-    kb: KnowledgeBase | None = None,
-    demand: int | None = None,
-) -> int | None:
+def admit(bands: Bands, demand: int, kb: KnowledgeBase | None = None) -> int | None:
     """Admit a session to the best qualifying band, or return None (blocked).
 
     A band qualifies when it has at least ``demand`` free channels and no
@@ -140,5 +135,4 @@ def admit(
     highest knowledge-base score wins; ties break toward the lowest id.
     This is handover target selection with no current band.
     """
-    need = channel_demand(traffic) if demand is None else demand
-    return select_target(bands, current=-1, demand=need, kb=kb)
+    return select_target(bands, current=-1, demand=demand, kb=kb)

@@ -5,11 +5,12 @@ code of ``analyze``, ``compare``, ``compare --json``, ``simulate``,
 ``tdma`` and ``qos list`` on the canonical preset and on one scenario per
 analytic regime: a single band with holding sessions (the non-completion
 row applies), several bands and zero-demand probes (skipped with a note),
-mixed traffic and no sessions (refused), and negotiation or handover
-latency (analyze only).  For ``simulate --trace`` and ``--timeseries`` it
-also holds the line count, SHA-256 and first lines of the exported file.
-Any change to the CLI, the analytic path or the engine's event export must
-reproduce them byte for byte.
+mixed traffic and no sessions (refused), negotiation or handover
+latency (analyze only), and a run with no arrival within its horizon
+(both rows skipped with a note).  For ``simulate --trace`` and
+``--timeseries`` it also holds the line count, SHA-256 and first lines of
+the exported file.  Any change to the CLI, the analytic path or the
+engine's event export must reproduce them byte for byte.
 """
 
 from __future__ import annotations
@@ -79,6 +80,9 @@ SCENARIOS = {
         bands=[band(0), band(1, capacity=6)],
         handover={"latency": 2, "max_replans": 1, "scan_interval": 10},
     ),
+    # the only arrival falls after the horizon: neither simulated figure is
+    # defined, so compare prints no row and a note for each
+    "late_arrival": scenario([{"traffic": "VideoConferencing", "c": 0.05, "arrival": 50}], horizon=10),
 }
 
 TOPOLOGY = {
@@ -190,6 +194,11 @@ def test_goldens_cover_each_regime():
     ):
         assert (GOLDEN[key]["exit"], GOLDEN[key]["stdout"]) == (1, "")
         assert GOLDEN[key]["stderr"].startswith("error: ")
+    assert payload("compare --json late_arrival")["rows"] == []
+    assert payload("compare --json late_arrival")["notes"] == [
+        "blocking row skipped: no arrivals within the horizon",
+        "non-completion row skipped: no session admitted within the horizon",
+    ]
     assert "negotiation latency 2" in GOLDEN["compare --json latency"]["stderr"]
     assert "handover latency 2" in GOLDEN["compare --json handover_latency"]["stderr"]
     assert GOLDEN["analyze latency"]["exit"] == 0
@@ -261,6 +270,11 @@ def test_kb_snapshot_round_trip(tmp_path, capsys):
         # negative node ids and channels
         (["tdma", "--topology", "{t}"], {"t": {"nodes": [{"id": 0, "channels": [-1, 2]}], "edges": []}}),
         (["tdma", "--topology", "{t}"], {"t": {"nodes": [{"id": -1, "channels": [2]}], "edges": []}}),
+        # node ids, channels and edge endpoints that are not JSON integers
+        (["tdma", "--topology", "{t}"], {"t": {"nodes": [{"id": 2.7, "channels": [2]}], "edges": []}}),
+        (["tdma", "--topology", "{t}"], {"t": {"nodes": [{"id": True, "channels": [2]}], "edges": []}}),
+        (["tdma", "--topology", "{t}"], {"t": {"nodes": [{"id": 0, "channels": ["2", 1.9]}], "edges": []}}),
+        (["tdma", "--topology", "{t}"], {"t": {**TOPOLOGY, "edges": [[0, 1.0]]}}),
         # a knowledge-base snapshot that is not an object of objects
         (["simulate", "--scenario", "{s}", "--kb-in", "{t}"], {"s": SCENARIOS["holding"], "t": [1, 2]}),
         (["simulate", "--scenario", "{s}", "--kb-in", "{t}"], {"s": SCENARIOS["holding"], "t": {"0": 3}}),
@@ -289,6 +303,10 @@ def test_kb_snapshot_round_trip(tmp_path, capsys):
         "rounds-negative",
         "negative-channel",
         "negative-node",
+        "float-node",
+        "bool-node",
+        "string-and-float-channels",
+        "float-edge-endpoint",
         "kb-list",
         "kb-scalar-counters",
         "kb-empty-list",

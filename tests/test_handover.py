@@ -47,7 +47,7 @@ def test_knowledge_scores_rank_candidates():
     kb = KnowledgeBase()
     for _ in range(8):  # score 0.81 on band 2 versus the 0.25 prior on band 1
         kb.record_negotiation(2, granted=True)
-        kb.record_sense(2, type("R", (), {"free": 8})(), demand=4)
+        kb.record_sense(2, 1, 1)
     views = [view(0, 0), view(1, 6), view(2, 6)]
     assert select_target(views, current=0, demand=4, kb=kb) == 2
 
@@ -67,8 +67,9 @@ def test_equal_scores_tie_break_lowest_id():
 
 
 def test_plan_handover_builds_plan():
-    plan = plan_handover(17, [view(0, 2), view(1, 6)], current=0, demand=4, kb=None, latency=2)
-    assert plan == HandoverPlan(session_id=17, source=0, target=1, latency=2)
+    plan = plan_handover([view(0, 2), view(1, 6)], current=0, demand=4, kb=None)
+    assert plan == HandoverPlan(source=0, target=1)
+    assert plan_handover([view(0, 2), view(1, 3)], current=0, demand=4, kb=None) == HandoverPlan(0, None)
 
 
 def test_target_filled_during_latency_triggers_replan():

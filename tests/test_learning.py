@@ -4,11 +4,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from crsim.learning import KnowledgeBase
-from crsim.spectrum_env import SensingReport
 
 
-def report(free: int, band_id=0, step=0) -> SensingReport:
-    return SensingReport(band_id, 8 - free, free, step)
+def sense(kb: KnowledgeBase, band_id: int, free: int, demand: int = 4) -> None:
+    """Record one observation of ``free`` channels by a session needing ``demand``."""
+    kb.record_sense(band_id, 1, free >= demand)
 
 
 def test_negotiation_counters():
@@ -23,8 +23,8 @@ def test_negotiation_counters():
 
 def test_sense_counters():
     kb = KnowledgeBase()
-    kb.record_sense(0, report(free=5), demand=4)
-    kb.record_sense(0, report(free=3), demand=4)
+    sense(kb, 0, free=5)
+    sense(kb, 0, free=3)
     rec = kb.counters(0)
     assert (rec.sensed, rec.available) == (2, 1)
 
@@ -32,7 +32,7 @@ def test_sense_counters():
 def test_always_free_band_counts_every_sample():
     kb = KnowledgeBase()
     for _ in range(100):
-        kb.record_sense(1, report(free=8, band_id=1), demand=4)
+        sense(kb, 1, free=8)
     rec = kb.counters(1)
     assert rec.sensed == rec.available == 100
 
@@ -45,7 +45,7 @@ def test_counters_never_decrease():
         if rng.random() < 0.5:
             kb.record_negotiation(0, granted=bool(rng.random() < 0.5))
         else:
-            kb.record_sense(0, report(free=int(rng.integers(0, 9))), demand=4)
+            sense(kb, 0, free=int(rng.integers(0, 9)))
         rec = kb.counters(0)
         now = (rec.attempts, rec.grants, rec.sensed, rec.available)
         assert all(a >= b for a, b in zip(now, last))
@@ -63,7 +63,7 @@ def test_score_example_values():
     kb = KnowledgeBase()
     for _ in range(8):
         kb.record_negotiation(0, granted=True)
-        kb.record_sense(0, report(free=8), demand=4)
+        sense(kb, 0, free=8)
     assert kb.score(0) == pytest.approx(0.81)
     kb2 = KnowledgeBase()
     for _ in range(8):
@@ -75,7 +75,7 @@ def test_estimates_stay_strictly_inside_unit_interval():
     kb = KnowledgeBase()
     for _ in range(1000):
         kb.record_negotiation(0, granted=False)
-        kb.record_sense(0, report(free=0), demand=4)
+        sense(kb, 0, free=0)
     assert 0.0 < kb.coop_estimate(0) < 1.0
     assert 0.0 < kb.availability_estimate(0) < 1.0
     assert 0.0 < kb.score(0) < 1.0
@@ -88,7 +88,7 @@ def test_score_monotone_in_grants_and_availability():
         kb = KnowledgeBase()
         for i in range(8):
             kb.record_negotiation(0, granted=i < hits)
-            kb.record_sense(0, report(free=8 if i < hits else 0), demand=4)
+            sense(kb, 0, free=8 if i < hits else 0)
         coops.append(kb.coop_estimate(0))
         avails.append(kb.availability_estimate(0))
     assert all(a < b for a, b in zip(coops, coops[1:]))
@@ -113,7 +113,7 @@ def test_two_band_ordering_after_fifty_negotiations():
 def test_json_round_trip():
     kb = KnowledgeBase()
     kb.record_negotiation(0, granted=True)
-    kb.record_sense(2, report(free=8, band_id=2), demand=4)
+    sense(kb, 2, free=8)
     data = kb.to_json_dict()
     clone = KnowledgeBase.from_json_dict(data)
     assert clone.to_json_dict() == data
@@ -130,18 +130,19 @@ band_ids = st.integers(min_value=0, max_value=3)
 
 @given(
     band_id=band_ids,
-    reports=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=30),
+    observations=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=30),
     warm=st.integers(0, 5),
 )
-def test_bulk_senses_equal_single_senses(band_id, reports, warm):
+def test_bulk_senses_equal_single_senses(band_id, observations, warm):
+    # n unit records equal one record_sense(b, n, k), k of them available
     single, bulk = KnowledgeBase(), KnowledgeBase()
     for kb in (single, bulk):  # same earlier history on both
         for _ in range(warm):
-            kb.record_sense(band_id, report(free=8), demand=4)
-    for free, demand in reports:
-        single.record_sense(band_id, report(free=free, band_id=band_id), demand)
-    available = sum(free >= demand for free, demand in reports)
-    bulk.record_senses(band_id, len(reports), available)
+            sense(kb, band_id, free=8)
+    for free, demand in observations:
+        sense(single, band_id, free, demand)
+    available = sum(free >= demand for free, demand in observations)
+    bulk.record_sense(band_id, len(observations), available)
     assert bulk.to_json_dict() == single.to_json_dict()
     assert bulk.score(band_id) == single.score(band_id)
 
@@ -150,14 +151,13 @@ def test_bulk_senses_equal_single_senses(band_id, reports, warm):
 def test_bulk_senses_reject_inconsistent_counts(sensed, available):
     kb = KnowledgeBase()
     with pytest.raises(ValueError):
-        kb.record_senses(0, sensed, available)
+        kb.record_sense(0, sensed, available)
     assert kb.to_json_dict() == {}
 
 
 record_ops = st.one_of(
     st.tuples(st.just("negotiation"), band_ids, st.booleans()),
-    st.tuples(st.just("sense"), band_ids, st.integers(0, 8)),
-    st.tuples(st.just("senses"), band_ids, st.integers(0, 5)),
+    st.tuples(st.just("sense"), band_ids, st.integers(0, 5)),
     st.tuples(st.just("score"), band_ids, st.none()),
 )
 
@@ -169,9 +169,7 @@ def test_cached_score_matches_fresh_estimates(ops):
         if op == "negotiation":
             kb.record_negotiation(band_id, granted=arg)
         elif op == "sense":
-            kb.record_sense(band_id, report(free=arg, band_id=band_id), demand=4)
-        elif op == "senses":
-            kb.record_senses(band_id, arg, arg // 2)
+            kb.record_sense(band_id, arg, arg // 2)
         else:
             kb.score(band_id)
         for b in range(4):

@@ -4,7 +4,6 @@ import pytest
 from crsim.markov import OccupancyChain
 from crsim.negotiation import (
     NegotiationOutcome,
-    NegotiationRequest,
     PuDisposition,
     PuState,
     negotiate,
@@ -55,7 +54,7 @@ def test_stationary_cooperative_probability_helper():
 
 def test_cooperative_grant_updates_band():
     band = band_with(PuDisposition(PuState.COOPERATIVE, 0.0, 0.0), used=4)
-    outcome = negotiate(band, NegotiationRequest(0, 1))
+    outcome = negotiate(band, 1)
     assert outcome == NegotiationOutcome(granted=True, channels=1)
     assert band.pu_used == 3
     # the paper's Warning case 1: a single yielded channel restores Normal
@@ -64,14 +63,14 @@ def test_cooperative_grant_updates_band():
 
 def test_noncooperative_refusal_leaves_band_untouched():
     band = band_with(PuDisposition(PuState.NONCOOPERATIVE, 0.0, 0.0), used=4)
-    outcome = negotiate(band, NegotiationRequest(0, 1))
+    outcome = negotiate(band, 1)
     assert not outcome.granted
     assert band.pu_used == 4
 
 
 def test_grant_clamped_to_current_usage():
     band = band_with(PuDisposition(PuState.COOPERATIVE, 0.0, 0.0), used=4)
-    outcome = negotiate(band, NegotiationRequest(0, 9))
+    outcome = negotiate(band, 9)
     assert outcome.granted and outcome.channels == 4
     assert band.pu_used == 0
 
@@ -79,7 +78,7 @@ def test_grant_clamped_to_current_usage():
 def test_idle_pu_with_cooperative_disposition_refuses(caplog):
     band = band_with(PuDisposition(PuState.COOPERATIVE, 0.0, 0.0), used=0)
     with caplog.at_level("WARNING"):
-        outcome = negotiate(band, NegotiationRequest(0, 1))
+        outcome = negotiate(band, 1)
     assert not outcome.granted
     assert band.pu_used == 0
     assert any("idle PU" in message for message in caplog.messages)
@@ -92,7 +91,7 @@ def test_negotiate_never_raises_occupancy():
     for _ in range(200):
         step_disposition(disp, rng)
         before = band.pu_used
-        negotiate(band, NegotiationRequest(0, 1))
+        negotiate(band, 1)
         assert band.pu_used <= before
         band.pu_used = 5
 
@@ -107,13 +106,26 @@ def test_empirical_grant_rate_matches_disposition_stationary():
     for _ in range(episodes):
         step_disposition(disp, rng)
         band.pu_used = 4
-        grants += negotiate(band, NegotiationRequest(0, 1)).granted
+        grants += negotiate(band, 1).granted
     assert abs(grants / episodes - 0.6) < 0.02
 
 
+@pytest.mark.parametrize(
+    "state, used",
+    [(PuState.COOPERATIVE, 4), (PuState.NONCOOPERATIVE, 4), (PuState.COOPERATIVE, 0)],
+    ids=["cooperative", "noncooperative", "idle-pu"],
+)
+def test_negotiate_rejects_a_request_for_no_channels(state, used):
+    # the request is checked before the disposition or the occupancy is read
+    band = band_with(PuDisposition(state, 0.0, 0.0), used=used)
+    for channels in (0, -1):
+        with pytest.raises(ValueError, match="at least one channel"):
+            negotiate(band, channels)
+    assert band.pu_used == used
+
+
 def test_request_and_outcome_validation():
-    with pytest.raises(ValueError):
-        NegotiationRequest(0, 0)
+    # requests are checked by test_negotiate_rejects_a_request_for_no_channels
     with pytest.raises(ValueError):
         NegotiationOutcome(granted=True, channels=0)
     with pytest.raises(ValueError):

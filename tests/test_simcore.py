@@ -18,7 +18,7 @@ from crsim import su_fsm
 from crsim.handover import select_target
 from crsim.learning import KnowledgeBase
 from crsim.negotiation import PuState
-from crsim.qos import TrafficType
+from crsim.qos import TrafficType, channel_demand
 from crsim.simcore import (
     DROP_REPLANS_EXHAUSTED,
     BandDecl,
@@ -30,6 +30,7 @@ from crsim.simcore import (
     ScenarioError,
     SessionDecl,
     canonical_preset,
+    compare,
     run,
 )
 
@@ -299,6 +300,23 @@ def test_conservation_holds(name):
     assert m.grants + m.refusals == m.negotiations
 
 
+def test_compare_skips_the_row_of_a_figure_the_run_leaves_undefined():
+    # one arrival onto a full band that frees at most one channel per step:
+    # blocking is 1/1, but no session was admitted, so the simulated
+    # non-completion is undefined
+    scenario = Scenario(
+        bands=(BandDecl(0, 8, 0.0, 0.2, 8, PuState.COOPERATIVE, 0.3, 0.3),),
+        sessions=(SessionDecl(T.VIDEO_CONFERENCING, 0.05, arrival=0),),
+        horizon=5,
+        seed=1,
+        negotiation=NegotiationParams(1, 0),
+        handover=HandoverParams(latency=0),
+    )
+    report = compare(scenario)
+    assert [(r.metric, r.simulated) for r in report.rows] == [("blocking", 1.0)]
+    assert report.notes == ("non-completion row skipped: no session admitted within the horizon",)
+
+
 def test_scenario_round_trips_through_dict():
     scenario = multiband_latency()
     again = Scenario.from_dict(scenario.to_dict())
@@ -475,7 +493,8 @@ def test_ranking_live_bands_equals_ranking_views(bands, traffic, steps, seed):
     ]
     for kb in (None, engine.kb):
         for t in TrafficType:
-            assert su_fsm.admit(t, engine.bands, kb) == su_fsm.admit(t, views, kb)
+            demand = channel_demand(t)
+            assert su_fsm.admit(engine.bands, demand, kb) == su_fsm.admit(views, demand, kb)
         for demand in range(13):
             for current in [-1, *range(len(bands))]:
                 assert select_target(engine.bands, current, demand, kb) == select_target(views, current, demand, kb)

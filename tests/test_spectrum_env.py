@@ -77,16 +77,12 @@ def test_long_run_histogram_matches_stationary():
 
 def test_sense_reports_free_channels():
     band = make_band(used=3)
-    report = sense(band, step=17)
-    assert report.pu_used == 3
-    assert report.free == 5
-    assert report.free + report.pu_used == band.capacity
-    assert report.step == 17
+    assert sense(band) == 5 == band.free
+    assert sense(band) + band.pu_used == band.capacity
 
 
 def test_sense_full_band():
-    report = sense(make_band(used=8), step=0)
-    assert report.free == 0
+    assert sense(make_band(used=8)) == 0
 
 
 def test_grant_reduces_occupancy():

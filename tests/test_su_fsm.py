@@ -126,22 +126,22 @@ def view(band_id: int, free: int, busy=False, capacity=8) -> BandView:
 
 
 def test_admit_single_qualifying_band():
-    assert admit(TrafficType.VIDEO_CONFERENCING, [view(0, 5)]) == 0
+    assert admit([view(0, 5)], 4) == 0
 
 
 def test_admit_blocked_when_no_band_fits():
     bands = [view(0, 3), view(1, 2)]
-    assert admit(TrafficType.VIDEO_CONFERENCING, bands) is None
+    assert admit(bands, 4) is None
 
 
 def test_admit_blocked_when_band_hosts_a_session():
-    assert admit(TrafficType.VIDEO_CONFERENCING, [view(0, 8, busy=True)]) is None
+    assert admit([view(0, 8, busy=True)], 4) is None
 
 
 def test_admit_tie_breaks_to_lowest_id_over_all_permutations():
     bands = [view(2, 6), view(7, 6)]
     for perm in permutations(bands):
-        assert admit(TrafficType.VIDEO_CONFERENCING, list(perm)) == 2
+        assert admit(list(perm), 4) == 2
 
 
 def test_admit_prefers_higher_knowledge_score():
@@ -150,11 +150,13 @@ def test_admit_prefers_higher_knowledge_score():
         kb.record_negotiation(7, granted=True)
     bands = [view(2, 6), view(7, 6)]
     for perm in permutations(bands):
-        assert admit(TrafficType.VIDEO_CONFERENCING, list(perm), kb) == 7
+        assert admit(list(perm), 4, kb) == 7
 
 
 def test_admit_demand_override_for_probes():
-    assert admit(TrafficType.VIDEO_CONFERENCING, [view(0, 0)], demand=0) == 0
+    # a zero-demand probe fits any band without a resident session
+    assert admit([view(0, 0)], 0) == 0
+    assert admit([view(0, 0), view(1, 8, busy=True)], 0) == 0
 
 
 def test_order_arrivals_by_priority_then_sequence():

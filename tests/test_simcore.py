@@ -125,9 +125,59 @@ def grant_after_scan() -> Scenario:
     )
 
 
+def wide_mixed() -> Scenario:
+    """36 bands with id gaps, mixed dispositions, latencies 1-2, frequent scans, probes.
+
+    Every kind of event occurs, both drop reasons included; run with
+    ``WIDE_KB``, which also holds a band (29) that the scenario lacks.
+    """
+    bands = []
+    for i in range(36):
+        capacity = 5 + (i * 7) % 8
+        bands.append(
+            BandDecl(
+                i + i // 5,  # ids skip one value after every fifth band
+                capacity,
+                round(0.04 + 0.03 * (i % 6), 2),
+                round(0.12 + 0.04 * (i % 5), 2),
+                (i * 3) % (capacity // 2 + 1),
+                COOP if i % 3 else NONCOOP,
+                0.0 if i % 7 == 0 else round(0.02 * (i % 4 + 1), 2),
+                0.0 if i % 7 == 0 else round(0.03 * (i % 3 + 1), 2),
+            )
+        )
+    return Scenario(
+        name="wide-mixed",
+        bands=tuple(bands),
+        sessions=(
+            SessionDecl(T.VIDEO_CONFERENCING, 0.02, every=2),
+            SessionDecl(T.VOICE, 0.03, every=3, start=1),
+            SessionDecl(T.FILE_TRANSFERS, 0.01, every=4, until=200),
+            SessionDecl(T.SERIOUS_BROWSING, 0.04, every=5, start=2),
+            SessionDecl(T.CASUAL_BROWSING, 0.5, every=6, demand=0),
+            SessionDecl(T.MULTICASTING, 0.02, arrival=7),
+            SessionDecl(T.EMAIL, 0.05, arrival=150),
+        ),
+        horizon=300,
+        seed=91,
+        negotiation=NegotiationParams(grant_request=1, latency=2),
+        handover=HandoverParams(latency=1, max_replans=2, scan_interval=5),
+    )
+
+
+WIDE_KB = {
+    "0": {"attempts": 6, "grants": 1, "sensed": 25, "available": 4},
+    "8": {"attempts": 3, "grants": 3, "sensed": 10, "available": 10},
+    "13": {"attempts": 0, "grants": 0, "sensed": 9, "available": 2},
+    "29": {"attempts": 5, "grants": 4, "sensed": 2, "available": 2},
+}
+
+
 def golden_run(name: str):
     if name == "kb_warm_start":
         return run(multiband_latency(), seed=23, kb=KnowledgeBase.from_json_dict(WARM_KB))
+    if name == "wide_warm_start":
+        return run(wide_mixed(), kb=KnowledgeBase.from_json_dict(WIDE_KB))
     return run(SCENARIOS[name]())
 
 
@@ -250,6 +300,76 @@ GOLDEN: dict[str, dict] = {
             "1": [177, 137, 128, 145, 113, 34, 30, 19, 17],
             "2": [152, 147, 151, 155, 80, 29, 26, 33, 27],
             "3": [125, 132, 123, 116, 73, 50, 56, 62, 63],
+        },
+    },
+    "wide_warm_start": {
+        "trace_hash": "106c3fdf0b15710a1b0f5230f6c96b86",
+        "kb": {
+            "0": {"attempts": 14, "available": 1704, "grants": 1, "sensed": 1952},
+            "1": {"attempts": 0, "available": 1997, "grants": 0, "sensed": 1997},
+            "2": {"attempts": 0, "available": 1995, "grants": 0, "sensed": 1995},
+            "3": {"attempts": 0, "available": 1998, "grants": 0, "sensed": 1998},
+            "4": {"attempts": 8, "available": 1862, "grants": 7, "sensed": 1980},
+            "6": {"attempts": 7, "available": 1025, "grants": 3, "sensed": 1890},
+            "7": {"attempts": 3, "available": 1989, "grants": 3, "sensed": 1989},
+            "8": {"attempts": 9, "available": 1916, "grants": 8, "sensed": 1999},
+            "9": {"attempts": 5, "available": 1928, "grants": 1, "sensed": 1972},
+            "10": {"attempts": 0, "available": 1992, "grants": 0, "sensed": 1992},
+            "12": {"attempts": 17, "available": 979, "grants": 7, "sensed": 1910},
+            "13": {"attempts": 20, "available": 1399, "grants": 13, "sensed": 1935},
+            "14": {"attempts": 0, "available": 1991, "grants": 0, "sensed": 1991},
+            "15": {"attempts": 0, "available": 1990, "grants": 0, "sensed": 1990},
+            "16": {"attempts": 0, "available": 1989, "grants": 0, "sensed": 1989},
+            "18": {"attempts": 12, "available": 353, "grants": 4, "sensed": 1838},
+            "19": {"attempts": 22, "available": 1120, "grants": 9, "sensed": 1905},
+            "20": {"attempts": 3, "available": 1982, "grants": 2, "sensed": 1982},
+            "21": {"attempts": 0, "available": 1989, "grants": 0, "sensed": 1989},
+            "22": {"attempts": 0, "available": 1989, "grants": 0, "sensed": 1989},
+            "24": {"attempts": 7, "available": 1972, "grants": 7, "sensed": 1972},
+            "25": {"attempts": 9, "available": 1396, "grants": 0, "sensed": 1896},
+            "26": {"attempts": 16, "available": 1695, "grants": 10, "sensed": 1944},
+            "27": {"attempts": 14, "available": 1443, "grants": 7, "sensed": 1898},
+            "28": {"attempts": 10, "available": 1958, "grants": 3, "sensed": 1958},
+            "29": {"attempts": 5, "available": 2, "grants": 4, "sensed": 2},
+            "30": {"attempts": 0, "available": 1979, "grants": 0, "sensed": 1979},
+            "31": {"attempts": 0, "available": 1978, "grants": 0, "sensed": 1978},
+            "32": {"attempts": 3, "available": 1974, "grants": 3, "sensed": 1974},
+            "33": {"attempts": 6, "available": 1965, "grants": 6, "sensed": 1965},
+            "34": {"attempts": 18, "available": 1855, "grants": 15, "sensed": 1939},
+            "36": {"attempts": 7, "available": 1911, "grants": 2, "sensed": 1956},
+            "37": {"attempts": 3, "available": 1785, "grants": 1, "sensed": 1965},
+            "38": {"attempts": 18, "available": 1936, "grants": 7, "sensed": 1936},
+            "39": {"attempts": 0, "available": 1971, "grants": 0, "sensed": 1971},
+            "40": {"attempts": 0, "available": 1972, "grants": 0, "sensed": 1972},
+            "42": {"attempts": 22, "available": 512, "grants": 22, "sensed": 1858},
+        },
+        "metrics": {
+            "admitted": 347, "arrivals": 412, "blocked": 65, "completed": 239, "dropped": 76,
+            "empirical_blocking": 0.15776699029126215,
+            "empirical_noncompletion": 0.21902017291066284, "failed_handovers": 113, "grants": 137,
+            "handovers": 41, "interference_steps": 10,
+            "mode_histogram": {"Failure": 10, "Normal": 8613, "Warning": 246}, "negotiations": 244,
+            "refusals": 107, "still_active": 32,
+        },
+        "band_histograms": {
+            "0": [201, 50, 32, 9, 8, 0], "1": [115, 65, 44, 42, 20, 13, 1, 0, 0, 0, 0, 0, 0],
+            "2": [78, 77, 77, 61, 6, 1, 0, 0, 0, 0, 0, 0], "3": [162, 74, 35, 17, 8, 4, 0, 0, 0, 0, 0],
+            "4": [79, 57, 37, 42, 29, 23, 20, 9, 4, 0], "6": [16, 45, 38, 35, 6, 5, 30, 38, 87],
+            "7": [201, 81, 11, 7, 0, 0, 0, 0], "8": [177, 92, 19, 8, 3, 1, 0], "9": [253, 34, 9, 4, 0, 0],
+            "10": [206, 60, 18, 5, 1, 2, 8, 0, 0, 0, 0, 0, 0], "12": [21, 30, 26, 9, 1, 6, 9, 10, 41, 44, 51, 52],
+            "13": [39, 10, 39, 39, 20, 30, 15, 28, 38, 29, 13], "14": [237, 56, 7, 0, 0, 0, 0, 0, 0, 0],
+            "15": [219, 55, 9, 13, 4, 0, 0, 0, 0], "16": [207, 83, 10, 0, 0, 0, 0, 0],
+            "18": [4, 1, 7, 35, 84, 71, 98], "19": [95, 36, 35, 64, 46, 24],
+            "20": [24, 22, 30, 30, 41, 68, 54, 24, 7, 0, 0, 0, 0], "21": [272, 27, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+            "22": [237, 53, 9, 1, 0, 0, 0, 0, 0, 0, 0], "24": [44, 37, 67, 86, 50, 16, 0, 0, 0, 0],
+            "25": [4, 30, 55, 67, 37, 26, 27, 25, 29], "26": [101, 53, 43, 48, 29, 6, 11, 9],
+            "27": [75, 61, 59, 44, 22, 28, 11], "28": [264, 32, 4, 0, 0, 0],
+            "30": [65, 90, 47, 39, 51, 8, 0, 0, 0, 0, 0, 0, 0], "31": [100, 91, 61, 46, 2, 0, 0, 0, 0, 0, 0, 0],
+            "32": [101, 60, 53, 36, 10, 26, 14, 0, 0, 0, 0], "33": [141, 58, 27, 29, 31, 12, 2, 0, 0, 0],
+            "34": [55, 58, 68, 61, 41, 17, 0, 0, 0], "36": [133, 55, 73, 27, 12, 0, 0, 0],
+            "37": [150, 88, 24, 18, 18, 2, 0], "38": [241, 56, 3, 0, 0, 0],
+            "39": [150, 89, 27, 11, 13, 8, 2, 0, 0, 0, 0, 0, 0], "40": [77, 75, 52, 43, 31, 15, 7, 0, 0, 0, 0, 0],
+            "42": [0, 0, 3, 2, 4, 5, 21, 37, 72, 73, 83],
         },
     },
 }

@@ -92,6 +92,10 @@ class KnowledgeBase:
             raise ValueError("knowledge-base snapshot must be a JSON object of per-band objects")
         kb = cls()
         for band_id, counters in data.items():
+            # only the keys to_json_dict writes: "01" would become band 1 and replace "1"
+            digits = isinstance(band_id, str) and band_id.isascii() and band_id.isdigit()
+            if not (digits and str(int(band_id)) == band_id):
+                raise ValueError(f"band id must be a nonnegative integer without leading zeros, got {band_id!r}")
             values = {key: counters.get(key, 0) for key in ("attempts", "grants", "sensed", "available")}
             for key, value in values.items():
                 if not isinstance(value, int) or isinstance(value, bool) or value < 0:

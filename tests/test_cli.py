@@ -292,6 +292,15 @@ def test_kb_snapshot_round_trip(tmp_path, capsys):
             ["simulate", "--scenario", "{s}", "--kb-in", "{t}"],
             {"s": SCENARIOS["holding"], "t": {"0": {"sensed": True}}},
         ),
+        # band ids that are not canonical nonnegative integers
+        (
+            ["simulate", "--scenario", "{s}", "--kb-in", "{t}"],
+            {"s": SCENARIOS["holding"], "t": {"1": {"attempts": 4, "grants": 4}, "01": {"attempts": 1}}},
+        ),
+        (
+            ["simulate", "--scenario", "{s}", "--kb-in", "{t}"],
+            {"s": SCENARIOS["holding"], "t": {"-3": {"sensed": 2, "available": 1}}},
+        ),
         # a non-finite completion probability
         (["simulate", "--scenario", "{s}"], {"s": scenario([{**VIDEO_HOLDING, "c": float("nan")}])}),
         # a missing file
@@ -313,6 +322,8 @@ def test_kb_snapshot_round_trip(tmp_path, capsys):
         "kb-list-counter",
         "kb-float-counter",
         "kb-bool-counter",
+        "kb-leading-zero-id",
+        "kb-negative-id",
         "nan-completion",
         "missing-scenario",
     ],

@@ -125,6 +125,21 @@ def test_json_rejects_inconsistent_counters():
         KnowledgeBase.from_json_dict({"0": {"attempts": 1, "grants": 2, "sensed": 0, "available": 0}})
 
 
+@pytest.mark.parametrize(
+    "snapshot",
+    [
+        # "01" would be read as band 1 and silently replace its counters
+        {"1": {"attempts": 4, "grants": 4}, "01": {"attempts": 1, "grants": 0}},
+        # band ids are nonnegative, as SpectrumBand requires
+        {"-3": {"sensed": 2, "available": 1}},
+    ],
+    ids=["leading-zero", "negative"],
+)
+def test_json_rejects_band_ids_that_to_json_dict_never_writes(snapshot):
+    with pytest.raises(ValueError, match="band id"):
+        KnowledgeBase.from_json_dict(snapshot)
+
+
 band_ids = st.integers(min_value=0, max_value=3)
 
 

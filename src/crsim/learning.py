@@ -9,6 +9,7 @@ next ``record_*`` call.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, replace
 
 
@@ -24,19 +25,13 @@ class KnowledgeBase:
     """Monotone per-band event counters with smoothed estimates."""
 
     def __init__(self) -> None:
-        self._records: dict[int, BandRecord] = {}
+        # a record is created by the first write to its band; reads use .get
+        self._records: defaultdict[int, BandRecord] = defaultdict(BandRecord)
         self._scores: dict[int, float] = {}
 
-    def _record(self, band_id: int) -> BandRecord:
-        self._scores.pop(band_id, None)
-        rec = self._records.get(band_id)
-        if rec is None:
-            rec = BandRecord()
-            self._records[band_id] = rec
-        return rec
-
     def record_negotiation(self, band_id: int, granted: bool) -> None:
-        rec = self._record(band_id)
+        self._scores.pop(band_id, None)
+        rec = self._records[band_id]
         rec.attempts += 1
         if granted:
             rec.grants += 1
@@ -49,7 +44,8 @@ class KnowledgeBase:
         if not 0 <= available <= sensed:
             raise ValueError(f"need 0 <= available <= sensed, got available={available}, sensed={sensed}")
         if sensed:
-            rec = self._record(band_id)
+            self._scores.pop(band_id, None)
+            rec = self._records[band_id]
             rec.sensed += sensed
             rec.available += available
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable
 
 from .spectrum_env import SpectrumBand, grant_channels
 
@@ -55,16 +56,27 @@ class NegotiationOutcome:
 
 REFUSED = NegotiationOutcome(granted=False)
 
+# bound once: before Python 3.12 reading an Enum member off its class costs a
+# descriptor call, and step_dispositions runs every engine step
+_COOPERATIVE, _NONCOOPERATIVE = PuState.COOPERATIVE, PuState.NONCOOPERATIVE
+
+
+def step_dispositions(dispositions: Iterable[PuDisposition], draws: Iterable[float]) -> None:
+    """Advance each willingness chain one step (in place), one draw per chain, in order.
+
+    Draws beyond the last chain are left unread.
+    """
+    for disposition, u in zip(dispositions, draws):
+        if disposition.state is _COOPERATIVE:
+            if u < disposition.alpha:
+                disposition.state = _NONCOOPERATIVE
+        elif u < disposition.beta:
+            disposition.state = _COOPERATIVE
+
 
 def step_disposition(disposition: PuDisposition, rng) -> None:
-    """Advance the willingness chain one step (in place, one uniform draw)."""
-    u = rng.random()
-    if disposition.state is PuState.COOPERATIVE:
-        if u < disposition.alpha:
-            disposition.state = PuState.NONCOOPERATIVE
-    else:
-        if u < disposition.beta:
-            disposition.state = PuState.COOPERATIVE
+    """Advance one willingness chain one step (in place, one uniform draw)."""
+    step_dispositions((disposition,), (rng.random(),))
 
 
 def stationary_cooperative_probability(disposition: PuDisposition) -> float:
@@ -85,7 +97,7 @@ def negotiate(band: SpectrumBand, channels: int) -> NegotiationOutcome:
     """
     if channels < 1:
         raise ValueError(f"a negotiation requests at least one channel, got {channels}")
-    if band.disposition.state is PuState.NONCOOPERATIVE:
+    if band.disposition.state is _NONCOOPERATIVE:
         return REFUSED
     if band.pu_used == 0:
         # Warning mode with an idle licensed user cannot arise from the mode

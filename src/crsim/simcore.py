@@ -31,9 +31,11 @@ session admitted onto a band at the Warning boundary (occupancy + demand ==
 capacity) therefore negotiates in its admission step, and one admitted in
 Normal mode may complete in that step.
 
-A session's turn in (4-6) runs handlers (sense and act, negotiate, hand
-over, arrive) one after another, each returning the next one due in this
-step, until one returns none.  Within one step a session is never handed
+A session's turn in (4-6) senses and acts on its band (written inline in
+the turn loop, which every active session runs each step) or runs the
+handlers (negotiate, hand over, arrive) one after another, each returning
+what is due next in this step: another handler, sensing again (a handover
+that lands), or nothing.  Within one step a session is never handed
 back to a band it has already left in that step, so a turn visits each band
 at most once and ends by itself; a session that every band it can still
 reach refuses is dropped for want of a target.
@@ -43,7 +45,10 @@ seed is consumed in a documented order — bands by ascending id, then
 dispositions by ascending id, then completion draws by ascending session
 id.  Admission, negotiation outcomes and handover selection consume no
 extra randomness, so identical (scenario, seed) pairs reproduce the event
-trace bit for bit.
+trace bit for bit.  The chain draws of (1) and (2) are taken as one block
+per step, and the completion draws of (7) as another, one per session that
+transmits in the step; a block holds exactly the values that one draw at a
+time would give, in the same order.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -157,12 +162,6 @@ class SessionDecl:
 
     def effective_demand(self) -> int:
         return channel_demand(self.traffic) if self.demand is None else self.demand
-
-    def arrives_at(self, step: int, horizon: int) -> bool:
-        if self.arrival is not None:
-            return step == self.arrival
-        stop = horizon if self.until is None else min(self.until, horizon)
-        return self.start <= step < stop and (step - self.start) % self.every == 0
 
     def to_dict(self) -> dict:
         out: dict = {"traffic": self.traffic.value, "c": self.completion}
@@ -599,10 +598,45 @@ class RandomStream:
         self._idx = i + 1
         return self._buf[i]
 
+    def take(self, n: int) -> list[float]:
+        """The next ``n`` uniforms: exactly what ``n`` calls of ``random`` would return."""
+        i = self._idx
+        j = i + n
+        if j <= self._len:
+            self._idx = j
+            return self._buf[i:j]
+        out = self._buf[i:]
+        n -= len(out)
+        while n > 0:
+            self._buf = self._rng.random(self._BLOCK).tolist()
+            k = min(n, self._BLOCK)
+            out += self._buf[:k]
+            self._idx = k
+            n -= k
+        return out
+
 
 # one step of a session's turn in (4-6): it returns the next handler due in
-# this step, or None when the turn is over
-_Handler = Callable[[SuSession, int], "_Handler | None"]
+# this step, _SENSE when the session senses and acts on its band next, or
+# None when the turn is over
+_Handler = Callable[[SuSession, int], "_Handler | object | None"]
+_SENSE = object()
+
+# Enum members read in every step, bound once: before Python 3.12 reading a
+# member off its class costs a descriptor call
+_ACTIVE = SessionStatus.ACTIVE
+_NEGOTIATING = SessionStatus.NEGOTIATING
+_HANDING_OVER = SessionStatus.HANDING_OVER
+_TRANSMIT = Action.CONTINUE_TRANSMIT
+_NEGOTIATE = Action.START_NEGOTIATION
+
+
+class _Arrival(NamedTuple):
+    """One due arrival of a declaration, demand resolved once per run."""
+
+    traffic: TrafficType
+    demand: int
+    completion: float
 
 
 class Engine:
@@ -630,6 +664,10 @@ class Engine:
         self.step_index = 0
         self._arrival_seq = 0
         self._hist = {b.band_id: [0] * (b.capacity + 1) for b in self.bands}
+        # rows that (1), (2) and (9) walk, aligned with self.bands
+        self._chain_rows = spectrum_env.chain_rows(self.bands)
+        self._dispositions = [b.disposition for b in self.bands]
+        self._hist_rows = [self._hist[b.band_id] for b in self.bands]
         self._neg_events: list[tuple[int, bool]] = []
         # the (band id, sensed, available) records that (8) applies
         self._senses: list[tuple[int, int, int]] = []
@@ -637,13 +675,31 @@ class Engine:
         # already settled into its records
         self._scan_counts: dict[int, int] = {}
         self._scan_settled: dict[int, dict[int, int]] = {}
-        self._single_arrivals: dict[int, list[SessionDecl]] = {}
-        self._patterns: list[SessionDecl] = []
+        # sessions that transmit in this step, in ascending session id
+        self._transmitters: list[SuSession] = []
+        self._single_arrivals: dict[int, list[_Arrival]] = {}
+        # (arrival, start, stop, every) of each repeating declaration
+        self._patterns: list[tuple[_Arrival, int, int, int]] = []
         for decl in scenario.sessions:
+            arrival = _Arrival(decl.traffic, decl.effective_demand(), decl.completion)
             if decl.arrival is not None:
-                self._single_arrivals.setdefault(decl.arrival, []).append(decl)
+                self._single_arrivals.setdefault(decl.arrival, []).append(arrival)
             else:
-                self._patterns.append(decl)
+                stop = scenario.horizon if decl.until is None else min(decl.until, scenario.horizon)
+                self._patterns.append((arrival, decl.start, stop, decl.every))
+        # per band id: the band and, per demand it can hold, the (mode name,
+        # action) of an active session at each occupancy
+        demands = {decl.effective_demand() for decl in scenario.sessions}
+        capacities = {b.capacity for b in self.bands}
+        tables = {
+            (c, d): tuple((MODE_NAMES[mode], su_fsm.MODE_ACTIONS[mode]) for mode in su_fsm.mode_table(c, d))
+            for c in capacities
+            for d in demands
+            if d <= c
+        }
+        self._mode_rows = {
+            b.band_id: (b, {d: tables[b.capacity, d] for d in demands if d <= b.capacity}) for b in self.bands
+        }
         # bands the acting session has left in its current turn of (4-6)
         self._left: set[int] = set()
         self.timeseries: list[tuple] | None = [] if collect_timeseries else None
@@ -663,69 +719,89 @@ class Engine:
         t = self.step_index
         stream = self.stream
         m = self.metrics
+        bands = self.bands
+        n_bands = len(bands)
 
-        # (1) occupancy chains, ascending band id
-        for band in self.bands:
-            spectrum_env.step_band(band, stream)
-        # (2) disposition chains, ascending band id
-        for band in self.bands:
-            negotiation.step_disposition(band.disposition, stream)
+        # (1) occupancy chains, then (2) disposition chains, ascending band id
+        draws = stream.take(2 * n_bands)
+        spectrum_env.step_bands(self._chain_rows, draws)
+        negotiation.step_dispositions(self._dispositions, draws[n_bands:])
 
         # (3) arrivals in priority order
-        due = self._single_arrivals.get(t)
-        pattern_hits = [d for d in self._patterns if d.arrives_at(t, self.scenario.horizon)]
-        if due or pattern_hits:
-            decls = (due or []) + pattern_hits
-            if len(decls) > 1:
-                decls = su_fsm.order_arrivals(decls)
-            for decl in decls:
-                self._admit_one(t, decl)
+        due = self._single_arrivals.pop(t, [])
+        due += [a for a, start, stop, every in self._patterns if start <= t < stop and (t - start) % every == 0]
+        if due:
+            if len(due) > 1:
+                due = su_fsm.order_arrivals(due)
+            for arrival in due:
+                self._admit_one(t, arrival)
 
         # (4-6) sense, classify, decide, act: one turn per live session
+        mode_rows = self._mode_rows
+        mode_histogram = m.mode_histogram
+        scan = t % self.scenario.handover.scan_interval == 0
+        scans = self._scan_counts
+        senses = self._senses
+        sense = spectrum_env.sense
+        transmitters = self._transmitters
         left = self._left
         for session in tuple(self.live):
             status = session.status
-            if status is SessionStatus.ACTIVE:
-                action = self._active_substep
+            if status is _ACTIVE:
+                action = _SENSE
             else:
                 session.wait -= 1
                 if session.wait > 0:
-                    action = None
-                elif status is SessionStatus.NEGOTIATING:
-                    action = self._resolve_negotiation
-                else:  # HANDING_OVER
-                    action = self._arrive
+                    continue
+                action = self._resolve_negotiation if status is _NEGOTIATING else self._arrive
             while action is not None:
+                if action is _SENSE:
+                    # sense the own band, classify the mode and act on it
+                    band, modes = mode_rows[session.band_id]
+                    demand = session.demand
+                    if scan:
+                        scans[demand] = scans.get(demand, 0) + 1
+                    else:
+                        senses.append((band.band_id, 1, sense(band) >= demand))
+                    mode_name, action = modes[demand][band.pu_used]
+                    mode_histogram[mode_name] += 1
+                    if action is _TRANSMIT:
+                        transmitters.append(session)
+                        break
+                    if action is _NEGOTIATE:
+                        action = self._begin_negotiation
+                    else:  # START_HANDOVER (Failure: no negotiation phase)
+                        session.status = _HANDING_OVER
+                        action = self._start_handover
                 action = action(session, t)
             if left:
                 left.clear()
 
         # (7) completion draws, ascending session id
-        for session in tuple(self.live):
-            if session.transmitting:
-                if stream.random() < session.completion:
+        if transmitters:
+            for session, u in zip(transmitters, stream.take(len(transmitters))):
+                if u < session.completion:
                     self._complete(session, t)
-                else:
-                    session.transmitting = False
+            transmitters.clear()
 
         # (8) knowledge-base updates buffered during this step
         if self._neg_events:
             for band_id, granted in self._neg_events:
                 self.kb.record_negotiation(band_id, granted)
             self._neg_events.clear()
-        if self._scan_counts:
-            for band in self.bands:
-                self._settle_scans(band)
-            self._scan_counts.clear()
+        if scans:
+            self._settle_scans(bands)
+            scans.clear()
             self._scan_settled.clear()
-        if self._senses:
-            for band_id, sensed, available in self._senses:
-                self.kb.record_sense(band_id, sensed, available)
-            self._senses.clear()
+        if senses:
+            record_sense = self.kb.record_sense
+            for band_id, sensed, available in senses:
+                record_sense(band_id, sensed, available)
+            senses.clear()
 
         # (9) metrics, histograms, invariants
-        for band in self.bands:
-            self._hist[band.band_id][band.pu_used] += 1
+        for band, row in zip(bands, self._hist_rows):
+            row[band.pu_used] += 1
         m.still_active = len(self.live)
         if m.admitted + m.blocked != m.arrivals:
             raise EngineError("conservation violated: admitted + blocked != arrivals")
@@ -735,12 +811,12 @@ class Engine:
             raise EngineError("conservation violated: grants + refusals != negotiations")
         if self.timeseries is not None:
             self.timeseries.append(
-                (t, *(b.pu_used for b in self.bands), m.still_active, m.arrivals, m.blocked, m.completed, m.dropped)
+                (t, *(b.pu_used for b in bands), m.still_active, m.arrivals, m.blocked, m.completed, m.dropped)
             )
         self.step_index = t + 1
 
-    def _admit_one(self, t: int, decl: SessionDecl) -> None:
-        demand = decl.effective_demand()
+    def _admit_one(self, t: int, arrival: _Arrival) -> None:
+        demand = arrival.demand
         m = self.metrics
         sid = self._arrival_seq
         self._arrival_seq += 1
@@ -754,35 +830,15 @@ class Engine:
         session = SuSession(
             session_id=sid,
             demand=demand,
-            completion=decl.completion,
+            completion=arrival.completion,
             band_id=band_id,
         )
         self.band_by_id[band_id].su = session
         self.live.append(session)
         self.trace.add(t, EventKind.ADMIT, sid, band_id, demand)
 
-    def _active_substep(self, session: SuSession, t: int) -> _Handler | None:
-        band = self.band_by_id[session.band_id]
-        demand = session.demand
-        if t % self.scenario.handover.scan_interval == 0:
-            counts = self._scan_counts
-            counts[demand] = counts.get(demand, 0) + 1
-        else:
-            self._senses.append((band.band_id, 1, spectrum_env.sense(band) >= demand))
-        mode = su_fsm.classify_mode(band.pu_used, demand, band.capacity)
-        self.metrics.mode_histogram[MODE_NAMES[mode]] += 1
-        action = su_fsm.decide(session, mode)
-        if action is Action.CONTINUE_TRANSMIT:
-            session.transmitting = True
-            return None
-        if action is Action.START_NEGOTIATION:
-            return self._begin_negotiation
-        # START_HANDOVER (Failure: no negotiation phase)
-        session.status = SessionStatus.HANDING_OVER
-        return self._start_handover
-
     def _begin_negotiation(self, session: SuSession, t: int) -> _Handler | None:
-        session.status = SessionStatus.NEGOTIATING
+        session.status = _NEGOTIATING
         latency = self.scenario.negotiation.latency
         if latency == 0:
             return self._resolve_negotiation
@@ -793,7 +849,7 @@ class Engine:
     def _resolve_negotiation(self, session: SuSession, t: int) -> _Handler | None:
         band = self.band_by_id[session.band_id]
         if self._scan_counts:  # a grant would change what later scans see
-            self._settle_scans(band)
+            self._settle_scans((band,))
         outcome = negotiation.negotiate(band, self.scenario.negotiation.grant_request)
         m = self.metrics
         m.negotiations += 1
@@ -802,7 +858,7 @@ class Engine:
         if outcome.granted:
             m.grants += 1
             self.trace.add(t, EventKind.NEGOTIATION_GRANTED, session.session_id, band.band_id, outcome.channels)
-            session.transmitting = True
+            self._transmitters.append(session)
             return None
         m.refusals += 1
         self.trace.add(t, EventKind.NEGOTIATION_REFUSED, session.session_id, band.band_id, 0)
@@ -832,17 +888,17 @@ class Engine:
         session.wait = latency
         return self._arrive if latency == 0 else None
 
-    def _arrive(self, session: SuSession, t: int) -> _Handler | None:
+    def _arrive(self, session: SuSession, t: int) -> _Handler | object | None:
         target = self.band_by_id[session.handover_target]
         if target.su is None and target.free >= session.demand:
             replans_taken = session.replans
             session.band_id = target.band_id
-            session.status = SessionStatus.ACTIVE
+            session.status = _ACTIVE
             session.replans = 0
             target.su = session
             self.metrics.handovers += 1
             self.trace.add(t, EventKind.HANDOVER_COMPLETED, session.session_id, target.band_id, replans_taken)
-            return self._active_substep  # fresh sensing, mode, action
+            return _SENSE  # fresh sensing, mode, action
         # target filled up during the latency window: plan again
         session.replans += 1
         self.metrics.failed_handovers += 1
@@ -852,21 +908,24 @@ class Engine:
             return None
         return self._start_handover
 
-    def _settle_scans(self, band: SpectrumBand) -> None:
-        """Settle the scans counted since ``band`` was last settled, at its current occupancy."""
+    def _settle_scans(self, bands: Iterable[SpectrumBand]) -> None:
+        """Settle each band's scans counted since it was last settled, at its current occupancy."""
         counts = self._scan_counts
-        done = self._scan_settled.get(band.band_id)
-        free = band.free
-        sensed = available = 0
-        for demand, n in counts.items():
-            if done:
-                n -= done.get(demand, 0)
-            sensed += n
-            if free >= demand:
-                available += n
-        if sensed:
-            self._senses.append((band.band_id, sensed, available))
-        self._scan_settled[band.band_id] = counts.copy()
+        settled = self._scan_settled
+        senses = self._senses
+        for band in bands:
+            done = settled.get(band.band_id)
+            free = band.free
+            sensed = available = 0
+            for demand, n in counts.items():
+                if done:
+                    n -= done.get(demand, 0)
+                sensed += n
+                if free >= demand:
+                    available += n
+            if sensed:
+                senses.append((band.band_id, sensed, available))
+            settled[band.band_id] = counts.copy()
 
     def _vacate(self, session: SuSession) -> None:
         """Clear the session's band of it, if it is resident there."""

@@ -9,7 +9,7 @@ noise-free and reads one number, the band's free channels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .markov import OccupancyChain
 
@@ -67,26 +67,39 @@ class BandView(NamedTuple):
     su_busy: bool
 
 
-def step_band(band: SpectrumBand, rng) -> None:
-    """Advance the band's occupancy by one chain step (in place).
+# (band, birth, birth + death, capacity): what one occupancy step reads
+ChainRow = tuple[SpectrumBand, float, float, int]
 
-    Consumes exactly one uniform draw: [0, birth) raises occupancy,
-    [birth, birth+death) lowers it, the rest holds, with moves off the
-    0..capacity range suppressed.
+
+def chain_rows(bands: Iterable[SpectrumBand]) -> list[ChainRow]:
+    """The ``step_bands`` rows of ``bands``, in the order given."""
+    return [(b, b.chain.birth, b.chain.birth + b.chain.death, b.chain.capacity) for b in bands]
+
+
+def step_bands(rows: Iterable[ChainRow], draws: Iterable[float]) -> None:
+    """Advance each row's band by one chain step (in place), one draw per band, in order.
+
+    A draw in [0, birth) raises occupancy, [birth, birth+death) lowers it,
+    the rest holds, with moves off the 0..capacity range suppressed.
+    Draws beyond the last row are left unread.
     """
-    u = rng.random()
-    chain = band.chain
-    if u < chain.birth:
-        if band.pu_used < chain.capacity:
-            band.pu_used += 1
-    elif u < chain.birth + chain.death:
-        if band.pu_used > 0:
-            band.pu_used -= 1
+    for (band, birth, birth_death, capacity), u in zip(rows, draws):
+        if u < birth:
+            if band.pu_used < capacity:
+                band.pu_used += 1
+        elif u < birth_death:
+            if band.pu_used > 0:
+                band.pu_used -= 1
+
+
+def step_band(band: SpectrumBand, rng) -> None:
+    """Advance one band's occupancy by one chain step (in place, one uniform draw)."""
+    step_bands(chain_rows((band,)), (rng.random(),))
 
 
 def sense(band: SpectrumBand) -> int:
     """Sense the band without noise: the channels its licensed user leaves free."""
-    return band.capacity - band.pu_used
+    return band.chain.capacity - band.pu_used
 
 
 def grant_channels(band: SpectrumBand, channels: int) -> None:

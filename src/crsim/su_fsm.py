@@ -73,6 +73,14 @@ def classify_mode(pu_used: int, demand: int, capacity: int) -> Mode:
     return Mode.FAILURE
 
 
+def mode_table(capacity: int, demand: int) -> tuple[Mode, ...]:
+    """``classify_mode`` at every occupancy 0..capacity, indexed by occupancy.
+
+    Raises as ``classify_mode`` does when the band can never hold ``demand``.
+    """
+    return tuple(classify_mode(pu_used, demand, capacity) for pu_used in range(capacity + 1))
+
+
 @dataclass(slots=True, eq=False)
 class SuSession:
     """One secondary-user session; owned and mutated by the engine.
@@ -89,19 +97,17 @@ class SuSession:
     wait: int = 0  # steps left in the negotiation or handover that ``status`` names
     handover_target: int | None = None
     replans: int = 0
-    # engine-transient bookkeeping, reset every step
-    transmitting: bool = False
+
+
+# the action of an active session in each mode, indexed by Mode
+MODE_ACTIONS = (Action.CONTINUE_TRANSMIT, Action.START_NEGOTIATION, Action.START_HANDOVER)
 
 
 def decide(session: SuSession, mode: Mode) -> Action:
     """Pick the action for an active session in the given mode."""
     if session.status is not SessionStatus.ACTIVE:
         raise FsmError(f"decide() needs an active session, session {session.session_id} is {session.status.value}")
-    if mode is Mode.NORMAL:
-        return Action.CONTINUE_TRANSMIT
-    if mode is Mode.WARNING:
-        return Action.START_NEGOTIATION
-    return Action.START_HANDOVER
+    return MODE_ACTIONS[mode]
 
 
 def apply_outcome(session: SuSession, outcome: NegotiationOutcome) -> SuSession:

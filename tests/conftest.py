@@ -8,6 +8,16 @@ import numpy as np
 import pytest
 
 
+class Draws:
+    """A stand-in generator that hands out fixed draws, one per ``random()``."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def random(self) -> float:
+        return next(self._values)
+
+
 def stationary_by_linear_solve(matrix: np.ndarray) -> np.ndarray:
     """Solve pi P = pi, sum(pi) = 1 directly (dense, no closed form)."""
     n = matrix.shape[0]

@@ -26,6 +26,7 @@ from crsim.simcore import (
     EventKind,
     HandoverParams,
     NegotiationParams,
+    RandomStream,
     Scenario,
     ScenarioError,
     SessionDecl,
@@ -618,3 +619,22 @@ def test_ranking_live_bands_equals_ranking_views(bands, traffic, steps, seed):
         for demand in range(13):
             for current in [-1, *range(len(bands))]:
                 assert select_target(engine.bands, current, demand, kb) == select_target(views, current, demand, kb)
+
+
+BLOCK = RandomStream._BLOCK
+# n = 0 and 1, sizes up to and across one block refill, and across several
+take_sizes = st.sampled_from([0, 1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5]) | st.integers(0, 2 * BLOCK)
+stream_ops = st.lists(
+    st.one_of(st.tuples(st.just("take"), take_sizes), st.tuples(st.just("random"), st.just(1))), max_size=8
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ops=stream_ops, seed=st.integers(0, 2**32 - 1))
+def test_take_returns_what_scalar_draws_would(ops, seed):
+    blocks, scalar = RandomStream(seed), RandomStream(seed)
+    for op, n in ops:
+        got = blocks.take(n) if op == "take" else [blocks.random()]
+        assert got == [scalar.random() for _ in range(n)]
+    # both streams stand at the same place afterwards
+    assert blocks.take(3) == [scalar.random() for _ in range(3)]

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import tv_distance
+from conftest import Draws, tv_distance
 from crsim.markov import OccupancyChain, stationary
 from crsim.negotiation import PuDisposition, PuState
-from crsim.spectrum_env import GrantError, SpectrumBand, grant_channels, sense, step_band
+from crsim.spectrum_env import GrantError, SpectrumBand, chain_rows, grant_channels, sense, step_band, step_bands
 
 
 def make_band(capacity=8, p=0.2, q=0.2, used=4) -> SpectrumBand:
@@ -109,3 +111,46 @@ def test_band_state_validation():
         SpectrumBand(0, OccupancyChain(4, 0.1, 0.1), 5, PuDisposition(PuState.COOPERATIVE, 0, 0))
     with pytest.raises(ValueError):
         SpectrumBand(-1, OccupancyChain(4, 0.1, 0.1), 2, PuDisposition(PuState.COOPERATIVE, 0, 0))
+
+
+def test_step_band_boundary_draws():
+    # p = 0.25, q = 0.5: [0, 0.25) raises, [0.25, 0.75) lowers, the rest holds
+    cases = [
+        (4, 0.0, 5),
+        (4, 0.25, 3),  # exactly at birth: a lowering draw
+        (4, 0.75, 4),  # exactly at birth + death: a holding draw
+        (8, 0.0, 8),  # a raise at capacity is suppressed
+        (0, 0.25, 0),  # a lowering at 0 is suppressed
+    ]
+    for used, u, expected in cases:
+        band = make_band(p=0.25, q=0.5, used=used)
+        step_band(band, Draws([u]))
+        assert band.pu_used == expected
+
+
+chains = st.tuples(
+    st.integers(1, 8),
+    st.sampled_from([0.0, 0.1, 0.25, 0.5]),
+    st.sampled_from([0.0, 0.2, 0.5]),
+    st.integers(0, 8),
+)
+
+
+@given(bands=st.lists(chains, min_size=1, max_size=6), steps=st.integers(1, 5), data=st.data())
+def test_step_bands_matches_step_band_draw_for_draw(bands, steps, data):
+    def build():
+        return [make_band(c, p, q, min(used, c)) for c, p, q, used in bands]
+
+    # draws at birth and at birth + death exactly, and at the ends of [0, 1)
+    boundaries = sorted({v for _, p, q, _ in bands for v in (p, p + q)} | {0.0, 0.999})
+    n = steps * len(bands)
+    draws = data.draw(st.lists(st.sampled_from(boundaries) | st.floats(0.0, 0.999), min_size=n, max_size=n))
+    batched, single = build(), build()
+    rows = chain_rows(batched)
+    for k in range(steps):
+        # a longer draw list leaves the extra draws unread
+        step_bands(rows, draws[k * len(bands):] + [0.0])
+        rng = Draws(draws[k * len(bands):(k + 1) * len(bands)])
+        for band in single:
+            step_band(band, rng)
+        assert [b.pu_used for b in batched] == [b.pu_used for b in single]

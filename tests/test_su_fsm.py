@@ -17,6 +17,7 @@ from crsim.su_fsm import (
     apply_outcome,
     classify_mode,
     decide,
+    mode_table,
     order_arrivals,
 )
 
@@ -47,6 +48,15 @@ def test_classify_mode_monotone_in_occupancy():
                 mode = classify_mode(pu_used, demand, capacity)
                 assert mode >= previous
                 previous = mode
+
+
+def test_mode_table_equals_classify_mode_at_every_occupancy():
+    for capacity in range(1, 17):
+        for demand in range(capacity + 1):
+            table = mode_table(capacity, demand)
+            assert table == tuple(classify_mode(pu_used, demand, capacity) for pu_used in range(capacity + 1))
+        with pytest.raises(ValueError, match="cannot ever satisfy"):
+            mode_table(capacity, capacity + 1)
 
 
 def test_classify_mode_rejects_bad_arguments():

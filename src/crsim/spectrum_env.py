@@ -2,8 +2,8 @@
 
 Bands are owned and mutated by the simulation engine (single writer per
 run); the functions here change band state in place and consume exactly
-one uniform draw per call where randomness is involved.  Sensing is
-noise-free and reads one number, the band's free channels.
+one uniform draw per band stepped.  Sensing is noise-free and reads one
+number, the band's free channels.
 """
 
 from __future__ import annotations

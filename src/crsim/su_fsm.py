@@ -44,6 +44,10 @@ class Action(Enum):
     START_HANDOVER = "start_handover"
 
 
+# the action of an active session in each mode, indexed by Mode
+MODE_ACTIONS = (Action.CONTINUE_TRANSMIT, Action.START_NEGOTIATION, Action.START_HANDOVER)
+
+
 class SessionStatus(Enum):
     ACTIVE = "active"
     NEGOTIATING = "negotiating"
@@ -97,10 +101,6 @@ class SuSession:
     wait: int = 0  # steps left in the negotiation or handover that ``status`` names
     handover_target: int | None = None
     replans: int = 0
-
-
-# the action of an active session in each mode, indexed by Mode
-MODE_ACTIONS = (Action.CONTINUE_TRANSMIT, Action.START_NEGOTIATION, Action.START_HANDOVER)
 
 
 def decide(session: SuSession, mode: Mode) -> Action:

@@ -1,9 +1,11 @@
 """Engine tests: golden runs that pin behaviour bit for bit, plus invariants.
 
 The golden values (trace hash, knowledge-base counters, metrics and
-occupancy histograms) were recorded with an engine that sensed every
-scanned band one report at a time and ranked rebuilt band snapshots.
-Any change to the engine must reproduce them exactly.
+occupancy histograms) were recorded with earlier engines: most with one
+that sensed every scanned band one report at a time and ranked rebuilt
+band snapshots, ``wide_warm_start`` with one that drew every uniform and
+stepped every band and session through its own call.  Any change to the
+engine must reproduce them exactly.
 """
 
 from __future__ import annotations

@@ -109,14 +109,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 for line in result.trace.ndjson_lines():
                     fh.write(line + "\n")
         if args.timeseries:
-            band_ids = sorted(b.band_id for b in scenario.bands)
-            header = (
-                ["step"]
-                + [f"band{band_id}_pu_used" for band_id in band_ids]
-                + ["active_sessions", "arrivals", "blocked", "completed", "dropped"]
-            )
             with open(args.timeseries, "w", encoding="utf-8") as fh:
-                fh.write(",".join(header) + "\n")
+                fh.write(",".join(result.timeseries_header()) + "\n")
                 for row in result.timeseries or []:
                     fh.write(",".join(str(v) for v in row) + "\n")
         if args.kb_out:

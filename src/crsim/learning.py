@@ -3,8 +3,7 @@
 Counters are Laplace-smoothed into grant-rate and availability estimates
 whose product scores a band for admission and handover target selection.
 Fresh bands score 0.25 (both estimates at the 0.5 prior), so unexplored
-spectrum stays eligible.  Scores are cached per band until that band's
-next ``record_*`` call.
+spectrum stays eligible.
 """
 
 from __future__ import annotations
@@ -27,10 +26,8 @@ class KnowledgeBase:
     def __init__(self) -> None:
         # a record is created by the first write to its band; reads use .get
         self._records: defaultdict[int, BandRecord] = defaultdict(BandRecord)
-        self._scores: dict[int, float] = {}
 
     def record_negotiation(self, band_id: int, granted: bool) -> None:
-        self._scores.pop(band_id, None)
         rec = self._records[band_id]
         rec.attempts += 1
         if granted:
@@ -44,7 +41,6 @@ class KnowledgeBase:
         if not 0 <= available <= sensed:
             raise ValueError(f"need 0 <= available <= sensed, got available={available}, sensed={sensed}")
         if sensed:
-            self._scores.pop(band_id, None)
             rec = self._records[band_id]
             rec.sensed += sensed
             rec.available += available
@@ -62,10 +58,7 @@ class KnowledgeBase:
         return (rec.available + 1) / (rec.sensed + 2)
 
     def score(self, band_id: int) -> float:
-        score = self._scores.get(band_id)
-        if score is None:
-            score = self._scores[band_id] = self.coop_estimate(band_id) * self.availability_estimate(band_id)
-        return score
+        return self.coop_estimate(band_id) * self.availability_estimate(band_id)
 
     def counters(self, band_id: int) -> BandRecord:
         """A copy of the raw counters for a band (zeros if never touched)."""

@@ -100,9 +100,10 @@ def negotiate(band: SpectrumBand, channels: int) -> NegotiationOutcome:
     if band.disposition.state is _NONCOOPERATIVE:
         return REFUSED
     if band.pu_used == 0:
-        # Warning mode with an idle licensed user cannot arise from the mode
-        # classifier when demand < capacity; reaching this line signals an
-        # engine bug (or the degenerate demand == capacity configuration).
+        # Warning mode needs the licensed user on at least one channel, so an
+        # idle user here means it released its channels while a negotiation
+        # waited out its latency: the engine does not classify the mode again
+        # before negotiating.
         log.warning("negotiation on band %d with idle PU: nothing to yield, refusing", band.band_id)
         return REFUSED
     yielded = min(channels, band.pu_used)

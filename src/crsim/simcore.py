@@ -68,7 +68,7 @@ from .learning import KnowledgeBase
 from .markov import OccupancyChain
 from .negotiation import PuDisposition, PuState
 from .qos import TrafficType, channel_demand
-from .spectrum_env import BandView, SpectrumBand
+from .spectrum_env import SpectrumBand
 from .su_fsm import MODE_NAMES, Action, Mode, SessionStatus, SuSession
 
 __all__ = [
@@ -569,6 +569,11 @@ class RunResult:
     def trace_hash(self) -> str:
         return self.trace.hash_hex()
 
+    def timeseries_header(self) -> list[str]:
+        """Column names of the ``timeseries`` rows that ``Engine.step`` appends."""
+        bands = [f"band{band_id}_pu_used" for band_id in sorted(b.band_id for b in self.scenario.bands)]
+        return ["step", *bands, "active_sessions", "arrivals", "blocked", "completed", "dropped"]
+
 
 # ---------------------------------------------------------------------------
 # engine
@@ -581,18 +586,17 @@ class RandomStream:
     only amortizes call overhead; consumption order is unchanged.
     """
 
-    __slots__ = ("_rng", "_buf", "_idx", "_len")
+    __slots__ = ("_rng", "_buf", "_idx")
     _BLOCK = 8192
 
     def __init__(self, seed: int):
         self._rng = np.random.default_rng(seed)
         self._buf = self._rng.random(self._BLOCK).tolist()
         self._idx = 0
-        self._len = self._BLOCK
 
     def random(self) -> float:
         i = self._idx
-        if i >= self._len:
+        if i >= self._BLOCK:
             self._buf = self._rng.random(self._BLOCK).tolist()
             i = 0
         self._idx = i + 1
@@ -602,7 +606,7 @@ class RandomStream:
         """The next ``n`` uniforms: exactly what ``n`` calls of ``random`` would return."""
         i = self._idx
         j = i + n
-        if j <= self._len:
+        if j <= self._BLOCK:
             self._idx = j
             return self._buf[i:j]
         out = self._buf[i:]
@@ -663,11 +667,10 @@ class Engine:
         self.live: list[SuSession] = []
         self.step_index = 0
         self._arrival_seq = 0
-        self._hist = {b.band_id: [0] * (b.capacity + 1) for b in self.bands}
         # rows that (1), (2) and (9) walk, aligned with self.bands
         self._chain_rows = spectrum_env.chain_rows(self.bands)
         self._dispositions = [b.disposition for b in self.bands]
-        self._hist_rows = [self._hist[b.band_id] for b in self.bands]
+        self._hist_rows = [[0] * (b.capacity + 1) for b in self.bands]
         self._neg_events: list[tuple[int, bool]] = []
         # the (band id, sensed, available) records that (8) applies
         self._senses: list[tuple[int, int, int]] = []
@@ -706,9 +709,14 @@ class Engine:
 
     # -- views ------------------------------------------------------------
 
-    def band_views(self) -> list[BandView]:
-        """Snapshots of the live bands; the engine itself ranks ``self.bands``."""
-        return [BandView(b.band_id, b.capacity, b.free, b.su_busy) for b in self.bands]
+    def band_views(self) -> list[SpectrumBand]:
+        """The live bands in ascending id order: ``list(self.bands)``.
+
+        The engine ranks ``self.bands`` itself and never calls this; it stays
+        while the benchmark's tracer wraps it, and goes with the benchmark
+        change of ROADMAP item 3.
+        """
+        return list(self.bands)
 
     # -- per-step machinery -------------------------------------------------
 
@@ -809,7 +817,7 @@ class Engine:
             raise EngineError("conservation violated: completed + dropped + active != admitted")
         if m.grants + m.refusals != m.negotiations:
             raise EngineError("conservation violated: grants + refusals != negotiations")
-        if self.timeseries is not None:
+        if self.timeseries is not None:  # columns: RunResult.timeseries_header
             self.timeseries.append(
                 (t, *(b.pu_used for b in bands), m.still_active, m.arrivals, m.blocked, m.completed, m.dropped)
             )
@@ -954,7 +962,7 @@ class Engine:
             metrics=self.metrics,
             trace=self.trace,
             kb=self.kb,
-            band_histograms=dict(self._hist),
+            band_histograms={b.band_id: row for b, row in zip(self.bands, self._hist_rows)},
             timeseries=self.timeseries,
         )
 

@@ -9,7 +9,7 @@ number, the band's free channels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable
 
 from .markov import OccupancyChain
 
@@ -26,9 +26,8 @@ class GrantError(ValueError):
 class SpectrumBand:
     """One spectrum band: occupancy chain parameters plus current state.
 
-    A band carries every field of a ``BandView`` (``band_id``, ``capacity``,
-    ``free``, ``su_busy``), so admission and handover rank live bands
-    directly.
+    Admission and handover rank these live bands directly: a band holding a
+    session (``su``) never qualifies, any other one needs ``free`` channels.
     """
 
     band_id: int
@@ -45,10 +44,6 @@ class SpectrumBand:
     def free(self) -> int:
         return self.chain.capacity - self.pu_used
 
-    @property
-    def su_busy(self) -> bool:
-        return self.su is not None
-
     def __post_init__(self) -> None:
         if self.band_id < 0:
             raise ValueError(f"band id must be nonnegative, got {self.band_id}")
@@ -56,15 +51,6 @@ class SpectrumBand:
             raise ValueError(
                 f"occupancy {self.pu_used} outside 0..{self.chain.capacity} on band {self.band_id}"
             )
-
-
-class BandView(NamedTuple):
-    """Read-only band snapshot used for admission and handover decisions."""
-
-    band_id: int
-    capacity: int
-    free: int
-    su_busy: bool
 
 
 # (band, birth, birth + death, capacity): what one occupancy step reads

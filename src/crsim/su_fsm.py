@@ -4,21 +4,24 @@ The three occupancy regimes generalize the worked 8-channel example: with
 the licensed user on ``pu_used`` channels and a session demanding
 ``demand`` of ``capacity``, the session is in Normal mode while everything
 fits with slack, Warning mode when usage would exactly reach capacity
-(negotiate), and Failure mode when the demand no longer fits (handover,
-no negotiation).  A zero-demand probe claims no channels, so it is always
-in Normal mode.
+with both the licensed user and the session on at least one channel
+(negotiate: there is something to yield), and Failure mode when the
+demand no longer fits (handover, no negotiation).  A zero-demand probe
+claims no channels, and a session alone on a band it fills leaves nothing
+to negotiate, so both are in Normal mode.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from typing import Sequence, TypeVar
+from typing import Iterable, Sequence, TypeVar
 
-from .handover import Bands, select_target
+from .handover import select_target
 from .learning import KnowledgeBase
 from .negotiation import NegotiationOutcome
 from .qos import priority
+from .spectrum_env import SpectrumBand
 
 
 _T = TypeVar("_T")
@@ -57,9 +60,11 @@ class SessionStatus(Enum):
 def classify_mode(pu_used: int, demand: int, capacity: int) -> Mode:
     """Classify the occupancy regime for an active session.
 
-    Normal while pu_used + demand < capacity, Warning at exact equality,
+    Normal while pu_used + demand < capacity, Warning at exact equality
+    when the licensed user and the session each hold at least one channel,
     Failure beyond.  For capacity 8 and demand 4 this maps occupancies
-    0..3 / 4 / 5..8 respectively.  A probe (demand 0) is always Normal.
+    0..3 / 4 / 5..8 respectively.  A probe (demand 0) is always Normal, and
+    so is a session filling a band whose licensed user is idle.
     """
     if demand < 0:
         raise ValueError(f"demand must be nonnegative, got {demand}")
@@ -67,13 +72,11 @@ def classify_mode(pu_used: int, demand: int, capacity: int) -> Mode:
         raise ValueError(f"band cannot ever satisfy demand ({demand} > capacity {capacity})")
     if not 0 <= pu_used <= capacity:
         raise ValueError(f"occupancy {pu_used} outside 0..{capacity}")
-    if demand == 0:
-        return Mode.NORMAL
     total = pu_used + demand
     if total < capacity:
         return Mode.NORMAL
     if total == capacity:
-        return Mode.WARNING
+        return Mode.WARNING if pu_used and demand else Mode.NORMAL
     return Mode.FAILURE
 
 
@@ -133,7 +136,7 @@ def order_arrivals(requests: Sequence[_T]) -> list[_T]:
     return sorted(requests, key=lambda r: -priority(r.traffic))
 
 
-def admit(bands: Bands, demand: int, kb: KnowledgeBase | None = None) -> int | None:
+def admit(bands: Iterable[SpectrumBand], demand: int, kb: KnowledgeBase) -> int | None:
     """Admit a session to the best qualifying band, or return None (blocked).
 
     A band qualifies when it has at least ``demand`` free channels and no

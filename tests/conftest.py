@@ -7,6 +7,11 @@ from collections import deque
 import numpy as np
 import pytest
 
+from crsim.markov import OccupancyChain
+from crsim.negotiation import PuDisposition, PuState
+from crsim.spectrum_env import SpectrumBand
+from crsim.su_fsm import SuSession
+
 
 class Draws:
     """A stand-in generator that hands out fixed draws, one per ``random()``."""
@@ -16,6 +21,15 @@ class Draws:
 
     def random(self) -> float:
         return next(self._values)
+
+
+def band(band_id: int, free: int, busy: bool = False, capacity: int = 8) -> SpectrumBand:
+    """A static band with ``free`` channels left free, holding a placeholder session when ``busy``."""
+    disposition = PuDisposition(PuState.COOPERATIVE, 0.0, 0.0)
+    out = SpectrumBand(band_id, OccupancyChain(capacity, 0.0, 0.0), capacity - free, disposition)
+    if busy:
+        out.su = SuSession(session_id=-1, demand=0, completion=1.0, band_id=band_id)
+    return out
 
 
 def stationary_by_linear_solve(matrix: np.ndarray) -> np.ndarray:

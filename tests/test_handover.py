@@ -1,5 +1,6 @@
 from itertools import permutations
 
+from conftest import band
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,30 +18,36 @@ from crsim.simcore import (
     Scenario,
     SessionDecl,
 )
-from crsim.spectrum_env import BandView
 from crsim.su_fsm import SessionStatus
 
 
-def view(band_id: int, free: int, busy=False, capacity=8) -> BandView:
-    return BandView(band_id, capacity, free, busy)
-
-
 def test_sole_candidate_selected():
-    assert select_target([view(0, 2), view(1, 6)], current=0, demand=4) == 1
+    assert select_target([band(0, 2), band(1, 6)], current=0, demand=4, kb=KnowledgeBase()) == 1
 
 
 def test_no_candidate_returns_none():
-    assert select_target([view(0, 8), view(1, 3)], current=0, demand=4) is None
+    assert select_target([band(0, 8), band(1, 3)], current=0, demand=4, kb=KnowledgeBase()) is None
 
 
 def test_never_returns_current_band():
-    views = [view(0, 8), view(1, 8)]
+    bands = [band(0, 8), band(1, 8)]
     for current in (0, 1):
-        assert select_target(views, current=current, demand=4) != current
+        assert select_target(bands, current=current, demand=4, kb=KnowledgeBase()) != current
 
 
 def test_busy_bands_excluded():
-    assert select_target([view(0, 2), view(1, 8, busy=True)], current=0, demand=4) is None
+    assert select_target([band(0, 2), band(1, 8, busy=True)], current=0, demand=4, kb=KnowledgeBase()) is None
+
+
+def test_busy_band_skipped_even_when_it_would_rank_first():
+    # band 1 has room, the lowest id and by far the best score, but holds a session
+    kb = KnowledgeBase()
+    for _ in range(8):
+        kb.record_negotiation(1, granted=True)
+        kb.record_sense(1, 1, 1)
+    bands = [band(1, 8, busy=True), band(2, 4), band(3, 6)]
+    for current in (-1, 0):
+        assert select_target(bands, current=current, demand=4, kb=kb) == 2
 
 
 def test_knowledge_scores_rank_candidates():
@@ -48,28 +55,28 @@ def test_knowledge_scores_rank_candidates():
     for _ in range(8):  # score 0.81 on band 2 versus the 0.25 prior on band 1
         kb.record_negotiation(2, granted=True)
         kb.record_sense(2, 1, 1)
-    views = [view(0, 0), view(1, 6), view(2, 6)]
-    assert select_target(views, current=0, demand=4, kb=kb) == 2
+    bands = [band(0, 0), band(1, 6), band(2, 6)]
+    assert select_target(bands, current=0, demand=4, kb=kb) == 2
 
 
 def test_selection_order_independent():
     kb = KnowledgeBase()
     kb.record_negotiation(3, granted=True)
-    views = [view(0, 5), view(1, 5), view(3, 5), view(7, 5)]
-    expected = select_target(views, current=7, demand=4, kb=kb)
-    for perm in permutations(views):
+    bands = [band(0, 5), band(1, 5), band(3, 5), band(7, 5)]
+    expected = select_target(bands, current=7, demand=4, kb=kb)
+    for perm in permutations(bands):
         assert select_target(list(perm), current=7, demand=4, kb=kb) == expected
 
 
 def test_equal_scores_tie_break_lowest_id():
-    views = [view(9, 5), view(4, 5), view(6, 5)]
-    assert select_target(views, current=9, demand=4) == 4
+    bands = [band(9, 5), band(4, 5), band(6, 5)]
+    assert select_target(bands, current=9, demand=4, kb=KnowledgeBase()) == 4
 
 
 def test_plan_handover_builds_plan():
-    plan = plan_handover([view(0, 2), view(1, 6)], current=0, demand=4, kb=None)
+    plan = plan_handover([band(0, 2), band(1, 6)], current=0, demand=4, kb=KnowledgeBase())
     assert plan == HandoverPlan(source=0, target=1)
-    assert plan_handover([view(0, 2), view(1, 3)], current=0, demand=4, kb=None) == HandoverPlan(0, None)
+    assert plan_handover([band(0, 2), band(1, 3)], current=0, demand=4, kb=KnowledgeBase()) == HandoverPlan(0, None)
 
 
 def test_target_filled_during_latency_triggers_replan():

@@ -1,12 +1,12 @@
 from itertools import permutations
 
 import pytest
+from conftest import band
 
 from crsim.learning import KnowledgeBase
 from crsim.negotiation import NegotiationOutcome
 from crsim.qos import TrafficType
 from crsim.simcore import SessionDecl
-from crsim.spectrum_env import BandView
 from crsim.su_fsm import (
     Action,
     FsmError,
@@ -76,6 +76,14 @@ def test_a_probe_is_always_normal():
             assert classify_mode(pu_used, 0, capacity) is Mode.NORMAL
 
 
+def test_a_session_filling_a_band_with_an_idle_licensed_user_is_normal():
+    # Warning needs something to yield: with the licensed user idle there is nothing to negotiate
+    for capacity in (2, 4, 8):
+        assert classify_mode(0, capacity, capacity) is Mode.NORMAL
+        assert classify_mode(1, capacity - 1, capacity) is Mode.WARNING
+    assert classify_mode(0, 1, 1) is Mode.NORMAL
+
+
 def active_session() -> SuSession:
     return SuSession(
         session_id=1,
@@ -131,42 +139,38 @@ def test_apply_outcome_rejects_non_negotiating_sessions():
                 apply_outcome(session, outcome)
 
 
-def view(band_id: int, free: int, busy=False, capacity=8) -> BandView:
-    return BandView(band_id, capacity, free, busy)
-
-
 def test_admit_single_qualifying_band():
-    assert admit([view(0, 5)], 4) == 0
+    assert admit([band(0, 5)], 4, KnowledgeBase()) == 0
 
 
 def test_admit_blocked_when_no_band_fits():
-    bands = [view(0, 3), view(1, 2)]
-    assert admit(bands, 4) is None
+    bands = [band(0, 3), band(1, 2)]
+    assert admit(bands, 4, KnowledgeBase()) is None
 
 
 def test_admit_blocked_when_band_hosts_a_session():
-    assert admit([view(0, 8, busy=True)], 4) is None
+    assert admit([band(0, 8, busy=True)], 4, KnowledgeBase()) is None
 
 
 def test_admit_tie_breaks_to_lowest_id_over_all_permutations():
-    bands = [view(2, 6), view(7, 6)]
+    bands = [band(2, 6), band(7, 6)]
     for perm in permutations(bands):
-        assert admit(list(perm), 4) == 2
+        assert admit(list(perm), 4, KnowledgeBase()) == 2
 
 
 def test_admit_prefers_higher_knowledge_score():
     kb = KnowledgeBase()
     for _ in range(8):
         kb.record_negotiation(7, granted=True)
-    bands = [view(2, 6), view(7, 6)]
+    bands = [band(2, 6), band(7, 6)]
     for perm in permutations(bands):
         assert admit(list(perm), 4, kb) == 7
 
 
 def test_admit_demand_override_for_probes():
     # a zero-demand probe fits any band without a resident session
-    assert admit([view(0, 0)], 0) == 0
-    assert admit([view(0, 0), view(1, 8, busy=True)], 0) == 0
+    assert admit([band(0, 0)], 0, KnowledgeBase()) == 0
+    assert admit([band(0, 0), band(1, 8, busy=True)], 0, KnowledgeBase()) == 0
 
 
 def test_order_arrivals_by_priority_then_sequence():

@@ -13,14 +13,5 @@ from .markov import (  # noqa: F401
     transition_matrix,
 )
 from .qos import QosProfile, TrafficType, channel_demand, priority, qos_profile  # noqa: F401
-from .simcore import (  # noqa: F401
-    CompareReport,
-    Engine,
-    Metrics,
-    RunResult,
-    Scenario,
-    ScenarioError,
-    canonical_preset,
-    compare,
-    run,
-)
+from .scenario import Scenario, ScenarioError, canonical_preset  # noqa: F401
+from .simcore import CompareReport, Engine, Metrics, RunResult, compare, run  # noqa: F401

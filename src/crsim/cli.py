@@ -12,14 +12,8 @@ from statistics import mean, stdev
 from . import __version__, qos
 from .learning import KnowledgeBase
 from .mac_tdma import NodeProfile, TdmaError, discover
-from .simcore import (
-    PRESETS,
-    Scenario,
-    ScenarioError,
-    analytic_figures,
-    compare,
-    run,
-)
+from .scenario import INT_MAX, PRESETS, Scenario, ScenarioError
+from .simcore import analytic_figures, compare, run
 
 _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
 
@@ -44,6 +38,15 @@ def _load_scenario(args: argparse.Namespace) -> Scenario:
     except json.JSONDecodeError as exc:
         raise ScenarioError([f"scenario file {path} is not valid JSON: {exc}"]) from None
     return Scenario.from_dict(data)
+
+
+def _seed(args: argparse.Namespace, scenario: Scenario, runs: int = 1) -> int:
+    """The first run seed, ``--seed`` or the scenario's; the trace needs all ``runs`` seeds within [0, INT_MAX]."""
+    seed = args.seed if args.seed is not None else scenario.seed
+    got = f"{seed} to {seed + runs - 1}" if runs > 1 else seed
+    if seed < 0 or seed + runs - 1 > INT_MAX:
+        raise ScenarioError([f"run seeds must lie within [0, {INT_MAX}], got {got}"])
+    return seed
 
 
 def _provenance(scenario: Scenario, seed: int) -> dict:
@@ -74,10 +77,10 @@ def _add_scenario_source(parser: argparse.ArgumentParser) -> None:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args)
-    seed = args.seed if args.seed is not None else scenario.seed
     replications = args.replications
     if replications < 1:
         raise ScenarioError(["--replications must be >= 1"])
+    seed = _seed(args, scenario, replications)
     if replications > 1 and (args.trace or args.timeseries or args.kb_out):
         raise ScenarioError(["--trace/--timeseries/--kb-out need a single run (replications 1)"])
 
@@ -151,7 +154,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args)
-    seed = args.seed if args.seed is not None else scenario.seed
+    seed = _seed(args, scenario)
     payload = {"provenance": _provenance(scenario, seed), **analytic_figures(scenario)}
     skipped = payload.pop("skipped", None)
     if skipped:
@@ -162,7 +165,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args)
-    seed = args.seed if args.seed is not None else scenario.seed
+    seed = _seed(args, scenario)
     report = compare(scenario, seed=seed)
     if args.json:
         payload = {"provenance": _provenance(scenario, seed), **report.to_dict()}

@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import struct
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple
@@ -65,19 +64,14 @@ import numpy as np
 from . import handover as ho
 from . import markov, negotiation, spectrum_env, su_fsm
 from .learning import KnowledgeBase
-from .markov import OccupancyChain
-from .negotiation import PuDisposition, PuState
-from .qos import TrafficType, channel_demand
+from .qos import TrafficType
+from .scenario import Scenario  # also reached as simcore.Scenario by the benchmark
 from .spectrum_env import SpectrumBand
 from .su_fsm import MODE_NAMES, Action, Mode, SessionStatus, SuSession
 
 __all__ = [
-    "ScenarioError",
     "EngineError",
     "ComparisonError",
-    "BandDecl",
-    "SessionDecl",
-    "Scenario",
     "Metrics",
     "EventTrace",
     "RunResult",
@@ -86,17 +80,7 @@ __all__ = [
     "compare",
     "analytic_figures",
     "CompareReport",
-    "canonical_preset",
-    "PRESETS",
 ]
-
-
-class ScenarioError(ValueError):
-    """Malformed scenario; ``problems`` lists every violated field."""
-
-    def __init__(self, problems: list[str]):
-        self.problems = problems
-        super().__init__("invalid scenario: " + "; ".join(problems))
 
 
 class EngineError(RuntimeError):
@@ -105,319 +89,6 @@ class EngineError(RuntimeError):
 
 class ComparisonError(ValueError):
     """The scenario cannot be reduced to the analytic model's assumptions."""
-
-
-# ---------------------------------------------------------------------------
-# scenario declarations
-# ---------------------------------------------------------------------------
-
-_DISPOSITION_STATES = {s.value: s for s in PuState}
-
-
-@dataclass(frozen=True)
-class BandDecl:
-    band_id: int
-    capacity: int
-    p: float
-    q: float
-    initial_occupancy: int = 0
-    disposition_state: PuState = PuState.COOPERATIVE
-    alpha: float = 0.0
-    beta: float = 0.0
-
-    def build(self) -> SpectrumBand:
-        return SpectrumBand(
-            band_id=self.band_id,
-            chain=OccupancyChain(self.capacity, self.p, self.q),
-            pu_used=self.initial_occupancy,
-            disposition=PuDisposition(self.disposition_state, self.alpha, self.beta),
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "id": self.band_id,
-            "capacity": self.capacity,
-            "p": self.p,
-            "q": self.q,
-            "initial_occupancy": self.initial_occupancy,
-            "disposition": {
-                "state": self.disposition_state.value,
-                "alpha": self.alpha,
-                "beta": self.beta,
-            },
-        }
-
-
-@dataclass(frozen=True)
-class SessionDecl:
-    """One arrival ("arrival": step) or a repeating pattern ("every": k)."""
-
-    traffic: TrafficType
-    completion: float
-    arrival: int | None = None
-    every: int | None = None
-    start: int = 0
-    until: int | None = None
-    demand: int | None = None  # override; 0 declares a pure probe
-
-    def effective_demand(self) -> int:
-        return channel_demand(self.traffic) if self.demand is None else self.demand
-
-    def to_dict(self) -> dict:
-        out: dict = {"traffic": self.traffic.value, "c": self.completion}
-        if self.arrival is not None:
-            out["arrival"] = self.arrival
-        else:
-            out["every"] = self.every
-            out["start"] = self.start
-            if self.until is not None:
-                out["until"] = self.until
-        if self.demand is not None:
-            out["demand"] = self.demand
-        return out
-
-
-@dataclass(frozen=True)
-class NegotiationParams:
-    grant_request: int = 1
-    latency: int = 1
-
-    def to_dict(self) -> dict:
-        return {"grant_request": self.grant_request, "latency": self.latency}
-
-
-@dataclass(frozen=True)
-class HandoverParams:
-    latency: int = 1
-    max_replans: int = 3
-    scan_interval: int = 10
-
-    def to_dict(self) -> dict:
-        return {
-            "latency": self.latency,
-            "max_replans": self.max_replans,
-            "scan_interval": self.scan_interval,
-        }
-
-
-@dataclass(frozen=True)
-class Scenario:
-    bands: tuple[BandDecl, ...]
-    sessions: tuple[SessionDecl, ...]
-    horizon: int
-    seed: int
-    negotiation: NegotiationParams = NegotiationParams()
-    handover: HandoverParams = HandoverParams()
-    name: str = ""
-
-    def to_dict(self) -> dict:
-        out: dict = {
-            "bands": [b.to_dict() for b in self.bands],
-            "sessions": [s.to_dict() for s in self.sessions],
-            "negotiation": self.negotiation.to_dict(),
-            "handover": self.handover.to_dict(),
-            "horizon": self.horizon,
-            "seed": self.seed,
-        }
-        if self.name:
-            out["name"] = self.name
-        return out
-
-    def canonical_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
-    def sha256(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Scenario":
-        problems: list[str] = []
-
-        def intval(value, path, minimum=None):
-            if not isinstance(value, int) or isinstance(value, bool):
-                problems.append(f"{path}: must be an integer, got {value!r}")
-                return None
-            if minimum is not None and value < minimum:
-                problems.append(f"{path}: must be >= {minimum}, got {value}")
-                return None
-            return value
-
-        def floatval(value, path, lo, hi, lo_open=False):
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                problems.append(f"{path}: must be a number, got {value!r}")
-                return None
-            v = float(value)
-            if not math.isfinite(v):
-                problems.append(f"{path}: must be a finite number, got {value!r}")
-                return None
-            if v < lo or v > hi or (lo_open and v <= lo):
-                bound = f"({lo}, {hi}]" if lo_open else f"[{lo}, {hi}]"
-                problems.append(f"{path}: must be within {bound}, got {value}")
-                return None
-            return v
-
-        if not isinstance(data, dict):
-            raise ScenarioError(["scenario: top level must be a JSON object"])
-
-        known = {"bands", "sessions", "negotiation", "handover", "horizon", "seed", "name"}
-        for key in sorted(set(data) - known):
-            problems.append(f"{key}: unknown top-level key")
-
-        horizon = intval(data.get("horizon"), "horizon", 1)
-        seed = intval(data.get("seed"), "seed", 0)
-        name = data.get("name", cls.name)
-        if not isinstance(name, str):
-            problems.append("name: must be a string")
-
-        bands: list[BandDecl] = []
-        raw_bands = data.get("bands")
-        if not isinstance(raw_bands, list) or not raw_bands:
-            problems.append("bands: must be a nonempty list")
-            raw_bands = []
-        seen_ids: set[int] = set()
-        for i, raw in enumerate(raw_bands):
-            path = f"bands[{i}]"
-            if not isinstance(raw, dict):
-                problems.append(f"{path}: must be an object")
-                continue
-            band_id = intval(raw.get("id"), f"{path}.id", 0)
-            capacity = intval(raw.get("capacity"), f"{path}.capacity", 1)
-            p = floatval(raw.get("p"), f"{path}.p", 0.0, 1.0)
-            q = floatval(raw.get("q"), f"{path}.q", 0.0, 1.0)
-            if p is not None and q is not None and p + q > 1.0 + 1e-12:
-                problems.append(f"{path}: p + q must not exceed 1, got {p} + {q}")
-            occ = intval(raw.get("initial_occupancy", BandDecl.initial_occupancy), f"{path}.initial_occupancy", 0)
-            if capacity is not None and occ is not None and occ > capacity:
-                problems.append(f"{path}.initial_occupancy: exceeds capacity {capacity}")
-            disp = raw.get("disposition", {})
-            if not isinstance(disp, dict):
-                problems.append(f"{path}.disposition: must be an object")
-                disp = {}
-            state_name = disp.get("state", BandDecl.disposition_state.value)
-            state = _DISPOSITION_STATES.get(state_name)
-            if state is None:
-                problems.append(
-                    f"{path}.disposition.state: must be one of {sorted(_DISPOSITION_STATES)}, got {state_name!r}"
-                )
-            alpha = floatval(disp.get("alpha", BandDecl.alpha), f"{path}.disposition.alpha", 0.0, 1.0)
-            beta = floatval(disp.get("beta", BandDecl.beta), f"{path}.disposition.beta", 0.0, 1.0)
-            if band_id is not None:
-                if band_id in seen_ids:
-                    problems.append(f"{path}.id: duplicate band id {band_id}")
-                seen_ids.add(band_id)
-            if None not in (band_id, capacity, p, q, occ, alpha, beta) and state is not None:
-                bands.append(
-                    BandDecl(band_id, capacity, p, q, occ, state, alpha, beta)
-                )
-
-        sessions: list[SessionDecl] = []
-        raw_sessions = data.get("sessions", [])
-        if not isinstance(raw_sessions, list):
-            problems.append("sessions: must be a list")
-            raw_sessions = []
-        for i, raw in enumerate(raw_sessions):
-            path = f"sessions[{i}]"
-            if not isinstance(raw, dict):
-                problems.append(f"{path}: must be an object")
-                continue
-            traffic_name = raw.get("traffic")
-            try:
-                traffic = TrafficType.from_name(traffic_name) if isinstance(traffic_name, str) else None
-            except KeyError as exc:
-                problems.append(f"{path}.traffic: {exc.args[0]}")
-                traffic = None
-            if traffic is None and not isinstance(traffic_name, str):
-                problems.append(f"{path}.traffic: must be a traffic type name")
-            completion = floatval(raw.get("c"), f"{path}.c", 0.0, 1.0, lo_open=True)
-            demand = raw.get("demand")
-            if demand is not None:
-                demand = intval(demand, f"{path}.demand", 0)
-            has_arrival = "arrival" in raw
-            has_every = "every" in raw
-            if has_arrival == has_every:
-                problems.append(f"{path}: exactly one of 'arrival' or 'every' is required")
-                continue
-            if has_arrival:
-                arrival = intval(raw.get("arrival"), f"{path}.arrival", 0)
-                if traffic is not None and completion is not None and arrival is not None:
-                    sessions.append(SessionDecl(traffic, completion, arrival=arrival, demand=demand))
-            else:
-                every = intval(raw.get("every"), f"{path}.every", 1)
-                start = intval(raw.get("start", SessionDecl.start), f"{path}.start", 0)
-                until = raw.get("until")
-                if until is not None:
-                    until = intval(until, f"{path}.until", 1)
-                if traffic is not None and completion is not None and every is not None and start is not None:
-                    sessions.append(
-                        SessionDecl(traffic, completion, every=every, start=start, until=until, demand=demand)
-                    )
-
-        raw_neg = data.get("negotiation", {})
-        if not isinstance(raw_neg, dict):
-            problems.append("negotiation: must be an object")
-            raw_neg = {}
-        neg = NegotiationParams(
-            grant_request=intval(
-                raw_neg.get("grant_request", NegotiationParams.grant_request), "negotiation.grant_request", 1
-            ),
-            latency=intval(raw_neg.get("latency", NegotiationParams.latency), "negotiation.latency", 0),
-        )
-        raw_ho = data.get("handover", {})
-        if not isinstance(raw_ho, dict):
-            problems.append("handover: must be an object")
-            raw_ho = {}
-        hop = HandoverParams(
-            latency=intval(raw_ho.get("latency", HandoverParams.latency), "handover.latency", 0),
-            max_replans=intval(raw_ho.get("max_replans", HandoverParams.max_replans), "handover.max_replans", 0),
-            scan_interval=intval(
-                raw_ho.get("scan_interval", HandoverParams.scan_interval), "handover.scan_interval", 1
-            ),
-        )
-
-        if problems:
-            raise ScenarioError(problems)
-        return cls(
-            bands=tuple(bands),
-            sessions=tuple(sessions),
-            horizon=horizon,
-            seed=seed,
-            negotiation=neg,
-            handover=hop,
-            name=name,
-        )
-
-
-def canonical_preset() -> Scenario:
-    """The worked single-band example: 8 channels, video conferencing demand 4.
-
-    Probe sessions (instant completion) arrive every step against a
-    never-cooperative licensed user, so admissions sample the stationary
-    occupancy and the blocked fraction estimates the analytic blocking
-    probability.
-    """
-    return Scenario(
-        name="canonical",
-        bands=(
-            BandDecl(
-                band_id=0,
-                capacity=8,
-                p=0.2,
-                q=0.2,
-                initial_occupancy=4,
-                disposition_state=PuState.NONCOOPERATIVE,
-                alpha=0.0,
-                beta=0.0,
-            ),
-        ),
-        sessions=(SessionDecl(TrafficType.VIDEO_CONFERENCING, completion=1.0, every=1),),
-        horizon=400_000,
-        seed=42,
-        negotiation=NegotiationParams(grant_request=1, latency=0),
-        handover=HandoverParams(latency=0, max_replans=3, scan_interval=10),
-    )
-
-
-PRESETS = {"canonical": canonical_preset}
 
 
 # ---------------------------------------------------------------------------
@@ -1060,22 +731,20 @@ def analytic_figures(scenario: Scenario) -> dict:
         raise ComparisonError("analytic comparison assumes a single completion probability")
     demand, completion = demands.pop(), completions.pop()
 
-    chains = [OccupancyChain(b.capacity, b.p, b.q) for b in scenario.bands]
+    built = [decl.build() for decl in scenario.bands]
     bands = [
         {
-            "id": decl.band_id,
-            "capacity": decl.capacity,
-            "stationary": list(markov.stationary(chain).probabilities),
-            "admit_probability": (
-                markov.prob_free_at_least(chain, demand) if demand <= decl.capacity else 0.0
-            ),
+            "id": band.band_id,
+            "capacity": band.capacity,
+            "stationary": list(markov.stationary(band.chain).probabilities),
+            "admit_probability": markov.prob_free_at_least(band.chain, demand) if demand <= band.capacity else 0.0,
         }
-        for decl, chain in zip(scenario.bands, chains)
+        for band in built
     ]
     figures: dict = {
         "demand": demand,
         "completion": completion,
-        "blocking": markov.blocking_probability(chains, demand),
+        "blocking": markov.blocking_probability([band.chain for band in built], demand),
         "noncompletion": None,
     }
     if demand == 0:
@@ -1085,11 +754,8 @@ def analytic_figures(scenario: Scenario) -> dict:
     elif completion >= 1.0:
         figures["skipped"] = "instant-completion probes never race the occupancy chain"
     else:
-        band = scenario.bands[0]
-        gamma = negotiation.stationary_cooperative_probability(
-            PuDisposition(band.disposition_state, band.alpha, band.beta)
-        )
-        figures["noncompletion"] = markov.noncompletion_probability(chains[0], demand, completion, gamma)
+        gamma = negotiation.stationary_cooperative_probability(built[0].disposition)
+        figures["noncompletion"] = markov.noncompletion_probability(built[0].chain, demand, completion, gamma)
         figures["grant_probability"] = gamma
     figures["bands"] = bands
     return figures

@@ -23,6 +23,7 @@ import pytest
 
 from crsim import __version__, qos
 from crsim.cli import main
+from crsim.scenario import INT_MAX
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text(encoding="utf-8"))
 
@@ -335,3 +336,26 @@ def test_malformed_input_exits_1_with_error_line(argv, files, tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, seed",
+    [
+        (["simulate", "--scenario", "{s}"], INT_MAX + 1),
+        (["simulate", "--scenario", "{s}", "--seed", str(INT_MAX + 1)], 7),
+        (["simulate", "--scenario", "{s}", "--replications", "2"], INT_MAX),
+    ],
+    ids=["scenario-seed", "seed-option", "replications"],
+)
+def test_a_seed_beyond_64_bits_exits_1_with_one_error_line(argv, seed, tmp_path, capsys):
+    path = write_json(tmp_path / "s.json", scenario([VIDEO_HOLDING], horizon=10, seed=seed))
+    code, out, err = run_cli(capsys, [arg.format(s=path) for arg in argv])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: invalid scenario: ") and err.count("\n") == 1
+
+
+def test_the_checked_in_malformed_scenario_exits_1_with_one_error_line(capsys):
+    path = Path(__file__).parent / "data" / "bad_scenario.json"
+    code, out, err = run_cli(capsys, ["simulate", "--scenario", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: invalid scenario: ") and err.count("\n") == 1

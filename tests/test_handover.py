@@ -8,16 +8,8 @@ from crsim.handover import HandoverPlan, plan_handover, select_target
 from crsim.learning import KnowledgeBase
 from crsim.negotiation import PuState
 from crsim.qos import TrafficType
-from crsim.simcore import (
-    DROP_NO_TARGET,
-    BandDecl,
-    Engine,
-    EventKind,
-    HandoverParams,
-    NegotiationParams,
-    Scenario,
-    SessionDecl,
-)
+from crsim.scenario import BandDecl, HandoverParams, NegotiationParams, Scenario, SessionDecl
+from crsim.simcore import DROP_NO_TARGET, Engine, EventKind
 from crsim.su_fsm import SessionStatus
 
 

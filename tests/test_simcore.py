@@ -19,21 +19,8 @@ from hypothesis import strategies as st
 from crsim.learning import KnowledgeBase
 from crsim.negotiation import PuState
 from crsim.qos import TrafficType
-from crsim.simcore import (
-    DROP_REPLANS_EXHAUSTED,
-    BandDecl,
-    Engine,
-    EventKind,
-    HandoverParams,
-    NegotiationParams,
-    RandomStream,
-    Scenario,
-    ScenarioError,
-    SessionDecl,
-    canonical_preset,
-    compare,
-    run,
-)
+from crsim.scenario import BandDecl, HandoverParams, NegotiationParams, Scenario, SessionDecl, canonical_preset
+from crsim.simcore import DROP_REPLANS_EXHAUSTED, Engine, EventKind, RandomStream, compare, run
 
 COOP = PuState.COOPERATIVE
 NONCOOP = PuState.NONCOOPERATIVE
@@ -455,144 +442,6 @@ def test_compare_skips_the_row_of_a_figure_the_run_leaves_undefined():
     report = compare(scenario)
     assert [(r.metric, r.simulated) for r in report.rows] == [("blocking", 1.0)]
     assert report.notes == ("non-completion row skipped: no session admitted within the horizon",)
-
-
-def test_scenario_round_trips_through_dict():
-    scenario = multiband_latency()
-    again = Scenario.from_dict(scenario.to_dict())
-    assert again == scenario
-    assert again.sha256() == scenario.sha256()
-
-
-def test_from_dict_reports_every_non_finite_number():
-    nan = float("nan")
-    data = multiband_latency().to_dict()
-    data["bands"][1].update(p=nan, q=nan)
-    data["bands"][2]["disposition"].update(alpha=nan, beta=nan)
-    data["sessions"][0]["c"] = nan
-    with pytest.raises(ScenarioError) as exc:
-        Scenario.from_dict(data)
-    assert exc.value.problems == [
-        f"{path}: must be a finite number, got nan"
-        for path in (
-            "bands[1].p",
-            "bands[1].q",
-            "bands[2].disposition.alpha",
-            "bands[2].disposition.beta",
-            "sessions[0].c",
-        )
-    ]
-
-
-# one document per group of rules that can break together; a rule whose
-# input excludes another's (bands not a list vs. a bad band) gets its own
-BROKEN_SCENARIOS = [
-    (
-        {
-            "bogus": 1,
-            "horizon": 0,
-            "seed": "x",
-            "name": 5,
-            "bands": [
-                7,
-                {"id": -1, "capacity": 0, "p": "a", "q": 2.0},
-                {
-                    "id": 3,
-                    "capacity": 4,
-                    "p": 0.7,
-                    "q": 0.6,
-                    "initial_occupancy": 5,
-                    "disposition": {"state": "grumpy", "alpha": 1.5},
-                },
-                {"id": 3, "capacity": 4, "p": 0.1, "q": 0.1, "disposition": []},
-            ],
-            "sessions": [
-                "x",
-                {"traffic": "Telepathy", "c": 0, "every": 1},
-                {"traffic": 3, "c": 0.5, "arrival": 1, "every": 2},
-                {"traffic": "Email", "c": 0.5},
-                {"traffic": "Email", "c": 0.5, "arrival": -1, "demand": -2},
-                {"traffic": "Email", "c": 0.5, "every": 0, "start": -1, "until": 0},
-            ],
-            "negotiation": [],
-            "handover": "fast",
-        },
-        [
-            "bogus: unknown top-level key",
-            "horizon: must be >= 1, got 0",
-            "seed: must be an integer, got 'x'",
-            "name: must be a string",
-            "bands[0]: must be an object",
-            "bands[1].id: must be >= 0, got -1",
-            "bands[1].capacity: must be >= 1, got 0",
-            "bands[1].p: must be a number, got 'a'",
-            "bands[1].q: must be within [0.0, 1.0], got 2.0",
-            "bands[2]: p + q must not exceed 1, got 0.7 + 0.6",
-            "bands[2].initial_occupancy: exceeds capacity 4",
-            "bands[2].disposition.state: must be one of ['cooperative', 'noncooperative'], got 'grumpy'",
-            "bands[2].disposition.alpha: must be within [0.0, 1.0], got 1.5",
-            "bands[3].disposition: must be an object",
-            "bands[3].id: duplicate band id 3",
-            "sessions[0]: must be an object",
-            "sessions[1].traffic: unknown traffic type 'Telepathy' (expected one of: Voice, ECommerce, "
-            "Transactions, Email, Telnet, CasualBrowsing, SeriousBrowsing, FileTransfers, VideoConferencing, "
-            "Multicasting)",
-            "sessions[1].c: must be within (0.0, 1.0], got 0",
-            "sessions[2].traffic: must be a traffic type name",
-            "sessions[2]: exactly one of 'arrival' or 'every' is required",
-            "sessions[3]: exactly one of 'arrival' or 'every' is required",
-            "sessions[4].demand: must be >= 0, got -2",
-            "sessions[4].arrival: must be >= 0, got -1",
-            "sessions[5].every: must be >= 1, got 0",
-            "sessions[5].start: must be >= 0, got -1",
-            "sessions[5].until: must be >= 1, got 0",
-            "negotiation: must be an object",
-            "handover: must be an object",
-        ],
-    ),
-    (
-        {
-            "bands": {},
-            "sessions": {},
-            "negotiation": {"grant_request": 0, "latency": -1},
-            "handover": {"latency": True, "max_replans": -1, "scan_interval": 0},
-        },
-        [
-            "horizon: must be an integer, got None",
-            "seed: must be an integer, got None",
-            "bands: must be a nonempty list",
-            "sessions: must be a list",
-            "negotiation.grant_request: must be >= 1, got 0",
-            "negotiation.latency: must be >= 0, got -1",
-            "handover.latency: must be an integer, got True",
-            "handover.max_replans: must be >= 0, got -1",
-            "handover.scan_interval: must be >= 1, got 0",
-        ],
-    ),
-    ([], ["scenario: top level must be a JSON object"]),
-]
-
-
-@pytest.mark.parametrize("data, problems", BROKEN_SCENARIOS, ids=["fields", "sections", "top-level"])
-def test_from_dict_reports_every_problem_in_one_error(data, problems):
-    with pytest.raises(ScenarioError) as exc:
-        Scenario.from_dict(data)
-    assert exc.value.problems == problems
-
-
-def test_from_dict_fills_omitted_fields_with_the_declared_defaults():
-    minimal = {
-        "bands": [{"id": 0, "capacity": 8, "p": 0.2, "q": 0.2}],
-        "sessions": [{"traffic": "Email", "c": 0.5, "every": 2}],
-        "horizon": 10,
-        "seed": 1,
-    }
-    assert Scenario.from_dict(minimal) == Scenario(
-        bands=(BandDecl(0, 8, 0.2, 0.2),),
-        sessions=(SessionDecl(T.EMAIL, 0.5, every=2),),
-        horizon=10,
-        seed=1,
-    )
 
 
 BLOCK = RandomStream._BLOCK

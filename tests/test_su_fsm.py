@@ -6,7 +6,7 @@ from conftest import band
 from crsim.learning import KnowledgeBase
 from crsim.negotiation import NegotiationOutcome
 from crsim.qos import TrafficType
-from crsim.simcore import SessionDecl
+from crsim.scenario import SessionDecl
 from crsim.su_fsm import (
     Action,
     FsmError,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, replace
+from typing import Iterable
 
 
 @dataclass(slots=True)
@@ -36,14 +37,26 @@ class KnowledgeBase:
     def record_sense(self, band_id: int, sensed: int, available: int) -> None:
         """Record ``sensed`` observations of a band, ``available`` of which met their demand.
 
-        Counters are sums, so n unit records equal one record of n.
+        The one-record form of ``record_senses``.  Counters are sums, so n
+        unit records equal one record of n.
         """
-        if not 0 <= available <= sensed:
-            raise ValueError(f"need 0 <= available <= sensed, got available={available}, sensed={sensed}")
-        if sensed:
-            rec = self._records[band_id]
-            rec.sensed += sensed
-            rec.available += available
+        self.record_senses(((band_id, sensed, available),))
+
+    def record_senses(self, records: Iterable[tuple[int, int, int]]) -> None:
+        """Record each ``(band_id, sensed, available)`` in turn, as ``record_sense`` would.
+
+        A record needs 0 <= available <= sensed, else ``ValueError`` (the
+        records before it stay recorded); a band's counters are created only
+        by a record with ``sensed > 0``.
+        """
+        bands = self._records
+        for band_id, sensed, available in records:
+            if not 0 <= available <= sensed:
+                raise ValueError(f"need 0 <= available <= sensed, got available={available}, sensed={sensed}")
+            if sensed:
+                rec = bands[band_id]
+                rec.sensed += sensed
+                rec.available += available
 
     def coop_estimate(self, band_id: int) -> float:
         rec = self._records.get(band_id)

@@ -25,6 +25,8 @@ from .qos import TrafficType, channel_demand
 from .spectrum_env import SpectrumBand
 
 INT_MAX = 2**63 - 1
+# the engine keeps a histogram row of capacity + 1 counters per band
+MAX_CAPACITY = 65536
 
 
 class ScenarioError(ValueError):
@@ -111,13 +113,15 @@ def _record(cls):
 
 def _records(cls, nonempty: bool = False, unique: str | None = None):
     """A JSON list of ``cls`` declarations, no two of which share the field named ``unique``."""
+    item = _record(cls)
+
     def read(value, path: str, problems: list[str]):
         if not isinstance(value, list) or (nonempty and not value):
             problems.append(f"{path}: must be a {'nonempty ' if nonempty else ''}list")
             return None
         out, seen = [], set()
         for i, raw in enumerate(value):
-            decl = _record(cls)(raw, f"{path}[{i}]", problems)
+            decl = item(raw, f"{path}[{i}]", problems)
             if decl is None:
                 continue
             out.append(decl)
@@ -145,8 +149,12 @@ def _at(path: str, key: str) -> str:
 
 @functools.cache
 def _layout(cls) -> tuple:
-    """(every field in declaration order, the fields of each group with None for
-    the ungrouped ones, the field that names each kind, the nested objects).
+    """What ``_read`` and ``_write`` need of ``cls``, worked out once per class.
+
+    (every field in declaration order; per group, None for the ungrouped
+    fields, its fields as (name, key, ".key", kind, default, required); the
+    field that names each kind; the nested objects; per kind given, None when
+    not exactly one, and per nested object, the keys allowed there).
 
     A kind is a group named after one of its fields: a record is of that kind
     when it gives that field.  Any other group is an object under its name.
@@ -154,33 +162,42 @@ def _layout(cls) -> tuple:
     decls = fields(cls)
     groups: dict = {None: []}
     for f in decls:
-        groups.setdefault(f.metadata["group"], []).append(f)
+        key = f.metadata["key"]
+        slot = (f.name, key, f".{key}", f.metadata["kind"], f.default, f.default is MISSING)
+        groups.setdefault(f.metadata["group"], []).append(slot)
     kinds = {f.metadata["key"]: f for f in decls if f.metadata["group"] == f.metadata["key"]}
-    return decls, groups, kinds, [group for group in groups if group is not None and group not in kinds]
+    nests = [group for group in groups if group is not None and group not in kinds]
+
+    def keys(*names) -> frozenset:
+        return frozenset(slot[1] for name in names for slot in groups[name])
+
+    known = {nest: keys(nest) for nest in nests}
+    for kind in (None, *kinds):
+        known[kind] = keys(None, *([kind] if kind else kinds)) | set(nests)
+    return decls, groups, kinds, nests, known
+
+
+def _report_unknown(source: dict, known: frozenset, base: str, problems: list[str]) -> None:
+    for key in sorted(set(source) - known, key=str):
+        problems.append(f"{_at(base, key)}: unknown {'key' if base else 'top-level key'}")
+
+
+def _take(group: list, source: dict, base: str, values: dict, problems: list[str]) -> None:
+    for name, key, suffix, kind, _, required in group:
+        if required or key in source:
+            values[name] = kind(source.get(key), base + suffix if base else key, problems)
 
 
 def _read(cls, raw: dict, path: str, problems: list[str]):
     """A ``cls`` read from ``raw``, usable only if no problem was appended: a field that fails holds None."""
-    _, groups, kinds, nests = _layout(cls)
+    _, groups, kinds, nests, known = _layout(cls)
     given = [kind for kind in kinds if kind in raw]
     chosen = given[0] if len(given) == 1 else None
     values: dict = {}
-
-    def report_unknown(source: dict, known: set, base: str) -> None:
-        for key in sorted(set(source) - known, key=str):
-            problems.append(f"{_at(base, key)}: unknown {'key' if base else 'top-level key'}")
-
-    def take(group: list, source: dict, base: str) -> None:
-        for f in group:
-            key = f.metadata["key"]
-            if key in source or f.default is MISSING:
-                values[f.name] = f.metadata["kind"](source.get(key), _at(base, key), problems)
-
     plain = groups[None]
-    own = plain + [f for kind in ([chosen] if chosen else kinds) for f in groups[kind]]
-    report_unknown(raw, {f.metadata["key"] for f in own} | set(nests), path)
-    take(plain, raw, path)
-    for name, problem in cls._rules({f.name: values.get(f.name, f.default) for f in plain}):
+    _report_unknown(raw, known[chosen], path, problems)
+    _take(plain, raw, path, values, problems)
+    for name, problem in cls._rules({name: values.get(name, default) for name, _, _, _, default, _ in plain}):
         problems.append(f"{_at(path, _key(cls, name)) if name else path}: {problem}")
     for nest in nests:
         base = _at(path, nest)
@@ -188,10 +205,10 @@ def _read(cls, raw: dict, path: str, problems: list[str]):
         if not isinstance(source, dict):
             problems.append(f"{base}: must be an object")
             source = {}
-        report_unknown(source, {f.metadata["key"] for f in groups[nest]}, base)
-        take(groups[nest], source, base)
+        _report_unknown(source, known[nest], base, problems)
+        _take(groups[nest], source, base, values, problems)
     if chosen is not None:
-        take(groups[chosen], raw, path)
+        _take(groups[chosen], raw, path, values, problems)
     elif kinds:
         problems.append(f"{path}: exactly one of {' or '.join(map(repr, kinds))} is required")
     return cls(**values)
@@ -199,7 +216,7 @@ def _read(cls, raw: dict, path: str, problems: list[str]):
 
 def _write(decl) -> dict:
     """The JSON object of a declaration, leaving out unset fields (None or "") and fields of other kinds."""
-    decls, _, kinds, nests = _layout(type(decl))
+    decls, _, kinds, nests, _ = _layout(type(decl))
     chosen = [kind for kind, f in kinds.items() if getattr(decl, f.name) is not None]
     out: dict = {}
     for f in decls:
@@ -236,7 +253,7 @@ _TRACED = _integer(0, INT_MAX)  # the event trace packs these as signed 64-bit i
 @dataclass(frozen=True)
 class BandDecl(_Decl):
     band_id: int = _field("id", _TRACED)
-    capacity: int = _field("capacity", _integer(1))
+    capacity: int = _field("capacity", _integer(1, MAX_CAPACITY))
     p: float = _field("p", _UNIT)
     q: float = _field("q", _UNIT)
     initial_occupancy: int = _field("initial_occupancy", _integer(0), 0)

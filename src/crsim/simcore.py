@@ -17,13 +17,17 @@ own-band sense is buffered at once as (band, 1, free >= demand).  A scan is
 counted by the session's demand alone, not sensed band by band, and each
 band's share of those counts is settled into one record at the band's
 current occupancy: sensed is the number of scans, available those with
-free >= demand.  (8) settles every pending share, then applies the records.
-Within (4-6) only a negotiation grant changes a band's occupancy, so the
-engine settles that band's pending scans right before the grant; scans
-counted earlier in the step thus see the occupancy before the grant, later
-ones the occupancy after it, exactly as a band-by-band sense would.  The
-knowledge base's counters are sums, so the order of the records within (8)
-does not matter.
+free >= demand.  A settlement first tabulates, over the demands counted in
+ascending order, the scans whose demand is at most each of them; each
+band's share is then read off that table at its free level.  Within (4-6)
+only a negotiation grant changes a band's occupancy, so the engine settles
+that band's pending scans right before the grant and keeps the table it
+used; the band's later settlement takes that table's counts off its own.
+Scans counted earlier in the step thus see the occupancy before the grant,
+later ones the occupancy after it, exactly as a band-by-band sense would.
+(8) settles every pending share, then applies all of the step's records in
+one knowledge-base call.  The knowledge base's counters are sums, so the
+order of the records within (8) does not matter.
 
 Sessions admitted in (3) take part in (4-6) and (7) of the same step: they
 sense the occupancy that (1) has just produced and act on it at once.  A
@@ -32,7 +36,9 @@ capacity) therefore negotiates in its admission step, and one admitted in
 Normal mode may complete in that step.
 
 A session's turn in (4-6) senses and acts on its band (written inline in
-the turn loop, which every active session runs each step) or runs the
+the turn loop, which every active session runs each step, reading the band
+and its mode row for the session's demand through the session's ``place``,
+which the engine writes wherever it writes ``band_id``) or runs the
 handlers (negotiate, hand over, arrive) one after another, each returning
 what is due next in this step: another handler, sensing again (a handover
 that lands), or nothing.  Within one step a session is never handed
@@ -57,6 +63,7 @@ import hashlib
 import json
 import struct
 from dataclasses import dataclass, field
+from bisect import bisect_right
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
@@ -331,7 +338,6 @@ class Engine:
         self.bands: list[SpectrumBand] = sorted(
             (decl.build() for decl in scenario.bands), key=lambda b: b.band_id
         )
-        self.band_by_id = {b.band_id: b for b in self.bands}
         self.kb = kb if kb is not None else KnowledgeBase()
         self.metrics = Metrics()
         self.trace = EventTrace(scenario.sha256(), self.seed, keep_records=keep_trace)
@@ -345,10 +351,10 @@ class Engine:
         self._neg_events: list[tuple[int, bool]] = []
         # the (band id, sensed, available) records that (8) applies
         self._senses: list[tuple[int, int, int]] = []
-        # scans of this step by demand, and per band the scan counts
-        # already settled into its records
+        # scans of this step by demand, and per band settled earlier in the
+        # step the table of scans by demand it was settled with then
         self._scan_counts: dict[int, int] = {}
-        self._scan_settled: dict[int, dict[int, int]] = {}
+        self._scan_settled: dict[int, tuple[list[int], list[int]]] = {}
         # sessions that transmit in this step, in ascending session id
         self._transmitters: list[SuSession] = []
         self._single_arrivals: dict[int, list[_Arrival]] = {}
@@ -361,8 +367,11 @@ class Engine:
             else:
                 stop = scenario.horizon if decl.until is None else min(decl.until, scenario.horizon)
                 self._patterns.append((arrival, decl.start, stop, decl.every))
-        # per band id: the band and, per demand it can hold, the (mode name,
-        # action) of an active session at each occupancy
+        # per band id and demand the band can hold: the ``place`` of a session
+        # of that demand on that band, the band's position in self.bands and
+        # the (mode name, action) at each occupancy.  A position, not the band:
+        # the band holds the session, and a cycle between them would leave each
+        # run's last bands and sessions to the cyclic garbage collector
         demands = {decl.effective_demand() for decl in scenario.sessions}
         capacities = {b.capacity for b in self.bands}
         tables = {
@@ -371,8 +380,9 @@ class Engine:
             for d in demands
             if d <= c
         }
-        self._mode_rows = {
-            b.band_id: (b, {d: tables[b.capacity, d] for d in demands if d <= b.capacity}) for b in self.bands
+        self._places = {
+            b.band_id: {d: (position, tables[b.capacity, d]) for d in demands if d <= b.capacity}
+            for position, b in enumerate(self.bands)
         }
         # bands the acting session has left in its current turn of (4-6)
         self._left: set[int] = set()
@@ -416,7 +426,6 @@ class Engine:
                 self._admit_one(t, arrival)
 
         # (4-6) sense, classify, decide, act: one turn per live session
-        mode_rows = self._mode_rows
         mode_histogram = m.mode_histogram
         scan = t % self.scenario.handover.scan_interval == 0
         scans = self._scan_counts
@@ -436,13 +445,15 @@ class Engine:
             while action is not None:
                 if action is _SENSE:
                     # sense the own band, classify the mode and act on it
-                    band, modes = mode_rows[session.band_id]
+                    position, modes = session.place
+                    band = bands[position]
                     demand = session.demand
                     if scan:
                         scans[demand] = scans.get(demand, 0) + 1
                     else:
-                        senses.append((band.band_id, 1, sense(band) >= demand))
-                    mode_name, action = modes[demand][band.pu_used]
+                        # 1 or 0, not a bool: (8) then adds plain ints
+                        senses.append((band.band_id, 1, 1 if sense(band) >= demand else 0))
+                    mode_name, action = modes[band.pu_used]
                     mode_histogram[mode_name] += 1
                     if action is _TRANSMIT:
                         transmitters.append(session)
@@ -473,9 +484,7 @@ class Engine:
             scans.clear()
             self._scan_settled.clear()
         if senses:
-            record_sense = self.kb.record_sense
-            for band_id, sensed, available in senses:
-                record_sense(band_id, sensed, available)
+            self.kb.record_senses(senses)
             senses.clear()
 
         # (9) metrics, histograms, invariants
@@ -506,13 +515,9 @@ class Engine:
             self.trace.add(t, EventKind.BLOCK, sid, -1, demand)
             return
         m.admitted += 1
-        session = SuSession(
-            session_id=sid,
-            demand=demand,
-            completion=arrival.completion,
-            band_id=band_id,
-        )
-        self.band_by_id[band_id].su = session
+        place = self._places[band_id][demand]
+        session = SuSession(sid, demand, arrival.completion, band_id, place=place)
+        self.bands[place[0]].su = session
         self.live.append(session)
         self.trace.add(t, EventKind.ADMIT, sid, band_id, demand)
 
@@ -526,7 +531,7 @@ class Engine:
         return None
 
     def _resolve_negotiation(self, session: SuSession, t: int) -> _Handler | None:
-        band = self.band_by_id[session.band_id]
+        band = self.bands[session.place[0]]
         if self._scan_counts:  # a grant would change what later scans see
             self._settle_scans((band,))
         outcome = negotiation.negotiate(band, self.scenario.negotiation.grant_request)
@@ -568,10 +573,12 @@ class Engine:
         return self._arrive if latency == 0 else None
 
     def _arrive(self, session: SuSession, t: int) -> _Handler | object | None:
-        target = self.band_by_id[session.handover_target]
+        place = self._places[session.handover_target][session.demand]
+        target = self.bands[place[0]]
         if target.su is None and target.free >= session.demand:
             replans_taken = session.replans
             session.band_id = target.band_id
+            session.place = place
             session.status = _ACTIVE
             session.replans = 0
             target.su = session
@@ -588,27 +595,41 @@ class Engine:
         return self._start_handover
 
     def _settle_scans(self, bands: Iterable[SpectrumBand]) -> None:
-        """Settle each band's scans counted since it was last settled, at its current occupancy."""
+        """Settle each band's scans counted since it was last settled, at its current occupancy.
+
+        ``demands`` holds this step's scanned demands in ascending order and
+        ``fits[i]`` the scans of the first ``i`` of them, so the scans that
+        fit in ``free`` channels are ``fits[bisect_right(demands, free)]``:
+        all of them once ``free`` reaches the top demand.  A band settled
+        earlier in the step takes off what the ``(demands, fits)`` it was
+        settled with then give at its current free level.
+        """
         counts = self._scan_counts
+        demands = sorted(counts)
+        fits = [0]
+        for demand in demands:
+            fits.append(fits[-1] + counts[demand])
+        total, top = fits[-1], demands[-1]
+        snapshot = (demands, fits)
         settled = self._scan_settled
         senses = self._senses
         for band in bands:
-            done = settled.get(band.band_id)
+            band_id = band.band_id
             free = band.free
-            sensed = available = 0
-            for demand, n in counts.items():
-                if done:
-                    n -= done.get(demand, 0)
-                sensed += n
-                if free >= demand:
-                    available += n
+            sensed = total
+            available = total if free >= top else fits[bisect_right(demands, free)]
+            done = settled.get(band_id)
+            if done is not None:
+                done_demands, done_fits = done
+                sensed -= done_fits[-1]
+                available -= done_fits[bisect_right(done_demands, free)]
             if sensed:
-                senses.append((band.band_id, sensed, available))
-            settled[band.band_id] = counts.copy()
+                senses.append((band_id, sensed, available))
+            settled[band_id] = snapshot
 
     def _vacate(self, session: SuSession) -> None:
         """Clear the session's band of it, if it is resident there."""
-        band = self.band_by_id[session.band_id]
+        band = self.bands[session.place[0]]
         if band.su is session:
             band.su = None
 

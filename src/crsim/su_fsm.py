@@ -13,7 +13,7 @@ to negotiate, so both are in Normal mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from typing import Iterable, Sequence, TypeVar
 
@@ -104,6 +104,10 @@ class SuSession:
     wait: int = 0  # steps left in the negotiation or handover that ``status`` names
     handover_target: int | None = None
     replans: int = 0
+    # (the position of the band ``band_id`` names among the engine's bands,
+    # the (mode name, action) of this demand at each occupancy of that band);
+    # the engine writes it wherever it writes ``band_id`` and reads both through it
+    place: tuple | None = field(default=None, repr=False)
 
 
 def decide(session: SuSession, mode: Mode) -> Action:

@@ -1,0 +1,156 @@
+"""Differential harness: a seeded family of short scenarios and one digest each.
+
+Each scenario is drawn from ``(seed, index)`` alone.  The family covers 1-8
+bands with gaps between their ids, negotiation and handover latencies 0-3,
+scan intervals 1-6, zero-demand probes, patterns that stop (``until``),
+single arrivals, demands equal to a band's capacity and warm-started
+knowledge bases.  A scenario's digest covers everything a run reports: the
+trace hash, the knowledge base, the metrics, the band histograms, the time
+series and the NDJSON trace.
+
+Two engines agree on the family when their manifests are equal:
+
+    PYTHONPATH=src python tests/differential.py --count 2000 --seed 1 > a.txt
+
+prints one line per scenario (index, scenario hash prefix, digest) and a
+last line ``combined <digest>`` over all of them.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import logging
+import random
+import sys
+
+from crsim.learning import KnowledgeBase
+from crsim.qos import TrafficType
+from crsim.scenario import Scenario
+from crsim.simcore import Engine
+
+TRAFFIC = [t.value for t in TrafficType]
+
+
+def scenario(seed: int, index: int) -> tuple[Scenario, dict | None]:
+    """The scenario of ``(seed, index)`` and its warm-start snapshot, or None for a fresh knowledge base."""
+    rng = random.Random(seed * 1_000_003 + index)
+    horizon = rng.randint(20, 160)
+    n_bands = rng.randint(1, 8)
+    band_ids = sorted(rng.sample(range(3 * n_bands + 2), n_bands))
+    bands = []
+    for band_id in band_ids:
+        capacity = rng.randint(1, 12)
+        static = rng.random() < 0.15
+        p = 0.0 if static else round(rng.uniform(0.0, 0.4), 3)
+        q = 0.0 if static else round(rng.uniform(0.0, 0.4), 3)
+        still = rng.random() < 0.2  # a disposition that never switches
+        bands.append({
+            "id": band_id,
+            "capacity": capacity,
+            "p": p,
+            "q": q,
+            "initial_occupancy": rng.randint(0, capacity),
+            "disposition": {
+                "state": rng.choice(("cooperative", "noncooperative")),
+                "alpha": 0.0 if still else round(rng.uniform(0.0, 0.3), 3),
+                "beta": 0.0 if still else round(rng.uniform(0.0, 0.3), 3),
+            },
+        })
+    rng.shuffle(bands)  # the engine orders bands by id, whatever the declaration order
+    sessions = []
+    for _ in range(rng.randint(1, 5)):
+        session = {"traffic": rng.choice(TRAFFIC)}
+        session["c"] = 1.0 if rng.random() < 0.15 else round(rng.uniform(0.01, 0.5), 3)
+        roll = rng.random()
+        if roll < 0.15:
+            session["demand"] = 0  # a probe
+        elif roll < 0.3:
+            session["demand"] = rng.choice(bands)["capacity"]
+        if rng.random() < 0.25:
+            session["arrival"] = rng.randint(0, horizon - 1)
+        else:
+            session["every"] = rng.randint(1, 6)
+            session["start"] = rng.randint(0, 5)
+            if rng.random() < 0.3:
+                session["until"] = rng.randint(1, horizon)
+        sessions.append(session)
+    doc = {
+        "name": f"differential-{seed}-{index}",
+        "bands": bands,
+        "sessions": sessions,
+        "negotiation": {"grant_request": rng.randint(1, 3), "latency": rng.randint(0, 3)},
+        "handover": {
+            "latency": rng.randint(0, 3),
+            "max_replans": rng.randint(0, 3),
+            "scan_interval": rng.randint(1, 6),
+        },
+        "horizon": horizon,
+        "seed": rng.randint(0, 2**31 - 1),
+    }
+    kb = None
+    if rng.random() < 0.3:
+        kb = {}
+        # some of the scenario's bands, and sometimes one it lacks
+        warm = rng.sample(band_ids, rng.randint(0, n_bands))
+        if rng.random() < 0.5:
+            warm.append(3 * n_bands + 2)
+        for band_id in warm:
+            sensed, attempts = rng.randint(0, 40), rng.randint(0, 10)
+            kb[str(band_id)] = {
+                "attempts": attempts,
+                "grants": rng.randint(0, attempts),
+                "sensed": sensed,
+                "available": rng.randint(0, sensed),
+            }
+    return Scenario.from_dict(doc), kb
+
+
+def outputs(scenario: Scenario, kb: dict | None) -> dict:
+    """Everything one run reports, as plain JSON values."""
+    engine = Engine(
+        scenario,
+        keep_trace=True,
+        collect_timeseries=True,
+        kb=None if kb is None else KnowledgeBase.from_json_dict(kb),
+    )
+    result = engine.run()
+    return {
+        "trace_hash": result.trace_hash,
+        "kb": result.kb.to_json_dict(),
+        "metrics": result.metrics.to_dict(),
+        "band_histograms": {str(b): h for b, h in sorted(result.band_histograms.items())},
+        "timeseries": [result.timeseries_header(), *result.timeseries],
+        "ndjson": list(result.trace.ndjson_lines()),
+    }
+
+
+def digest(scenario: Scenario, kb: dict | None) -> str:
+    return hashlib.sha256(json.dumps(outputs(scenario, kb), sort_keys=True).encode()).hexdigest()
+
+
+def manifest(count: int, seed: int) -> list[str]:
+    """One line per scenario, then ``combined <sha256 of the lines before it>``."""
+    lines = []
+    for index in range(count):
+        sc, kb = scenario(seed, index)
+        lines.append(f"{index} {sc.sha256()[:12]} {digest(sc, kb)}")
+    combined = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    return [*lines, f"combined {combined}"]
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--count", type=int, required=True, help="number of scenarios")
+    parser.add_argument("--seed", type=int, required=True, help="seed of the family")
+    args = parser.parse_args(argv)
+    # the engine logs a warning on each negotiation with an idle licensed user
+    logging.basicConfig(level=logging.ERROR)
+    for line in manifest(args.count, args.seed):
+        print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

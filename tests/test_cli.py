@@ -354,6 +354,15 @@ def test_a_seed_beyond_64_bits_exits_1_with_one_error_line(argv, seed, tmp_path,
     assert err.startswith("error: invalid scenario: ") and err.count("\n") == 1
 
 
+def test_a_band_wider_than_the_capacity_bound_exits_1_with_one_error_line(tmp_path, capsys):
+    # a capacity of 2**40 once passed the reader and ended the run in a MemoryError
+    wide = [{"id": 0, "capacity": 2**40, "p": 0.2, "q": 0.2}]
+    path = write_json(tmp_path / "s.json", scenario([VIDEO_HOLDING], bands=wide, horizon=10))
+    code, out, err = run_cli(capsys, ["simulate", "--scenario", path])
+    assert (code, out) == (1, "")
+    assert err == f"error: invalid scenario: bands[0].capacity: must be <= 65536, got {2**40}\n"
+
+
 def test_the_checked_in_malformed_scenario_exits_1_with_one_error_line(capsys):
     path = Path(__file__).parent / "data" / "bad_scenario.json"
     code, out, err = run_cli(capsys, ["simulate", "--scenario", str(path)])

@@ -1,0 +1,36 @@
+"""The differential family: its pinned digest and what it reaches.
+
+The pinned combined digests were recorded with an engine that applied each
+sensing record to the knowledge base through its own call and settled scans
+band by band over every demand.  ``tier1`` is checked here; CI checks the
+larger ``ci`` family with ``python tests/differential.py``.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import differential
+
+from crsim.simcore import _DROP_REASONS, _KINDS
+
+PINNED = json.loads((Path(__file__).parent / "data" / "differential.json").read_text(encoding="utf-8"))
+
+
+def test_the_family_digest_is_unchanged():
+    family = PINNED["tier1"]
+    assert differential.manifest(family["count"], family["seed"])[-1] == f"combined {family['combined']}"
+
+
+def test_the_family_reaches_every_event_kind_and_both_drop_reasons():
+    family = PINNED["tier1"]
+    events, reasons = set(), set()
+    for index in range(family["count"]):
+        for line in differential.outputs(*differential.scenario(family["seed"], index))["ndjson"]:
+            row = json.loads(line)
+            events.add(row["event"])
+            if row["event"] == "dropped":
+                reasons.add(row["reason"])
+    assert events == {name for name, _, _ in _KINDS.values()}
+    assert reasons == set(_DROP_REASONS.values())

@@ -170,6 +170,42 @@ def test_bulk_senses_reject_inconsistent_counts(sensed, available):
     assert kb.to_json_dict() == {}
 
 
+# records as the engine's (8) hands them over, a few of them inconsistent
+sense_records = st.lists(st.tuples(band_ids, st.integers(-1, 6), st.integers(-1, 6)), max_size=30)
+
+
+def apply_one_at_a_time(kb: KnowledgeBase, records) -> str | None:
+    """``record_sense`` per record, stopping at the first refused one; its message or None."""
+    for record in records:
+        try:
+            kb.record_sense(*record)
+        except ValueError as exc:
+            return str(exc)
+    return None
+
+
+@given(records=sense_records, warm=st.dictionaries(band_ids, st.integers(1, 5), max_size=2))
+def test_record_senses_equals_one_record_at_a_time(records, warm):
+    bulk, single = KnowledgeBase(), KnowledgeBase()
+    for kb in (bulk, single):  # same earlier history on both
+        for band_id, n in warm.items():
+            kb.record_sense(band_id, n, n - 1)
+    expected = apply_one_at_a_time(single, records)
+    if expected is None:
+        bulk.record_senses(records)
+    else:
+        with pytest.raises(ValueError) as exc:
+            bulk.record_senses(iter(records))
+        assert str(exc.value) == expected
+    assert bulk.to_json_dict() == single.to_json_dict()
+
+
+def test_record_senses_creates_no_band_for_an_empty_record():
+    kb = KnowledgeBase()
+    kb.record_senses([(0, 0, 0), (1, 2, 1), (2, 0, 0)])
+    assert kb.to_json_dict() == {"1": {"attempts": 0, "grants": 0, "sensed": 2, "available": 1}}
+
+
 record_ops = st.one_of(
     st.tuples(st.just("negotiation"), band_ids, st.booleans()),
     st.tuples(st.just("sense"), band_ids, st.integers(0, 5)),

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from test_simcore import multiband_latency
 
 from crsim.qos import TrafficType
-from crsim.scenario import INT_MAX, BandDecl, Scenario, ScenarioError, SessionDecl, canonical_preset
+from crsim.scenario import INT_MAX, MAX_CAPACITY, BandDecl, Scenario, ScenarioError, SessionDecl, canonical_preset
 
 T = TrafficType
 
@@ -232,6 +232,12 @@ def test_integers_the_trace_packs_fit_64_bits():
         f"negotiation.latency: must be <= {INT_MAX}, got {INT_MAX + 1}",
     ]
     assert Scenario.from_dict(minimal_document(seed=INT_MAX)).seed == INT_MAX
+
+
+def test_band_capacity_is_bounded_by_the_histogram_row_the_engine_keeps():
+    assert Scenario.from_dict(minimal_document(bands=[{"id": 0, "capacity": MAX_CAPACITY, "p": 0.2, "q": 0.2}]))
+    too_wide = minimal_document(bands=[{"id": 0, "capacity": MAX_CAPACITY + 1, "p": 0.2, "q": 0.2}])
+    assert problems_of(too_wide) == ["bands[0].capacity: must be <= 65536, got 65537"]
 
 
 # documents that together give every field, both session kinds and the optional ones

@@ -21,6 +21,7 @@ from crsim.negotiation import PuState
 from crsim.qos import TrafficType
 from crsim.scenario import BandDecl, HandoverParams, NegotiationParams, Scenario, SessionDecl, canonical_preset
 from crsim.simcore import DROP_REPLANS_EXHAUSTED, Engine, EventKind, RandomStream, compare, run
+from crsim.su_fsm import MODE_NAMES, SessionStatus, mode_table
 
 COOP = PuState.COOPERATIVE
 NONCOOP = PuState.NONCOOPERATIVE
@@ -381,6 +382,69 @@ def test_grant_after_scan_counts_the_scan_before_the_grant():
     # band 1: session 0 scans it at steps 0 and 5 (2 free < 3 both times),
     # session 1 senses it before its grant (2 free >= 2)
     assert result.kb.to_json_dict()["1"] == {"attempts": 1, "grants": 1, "sensed": 3, "available": 1}
+
+
+def settle_table() -> Scenario:
+    """Every step a scan step, grants with no latency, a probe and a band wider than any demand.
+
+    Scans are settled from a table of this step's scans by demand: band 2
+    (16 free at its emptiest) has more free channels than the top demand,
+    band 3 at times none (only the probe's scans fit), and grants on bands
+    0, 1 and 5 settle a band in the middle of a step, so that band's
+    settlement at the end of the step takes off what it got then.
+    """
+    return Scenario(
+        name="settle-table",
+        bands=(
+            BandDecl(0, 8, 0.30, 0.30, 5, COOP, 0.0, 0.0),
+            BandDecl(1, 6, 0.25, 0.25, 2, COOP, 0.0, 0.0),
+            BandDecl(2, 16, 0.05, 0.40, 0, COOP, 0.0, 0.0),
+            BandDecl(3, 4, 0.30, 0.30, 4, NONCOOP, 0.2, 0.2),
+            BandDecl(5, 5, 0.20, 0.20, 1, COOP, 0.1, 0.3),
+        ),
+        sessions=(
+            SessionDecl(T.VIDEO_CONFERENCING, 0.05, every=2),
+            SessionDecl(T.SERIOUS_BROWSING, 0.08, every=3, start=1),
+            SessionDecl(T.VOICE, 0.10, every=2),
+            SessionDecl(T.CASUAL_BROWSING, 0.3, every=4, demand=0),
+            SessionDecl(T.EMAIL, 0.02, arrival=3),
+        ),
+        horizon=400,
+        seed=13,
+        negotiation=NegotiationParams(grant_request=2, latency=0),
+        handover=HandoverParams(latency=1, max_replans=2, scan_interval=1),
+    )
+
+
+def test_scans_settled_around_grants_keep_the_knowledge_base():
+    # recorded with an engine that settled each band's scans demand by demand
+    result = run(settle_table())
+    assert result.metrics.grants == 101
+    assert result.trace_hash == "6ee22ca7037c3d4f8039b3f502594bc3"
+    assert result.kb.to_json_dict() == {
+        "0": {"attempts": 7, "grants": 7, "sensed": 1912, "available": 1904},
+        "1": {"attempts": 32, "grants": 32, "sensed": 1912, "available": 1903},
+        "2": {"attempts": 0, "grants": 0, "sensed": 1912, "available": 1912},
+        "3": {"attempts": 26, "grants": 16, "sensed": 1912, "available": 1182},
+        "5": {"attempts": 67, "grants": 46, "sensed": 1912, "available": 1721},
+    }
+
+
+@pytest.mark.parametrize("scenario", [replan_exhaustion, multiband_latency])
+def test_every_live_session_sits_in_the_place_of_its_band(scenario):
+    engine = Engine(scenario())
+    landed = False
+    for _ in range(engine.scenario.horizon):
+        engine.step()
+        for session in engine.live:
+            position, modes = session.place
+            band = engine.bands[position]
+            assert band.band_id == session.band_id
+            assert [name for name, _ in modes] == [MODE_NAMES[m] for m in mode_table(band.capacity, session.demand)]
+            if band.su is not session:  # it has left the band to hand over
+                assert session.status is not SessionStatus.ACTIVE
+        landed = landed or engine.metrics.handovers > 0
+    assert landed
 
 
 def test_replan_exhaustion_scenario_exhausts_replans():

@@ -12,22 +12,15 @@ every score read during a step sees the counters as of the step's start.
 Each time an active session senses and classifies its mode it observes
 every band once on a scan step (step index a multiple of the handover scan
 interval), its own band included, and only its own band on any other step.
-Every observation reaches (8) as one (band, sensed, available) record: an
-own-band sense is buffered at once as (band, 1, free >= demand).  A scan is
-counted by the session's demand alone, not sensed band by band, and each
-band's share of those counts is settled into one record at the band's
-current occupancy: sensed is the number of scans, available those with
-free >= demand.  A settlement first tabulates, over the demands counted in
-ascending order, the scans whose demand is at most each of them; each
-band's share is then read off that table at its free level.  Within (4-6)
-only a negotiation grant changes a band's occupancy, so the engine settles
-that band's pending scans right before the grant and keeps the table it
-used; the band's later settlement takes that table's counts off its own.
-Scans counted earlier in the step thus see the occupancy before the grant,
-later ones the occupancy after it, exactly as a band-by-band sense would.
-(8) settles every pending share, then applies all of the step's records in
-one knowledge-base call.  The knowledge base's counters are sums, so the
-order of the records within (8) does not matter.
+Every observation reaches (8) as a (band, sensed, available) record.  An
+own-band sense is buffered at once as (band, 1, free >= demand); a scan is
+only counted by demand, and (8) writes one record per band for all of the
+step's scans, available being those whose demand fits the band's free
+channels.  Within (4-6) only a negotiation grant changes a band's
+occupancy, and it frees channels, so a grant notes the scans counted
+before it whose demand fits only with the granted channels, and (8) takes
+them off that band's available count.  The knowledge base's counters are
+sums, so (8) applies all of the step's records in one call.
 
 Sessions admitted in (3) take part in (4-6) and (7) of the same step: they
 sense the occupancy that (1) has just produced and act on it at once.  A
@@ -351,10 +344,9 @@ class Engine:
         self._neg_events: list[tuple[int, bool]] = []
         # the (band id, sensed, available) records that (8) applies
         self._senses: list[tuple[int, int, int]] = []
-        # scans of this step by demand, and per band settled earlier in the
-        # step the table of scans by demand it was settled with then
+        # scans of this step by demand, and per band the scans a grant let fit
         self._scan_counts: dict[int, int] = {}
-        self._scan_settled: dict[int, tuple[list[int], list[int]]] = {}
+        self._scan_moved: dict[int, int] = {}
         # sessions that transmit in this step, in ascending session id
         self._transmitters: list[SuSession] = []
         self._single_arrivals: dict[int, list[_Arrival]] = {}
@@ -374,8 +366,9 @@ class Engine:
         # run's last bands and sessions to the cyclic garbage collector
         demands = {decl.effective_demand() for decl in scenario.sessions}
         capacities = {b.capacity for b in self.bands}
+        entries = [(MODE_NAMES[mode], su_fsm.MODE_ACTIONS[mode]) for mode in Mode]
         tables = {
-            (c, d): tuple((MODE_NAMES[mode], su_fsm.MODE_ACTIONS[mode]) for mode in su_fsm.mode_table(c, d))
+            (c, d): tuple(map(entries.__getitem__, su_fsm.mode_table(c, d)))
             for c in capacities
             for d in demands
             if d <= c
@@ -480,9 +473,7 @@ class Engine:
                 self.kb.record_negotiation(band_id, granted)
             self._neg_events.clear()
         if scans:
-            self._settle_scans(bands)
-            scans.clear()
-            self._scan_settled.clear()
+            self._settle_scans()
         if senses:
             self.kb.record_senses(senses)
             senses.clear()
@@ -532,8 +523,6 @@ class Engine:
 
     def _resolve_negotiation(self, session: SuSession, t: int) -> _Handler | None:
         band = self.bands[session.place[0]]
-        if self._scan_counts:  # a grant would change what later scans see
-            self._settle_scans((band,))
         outcome = negotiation.negotiate(band, self.scenario.negotiation.grant_request)
         m = self.metrics
         m.negotiations += 1
@@ -541,6 +530,11 @@ class Engine:
         su_fsm.apply_outcome(session, outcome)
         if outcome.granted:
             m.grants += 1
+            scans = self._scan_counts
+            if scans:  # the scans so far whose demand fits only with the granted channels
+                free = band.free
+                moved = sum(n for demand, n in scans.items() if free - outcome.channels < demand <= free)
+                self._scan_moved[band.band_id] = self._scan_moved.get(band.band_id, 0) + moved
             self.trace.add(t, EventKind.NEGOTIATION_GRANTED, session.session_id, band.band_id, outcome.channels)
             self._transmitters.append(session)
             return None
@@ -594,15 +588,14 @@ class Engine:
             return None
         return self._start_handover
 
-    def _settle_scans(self, bands: Iterable[SpectrumBand]) -> None:
-        """Settle each band's scans counted since it was last settled, at its current occupancy.
+    def _settle_scans(self) -> None:
+        """Write each band's record of this step's scans and clear the counts.
 
-        ``demands`` holds this step's scanned demands in ascending order and
+        ``demands`` holds the scanned demands in ascending order and
         ``fits[i]`` the scans of the first ``i`` of them, so the scans that
         fit in ``free`` channels are ``fits[bisect_right(demands, free)]``:
-        all of them once ``free`` reaches the top demand.  A band settled
-        earlier in the step takes off what the ``(demands, fits)`` it was
-        settled with then give at its current free level.
+        all of them once ``free`` reaches the top demand.  A band's available
+        count leaves out the scans that a grant on it let fit.
         """
         counts = self._scan_counts
         demands = sorted(counts)
@@ -610,22 +603,14 @@ class Engine:
         for demand in demands:
             fits.append(fits[-1] + counts[demand])
         total, top = fits[-1], demands[-1]
-        snapshot = (demands, fits)
-        settled = self._scan_settled
+        moved = self._scan_moved
         senses = self._senses
-        for band in bands:
-            band_id = band.band_id
+        for band in self.bands:
             free = band.free
-            sensed = total
             available = total if free >= top else fits[bisect_right(demands, free)]
-            done = settled.get(band_id)
-            if done is not None:
-                done_demands, done_fits = done
-                sensed -= done_fits[-1]
-                available -= done_fits[bisect_right(done_demands, free)]
-            if sensed:
-                senses.append((band_id, sensed, available))
-            settled[band_id] = snapshot
+            senses.append((band.band_id, total, available - moved.get(band.band_id, 0)))
+        counts.clear()
+        moved.clear()
 
     def _vacate(self, session: SuSession) -> None:
         """Clear the session's band of it, if it is resident there."""

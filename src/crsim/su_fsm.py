@@ -83,9 +83,12 @@ def classify_mode(pu_used: int, demand: int, capacity: int) -> Mode:
 def mode_table(capacity: int, demand: int) -> tuple[Mode, ...]:
     """``classify_mode`` at every occupancy 0..capacity, indexed by occupancy.
 
-    Raises as ``classify_mode`` does when the band can never hold ``demand``.
+    Normal below ``capacity - demand``, Failure above it: only the boundary
+    needs ``classify_mode``, which raises when the band can never hold ``demand``.
     """
-    return tuple(classify_mode(pu_used, demand, capacity) for pu_used in range(capacity + 1))
+    boundary = capacity - demand
+    at_boundary = classify_mode(boundary, demand, capacity)
+    return (Mode.NORMAL,) * boundary + (at_boundary,) + (Mode.FAILURE,) * demand
 
 
 @dataclass(slots=True, eq=False)

@@ -16,11 +16,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crsim import su_fsm
 from crsim.learning import KnowledgeBase
 from crsim.negotiation import PuState
 from crsim.qos import TrafficType
-from crsim.scenario import BandDecl, HandoverParams, NegotiationParams, Scenario, SessionDecl, canonical_preset
-from crsim.simcore import DROP_REPLANS_EXHAUSTED, Engine, EventKind, RandomStream, compare, run
+from crsim.scenario import (
+    MAX_CAPACITY,
+    BandDecl,
+    HandoverParams,
+    NegotiationParams,
+    Scenario,
+    SessionDecl,
+    canonical_preset,
+)
+from crsim.simcore import (
+    DROP_REPLANS_EXHAUSTED,
+    ComparisonError,
+    Engine,
+    EngineError,
+    EventKind,
+    RandomStream,
+    analytic_figures,
+    compare,
+    run,
+)
 from crsim.su_fsm import MODE_NAMES, SessionStatus, mode_table
 
 COOP = PuState.COOPERATIVE
@@ -390,8 +409,9 @@ def settle_table() -> Scenario:
     Scans are settled from a table of this step's scans by demand: band 2
     (16 free at its emptiest) has more free channels than the top demand,
     band 3 at times none (only the probe's scans fit), and grants on bands
-    0, 1 and 5 settle a band in the middle of a step, so that band's
-    settlement at the end of the step takes off what it got then.
+    0, 1 and 5 free channels in the middle of a step, so that band's
+    settlement at the end of the step takes off the scans counted before
+    the grant that fit only with the granted channels.
     """
     return Scenario(
         name="settle-table",
@@ -506,6 +526,63 @@ def test_compare_skips_the_row_of_a_figure_the_run_leaves_undefined():
     report = compare(scenario)
     assert [(r.metric, r.simulated) for r in report.rows] == [("blocking", 1.0)]
     assert report.notes == ("non-completion row skipped: no session admitted within the horizon",)
+
+
+def test_engine_set_up_classifies_once_per_band_width_and_demand(monkeypatch):
+    # a mode row is three runs, so building one costs a single classify_mode
+    # call whatever the band's width, not one per occupancy
+    calls = []
+    classify = su_fsm.classify_mode
+
+    def counting(pu_used, demand, capacity):
+        calls.append((capacity, demand))
+        return classify(pu_used, demand, capacity)
+
+    monkeypatch.setattr(su_fsm, "classify_mode", counting)
+    scenario = Scenario(
+        bands=(
+            BandDecl(0, MAX_CAPACITY, 0.2, 0.2, 0, COOP, 0.1, 0.1),
+            BandDecl(1, 8, 0.2, 0.2, 0, COOP, 0.1, 0.1),
+            BandDecl(2, 8, 0.3, 0.1, 4, NONCOOP, 0.1, 0.1),
+        ),
+        sessions=(
+            SessionDecl(T.VIDEO_CONFERENCING, 0.1, every=1),
+            SessionDecl(T.EMAIL, 0.1, every=2, demand=1),
+        ),
+        horizon=10,
+        seed=1,
+    )
+    engine = Engine(scenario)
+    assert sorted(calls) == [(8, 1), (8, 4), (MAX_CAPACITY, 1), (MAX_CAPACITY, 4)]
+    _, modes = engine._places[0][4]
+    assert [name for name, _ in modes[MAX_CAPACITY - 5 : MAX_CAPACITY - 2]] == ["Normal", "Warning", "Failure"]
+
+
+def test_analytic_figures_refuse_two_completion_probabilities():
+    scenario = dataclasses.replace(
+        canonical_preset(),
+        sessions=(
+            SessionDecl(T.VIDEO_CONFERENCING, 0.05, every=1),
+            SessionDecl(T.VIDEO_CONFERENCING, 0.10, every=2),
+        ),
+    )
+    with pytest.raises(ComparisonError, match="single completion probability"):
+        analytic_figures(scenario)
+
+
+def test_stepping_past_the_horizon_raises():
+    engine = Engine(dataclasses.replace(canonical_preset(), horizon=3))
+    engine.run()
+    assert engine.step_index == 3
+    with pytest.raises(EngineError, match="past the scenario horizon"):
+        engine.step()
+    assert engine.step_index == 3
+
+
+def test_ndjson_lines_need_a_kept_trace():
+    result = run(dataclasses.replace(canonical_preset(), horizon=3))
+    with pytest.raises(EngineError, match="keep_trace=True"):
+        list(result.trace.ndjson_lines())
 
 
 BLOCK = RandomStream._BLOCK

@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 from statistics import mean, stdev
 
@@ -15,29 +14,22 @@ from .mac_tdma import NodeProfile, TdmaError, discover
 from .scenario import INT_MAX, PRESETS, Scenario, ScenarioError
 from .simcore import analytic_figures, compare, run
 
-_LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
 
-
-def _configure_logging() -> None:
-    raw = os.environ.get("CRSIM_LOG", "error").strip().lower()
-    level = _LOG_LEVELS.get(raw)
-    if level is None:
-        level = logging.ERROR
-    logging.basicConfig(level=level, stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
+def _read_json(path: str, what: str, error) -> object:
+    """The JSON value in the file at ``path``; a missing file or invalid JSON raises ``error(message)``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise error(f"{what} file not found: {path}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise error(f"{what} file {path} is not valid JSON: {exc}") from None
 
 
 def _load_scenario(args: argparse.Namespace) -> Scenario:
     if args.preset:
         return PRESETS[args.preset]()
-    path = args.scenario
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except FileNotFoundError:
-        raise ScenarioError([f"scenario file not found: {path}"]) from None
-    except json.JSONDecodeError as exc:
-        raise ScenarioError([f"scenario file {path} is not valid JSON: {exc}"]) from None
-    return Scenario.from_dict(data)
+    return Scenario.from_dict(_read_json(args.scenario, "scenario", lambda message: ScenarioError([message])))
 
 
 def _seed(args: argparse.Namespace, scenario: Scenario, runs: int = 1) -> int:
@@ -84,20 +76,20 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if replications > 1 and (args.trace or args.timeseries or args.kb_out):
         raise ScenarioError(["--trace/--timeseries/--kb-out need a single run (replications 1)"])
 
-    kb_template = None
-    if args.kb_in:
-        with open(args.kb_in, "r", encoding="utf-8") as fh:
-            kb_template = json.load(fh)
-
-    if replications == 1:
-        kb = KnowledgeBase.from_json_dict(kb_template) if args.kb_in else None
-        result = run(
+    kb_template = _read_json(args.kb_in, "knowledge-base", ValueError) if args.kb_in else None
+    seeds = [seed + i for i in range(replications)]
+    runs = [
+        run(
             scenario,
-            seed=seed,
+            seed=s,
             keep_trace=bool(args.trace),
             collect_timeseries=bool(args.timeseries),
-            kb=kb,
+            kb=KnowledgeBase.from_json_dict(kb_template) if args.kb_in else None,
         )
+        for s in seeds
+    ]
+    if replications == 1:
+        (result,) = runs
         payload = {
             "provenance": _provenance(scenario, seed),
             "metrics": result.metrics.to_dict(),
@@ -120,34 +112,27 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             with open(args.kb_out, "w", encoding="utf-8") as fh:
                 json.dump(result.kb.to_json_dict(), fh, indent=2, sort_keys=True)
                 fh.write("\n")
-        _emit(json.dumps(payload, indent=2), args.out)
-        return 0
-
-    seeds = [seed + i for i in range(replications)]
-    runs = []
-    for s in seeds:
-        kb = KnowledgeBase.from_json_dict(kb_template) if args.kb_in else None
-        runs.append(run(scenario, seed=s, kb=kb))
-    metric_dicts = [r.metrics.to_dict() for r in runs]
-    numeric_keys = [
-        k for k, v in metric_dicts[0].items() if isinstance(v, (int, float)) and v is not None
-    ]
-    merged_mean = {}
-    merged_std = {}
-    for key in numeric_keys:
-        values = [d[key] for d in metric_dicts if d[key] is not None]
-        merged_mean[key] = mean(values)
-        merged_std[key] = stdev(values) if len(values) > 1 else 0.0
-    payload = {
-        "provenance": _provenance(scenario, seed),
-        "replications": {
-            "count": replications,
-            "seeds": seeds,
-            "metrics_mean": merged_mean,
-            "metrics_stddev": merged_std,
-            "trace_hashes": [r.trace_hash for r in runs],
-        },
-    }
+    else:
+        # every scalar figure, over the runs that define it (null where none does)
+        metric_dicts = [r.metrics.to_dict() for r in runs]
+        defined = {
+            key: [d[key] for d in metric_dicts if d[key] is not None]
+            for key in metric_dicts[0]
+            if key != "mode_histogram"
+        }
+        payload = {
+            "provenance": _provenance(scenario, seed),
+            "replications": {
+                "count": replications,
+                "seeds": seeds,
+                "metrics_mean": {key: mean(values) if values else None for key, values in defined.items()},
+                "metrics_stddev": {
+                    key: (stdev(values) if len(values) > 1 else 0.0) if values else None
+                    for key, values in defined.items()
+                },
+                "trace_hashes": [r.trace_hash for r in runs],
+            },
+        }
     _emit(json.dumps(payload, indent=2), args.out)
     return 0
 
@@ -184,13 +169,7 @@ def _json_int(value) -> int:
 
 def _cmd_tdma(args: argparse.Namespace) -> int:
     path = args.topology
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except FileNotFoundError:
-        raise TdmaError(f"topology file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise TdmaError(f"topology file {path} is not valid JSON: {exc}") from None
+    data = _read_json(path, "topology", TdmaError)
     try:
         profiles = [
             NodeProfile(_json_int(node["id"]), frozenset(_json_int(c) for c in node["channels"]))
@@ -270,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _configure_logging()
+    logging.basicConfig(level=logging.ERROR, stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

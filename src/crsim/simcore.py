@@ -55,7 +55,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from bisect import bisect_right
 from typing import Callable, Iterable, NamedTuple
 
@@ -132,17 +132,7 @@ class Metrics:
 
     def to_dict(self) -> dict:
         return {
-            "arrivals": self.arrivals,
-            "admitted": self.admitted,
-            "blocked": self.blocked,
-            "completed": self.completed,
-            "dropped": self.dropped,
-            "still_active": self.still_active,
-            "negotiations": self.negotiations,
-            "grants": self.grants,
-            "refusals": self.refusals,
-            "handovers": self.handovers,
-            "failed_handovers": self.failed_handovers,
+            **{f.name: getattr(self, f.name) for f in fields(self) if f.name != "mode_histogram"},
             "interference_steps": self.interference_steps,
             "mode_histogram": dict(self.mode_histogram),
             "empirical_blocking": self.empirical_blocking,
@@ -336,7 +326,6 @@ class Engine:
         self.trace = EventTrace(scenario.sha256(), self.seed, keep_records=keep_trace)
         self.live: list[SuSession] = []
         self.step_index = 0
-        self._arrival_seq = 0
         # rows that (1), (2) and (9) walk, aligned with self.bands
         self._chain_rows = spectrum_env.chain_rows(self.bands)
         self._dispositions = [b.disposition for b in self.bands]
@@ -497,8 +486,7 @@ class Engine:
     def _admit_one(self, t: int, arrival: _Arrival) -> None:
         demand = arrival.demand
         m = self.metrics
-        sid = self._arrival_seq
-        self._arrival_seq += 1
+        sid = m.arrivals
         m.arrivals += 1
         band_id = su_fsm.admit(self.bands, demand, self.kb)
         if band_id is None:
@@ -775,14 +763,9 @@ def compare(scenario: Scenario, seed: int | None = None) -> CompareReport:
     its empirical figure undefined: blocking without arrivals,
     non-completion without admissions.  Each skipped row leaves a note.
     """
-    if scenario.negotiation.latency != 0:
-        raise ComparisonError(
-            f"non-completion analytic assumes zero latency (negotiation latency {scenario.negotiation.latency})"
-        )
-    if scenario.handover.latency != 0:
-        raise ComparisonError(
-            f"non-completion analytic assumes zero latency (handover latency {scenario.handover.latency})"
-        )
+    for what, params in (("negotiation", scenario.negotiation), ("handover", scenario.handover)):
+        if params.latency != 0:
+            raise ComparisonError(f"non-completion analytic assumes zero latency ({what} latency {params.latency})")
     figures = analytic_figures(scenario)
     result = run(scenario, seed=seed)
     m = result.metrics

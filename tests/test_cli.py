@@ -306,6 +306,17 @@ def test_kb_snapshot_round_trip(tmp_path, capsys):
         (["simulate", "--scenario", "{s}"], {"s": scenario([{**VIDEO_HOLDING, "c": float("nan")}])}),
         # a missing file
         (["analyze", "--scenario", "{missing}"], {}),
+        # replication counts and single-run exports
+        (["simulate", "--scenario", "{s}", "--replications", "0"], {"s": SCENARIOS["holding"]}),
+        (["simulate", "--scenario", "{s}", "--replications", "2", "--trace", "{x}"], {"s": SCENARIOS["holding"]}),
+        (["simulate", "--scenario", "{s}", "--replications", "2", "--timeseries", "{x}"], {"s": SCENARIOS["holding"]}),
+        (["simulate", "--scenario", "{s}", "--replications", "2", "--kb-out", "{x}"], {"s": SCENARIOS["holding"]}),
+        # files that are missing or not JSON, for every JSON file the CLI reads
+        (["simulate", "--scenario", "{broken}"], {}),
+        (["tdma", "--topology", "{missing}"], {}),
+        (["tdma", "--topology", "{broken}"], {}),
+        (["simulate", "--scenario", "{s}", "--kb-in", "{missing}"], {"s": SCENARIOS["holding"]}),
+        (["simulate", "--scenario", "{s}", "--kb-in", "{broken}"], {"s": SCENARIOS["holding"]}),
     ],
     ids=[
         "rounds-string",
@@ -327,15 +338,97 @@ def test_kb_snapshot_round_trip(tmp_path, capsys):
         "kb-negative-id",
         "nan-completion",
         "missing-scenario",
+        "replications-zero",
+        "replications-trace",
+        "replications-timeseries",
+        "replications-kb-out",
+        "broken-scenario",
+        "missing-topology",
+        "broken-topology",
+        "missing-kb",
+        "broken-kb",
     ],
 )
 def test_malformed_input_exits_1_with_error_line(argv, files, tmp_path, capsys):
-    paths = {name: write_json(tmp_path / f"{name}.json", data) for name, data in files.items()}
-    paths["missing"] = str(tmp_path / "missing.json")
-    code, out, err = run_cli(capsys, [arg.format(**paths) for arg in argv])
+    code, out, err = run_cli(capsys, [arg.format(**input_paths(tmp_path, files)) for arg in argv])
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "x").exists()
+
+
+def input_paths(tmp_path: Path, files: dict) -> dict:
+    """``files`` written as JSON, plus a ``missing`` path, an ``x`` export path and
+    two files that are not JSON: ``broken`` holds ``{``, ``latin1`` a byte that
+    is not UTF-8."""
+    paths = {name: write_json(tmp_path / f"{name}.json", data) for name, data in files.items()}
+    paths["missing"] = str(tmp_path / "missing.json")
+    paths["x"] = str(tmp_path / "x")
+    for name, text in (("broken", b"{"), ("latin1", b'{"nodes": "\xe9"}')):
+        paths[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_bytes(text)
+    return paths
+
+
+BROKEN = "is not valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+LATIN1 = "is not valid JSON: 'utf-8' codec can't decode byte 0xe9 in position 11: invalid continuation byte"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", "--scenario", "{missing}"], "invalid scenario: scenario file not found: {missing}"),
+        (["simulate", "--scenario", "{broken}"], f"invalid scenario: scenario file {{broken}} {BROKEN}"),
+        (["tdma", "--topology", "{missing}"], "topology file not found: {missing}"),
+        (["tdma", "--topology", "{broken}"], f"topology file {{broken}} {BROKEN}"),
+        (["simulate", "--preset", "canonical", "--kb-in", "{missing}"], "knowledge-base file not found: {missing}"),
+        (["simulate", "--preset", "canonical", "--kb-in", "{broken}"], f"knowledge-base file {{broken}} {BROKEN}"),
+        (["tdma", "--topology", "{latin1}"], f"topology file {{latin1}} {LATIN1}"),
+    ],
+    ids=[
+        "missing-scenario",
+        "broken-scenario",
+        "missing-topology",
+        "broken-topology",
+        "missing-kb",
+        "broken-kb",
+        "latin1-topology",
+    ],
+)
+def test_a_file_that_is_missing_or_not_json_is_named_in_the_error(argv, message, tmp_path, capsys):
+    paths = input_paths(tmp_path, {})
+    code, out, err = run_cli(capsys, [arg.format(**paths) for arg in argv])
+    assert (code, out, err) == (1, "", f"error: {message.format(**paths)}\n")
+
+
+def test_replications_report_every_figure_whatever_the_first_run(tmp_path, capsys):
+    """A figure that no run defines is null; one that some run defines is
+    their mean, even when the first run leaves it undefined.
+
+    The band starts full and never gains a user (p = 0): the single
+    arrival at step 0 is admitted only if the user shrinks first, so
+    whether run 1 defines non-completion depends on the seed.
+    """
+    full = {"id": 0, "capacity": 8, "p": 0.0, "q": 0.5, "initial_occupancy": 8}
+    voice = {"traffic": "Voice", "c": 0.5, "arrival": 0}
+    path = write_json(tmp_path / "s.json", scenario([voice], bands=[full], horizon=3))
+    reports = []
+    for seed in ("1", "2"):
+        code, out, err = run_cli(capsys, ["simulate", "--scenario", path, "--replications", "3", "--seed", seed])
+        assert (code, err) == (0, "")
+        reports.append(json.loads(out)["replications"])
+    single = json.loads(GOLDEN["simulate holding"]["stdout"])["metrics"]
+    keys = [key for key in single if key != "mode_histogram"]
+    for report in reports:
+        assert list(report["metrics_mean"]) == list(report["metrics_stddev"]) == keys
+    assert reports[0]["metrics_mean"]["empirical_noncompletion"] == 0.0
+    assert reports[1]["metrics_mean"]["empirical_noncompletion"] == 0.0
+    # no run of late_arrival has an arrival within its horizon
+    path = write_json(tmp_path / "late.json", SCENARIOS["late_arrival"])
+    code, out, _ = run_cli(capsys, ["simulate", "--scenario", path, "--replications", "2"])
+    report = json.loads(out)["replications"]
+    assert code == 0 and list(report["metrics_mean"]) == keys
+    assert report["metrics_mean"]["empirical_blocking"] is report["metrics_stddev"]["empirical_blocking"] is None
 
 
 @pytest.mark.parametrize(

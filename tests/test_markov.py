@@ -34,6 +34,13 @@ def test_transition_matrix_middle_row():
     assert np.allclose(m[1], [0.4, 0.4, 0.2])
 
 
+def test_a_pure_birth_chain_rests_at_capacity_and_admits_nothing():
+    chain = OccupancyChain(4, 0.3, 0.0)
+    assert stationary(chain).probabilities.tolist() == [0.0, 0.0, 0.0, 0.0, 1.0]
+    with pytest.raises(ChainError, match="admission has probability zero"):
+        noncompletion_probability(chain, 2, 0.5, 0.5)
+
+
 def test_transition_rows_are_stochastic():
     rng = np.random.default_rng(3)
     for _ in range(100):

@@ -528,6 +528,25 @@ def test_compare_skips_the_row_of_a_figure_the_run_leaves_undefined():
     assert report.notes == ("non-completion row skipped: no session admitted within the horizon",)
 
 
+def test_a_two_band_compare_table_ends_in_the_note_of_its_missing_row():
+    scenario = Scenario(
+        bands=(BandDecl(0, 8, 0.2, 0.2, 2, COOP, 0.3, 0.3), BandDecl(1, 6, 0.1, 0.3, 2, NONCOOP, 0.3, 0.3)),
+        sessions=(SessionDecl(T.VIDEO_CONFERENCING, 0.1, every=2),),
+        horizon=200,
+        seed=7,
+        negotiation=NegotiationParams(1, 0),
+        handover=HandoverParams(latency=0),
+    )
+    report = compare(scenario)
+    assert report.row("blocking") is report.rows[0]
+    with pytest.raises(KeyError):
+        report.row("non-completion")
+    header, blocking, note = report.format_table().splitlines()
+    assert header.split() == ["metric", "analytic", "simulated", "|diff|"]
+    assert blocking.split()[0] == "blocking"
+    assert note == "note: non-completion row skipped: analytic model covers a single band with no alternative"
+
+
 def test_engine_set_up_classifies_once_per_band_width_and_demand(monkeypatch):
     # a mode row is three runs, so building one costs a single classify_mode
     # call whatever the band's width, not one per occupancy

@@ -14,4 +14,4 @@ from .markov import (  # noqa: F401
 )
 from .qos import QosProfile, TrafficType, channel_demand, priority, qos_profile  # noqa: F401
 from .scenario import Scenario, ScenarioError, canonical_preset  # noqa: F401
-from .simcore import CompareReport, Engine, Metrics, RunResult, compare, run  # noqa: F401
+from .simcore import CompareReport, Engine, Metrics, compare, run  # noqa: F401

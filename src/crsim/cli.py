@@ -16,14 +16,16 @@ from .simcore import analytic_figures, compare, run
 
 
 def _read_json(path: str, what: str, error) -> object:
-    """The JSON value in the file at ``path``; a missing file or invalid JSON raises ``error(message)``."""
+    """The JSON value in the file at ``path``; a missing file, bad JSON or deep nesting raises ``error(message)``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
         raise error(f"{what} file not found: {path}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # undecodable bytes, bad syntax, or an integer past the digit limit
         raise error(f"{what} file {path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise error(f"{what} file nested too deeply to read: {path}") from None
 
 
 def _load_scenario(args: argparse.Namespace) -> Scenario:

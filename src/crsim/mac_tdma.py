@@ -87,31 +87,6 @@ def run_phase1(
     }
 
 
-def run_phase2(
-    links: Mapping[int, Iterable[int]],
-    profiles: Sequence[NodeProfile],
-    rounds: int,
-) -> dict[int, frozenset[int]]:
-    """Candidate sets after ``rounds`` dissemination rounds.
-
-    Each round is a single frame: in slot order every node broadcasts its
-    current candidate set on the lowest channel shared with each neighbor
-    over ``links``, the pairs where phase 1 found a nonempty common set
-    (see ``restricted_links``), and receivers intersect the payload into
-    their own candidate.
-    """
-    if isinstance(rounds, bool) or not isinstance(rounds, int) or rounds < 0:
-        raise TdmaError(f"rounds must be a nonnegative integer, got {rounds!r}")
-    candidates: dict[int, set[int]] = {p.node_id: set(p.channel_set) for p in profiles}
-    order = sorted(candidates)
-    for _ in range(rounds):
-        for node in order:  # slot i of the frame
-            payload = frozenset(candidates[node])
-            for neighbor in links[node]:
-                candidates[neighbor] &= payload
-    return {node: frozenset(c) for node, c in sorted(candidates.items())}
-
-
 def restricted_links(tables: Mapping[int, Mapping[int, frozenset[int]]]) -> dict[int, set[int]]:
     """Adjacency restricted to pairs that share at least one channel."""
     links: dict[int, set[int]] = {i: set() for i in tables}
@@ -135,30 +110,38 @@ def _bfs_distances(links: Mapping[int, set[int]], source: int) -> dict[int, int]
     return dist
 
 
-def restricted_diameter(links: Mapping[int, set[int]]) -> tuple[int, bool]:
-    """(max eccentricity over components, whether the graph is connected)."""
-    if not links:
-        return 0, True
-    nodes = list(links)
-    connected = len(_bfs_distances(links, nodes[0])) == len(nodes)
-    diameter = 0
-    for node in nodes:  # all-pairs via BFS; instances here stay tiny
-        dist = _bfs_distances(links, node)
-        diameter = max(diameter, max(dist.values(), default=0))
-    return diameter, connected
-
-
 def discover(
     profiles: Sequence[NodeProfile],
     edges: Iterable[tuple[int, int]],
     rounds: int | None = None,
 ) -> DiscoveryResult:
-    """Run both phases; rounds defaults to the restricted-graph diameter."""
+    """Run both phases; rounds defaults to the restricted-graph diameter.
+
+    Phase 2 links only the pairs where phase 1 found a common channel (see
+    ``restricted_links``).  Each round applies the same map, which only
+    shrinks the candidate sets, so once a round changes nothing no later
+    round can: phase 2 stops there and reports ``rounds`` as given.
+    """
     tables = run_phase1(profiles, edges)
     links = restricted_links(tables)
-    diameter, connected = restricted_diameter(links)
-    used = max(1, diameter) if rounds is None else rounds
-    candidates = run_phase2(links, profiles, used)
-    return DiscoveryResult(
-        neighbor_tables=tables, candidates=candidates, connected=connected, rounds=used
-    )
+    connected, diameter = True, 0
+    for node in links:  # one BFS per node; instances here stay tiny
+        dist = _bfs_distances(links, node)
+        connected = connected and len(dist) == len(links)  # a walk misses a node only on a split graph
+        diameter = max(diameter, max(dist.values()))
+    if rounds is None:
+        rounds = max(1, diameter)
+    elif isinstance(rounds, bool) or not isinstance(rounds, int) or rounds < 0:
+        raise TdmaError(f"rounds must be a nonnegative integer, got {rounds!r}")
+    candidates: dict[int, set[int]] = {p.node_id: set(p.channel_set) for p in profiles}
+    order = sorted(candidates)
+    for _ in range(rounds):
+        size = sum(map(len, candidates.values()))
+        for node in order:  # slot i of the frame
+            payload = frozenset(candidates[node])
+            for neighbor in links[node]:
+                candidates[neighbor] &= payload
+        if sum(map(len, candidates.values())) == size:  # sets only shrink, so nothing changed
+            break
+    frozen = {node: frozenset(c) for node, c in sorted(candidates.items())}
+    return DiscoveryResult(neighbor_tables=tables, candidates=frozen, connected=connected, rounds=rounds)

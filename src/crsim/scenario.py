@@ -179,7 +179,8 @@ def _layout(cls) -> tuple:
 
 def _report_unknown(source: dict, known: frozenset, base: str, problems: list[str]) -> None:
     for key in sorted(set(source) - known, key=str):
-        problems.append(f"{_at(base, key)}: unknown {'key' if base else 'top-level key'}")
+        shown = key if key.isprintable() else repr(key)  # a line break in a key must not split the report
+        problems.append(f"{_at(base, shown)}: unknown {'key' if base else 'top-level key'}")
 
 
 def _take(group: list, source: dict, base: str, values: dict, problems: list[str]) -> None:

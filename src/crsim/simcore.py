@@ -74,7 +74,6 @@ __all__ = [
     "ComparisonError",
     "Metrics",
     "EventTrace",
-    "RunResult",
     "Engine",
     "run",
     "compare",
@@ -216,26 +215,6 @@ class EventTrace:
             yield json.dumps(row, separators=(",", ":"))
 
 
-@dataclass
-class RunResult:
-    scenario: Scenario
-    seed: int
-    metrics: Metrics
-    trace: EventTrace
-    kb: KnowledgeBase
-    band_histograms: dict[int, list[int]]
-    timeseries: list[tuple] | None = None
-
-    @property
-    def trace_hash(self) -> str:
-        return self.trace.hash_hex()
-
-    def timeseries_header(self) -> list[str]:
-        """Column names of the ``timeseries`` rows that ``Engine.step`` appends."""
-        bands = [f"band{band_id}_pu_used" for band_id in sorted(b.band_id for b in self.scenario.bands)]
-        return ["step", *bands, "active_sessions", "arrivals", "blocked", "completed", "dropped"]
-
-
 # ---------------------------------------------------------------------------
 # engine
 # ---------------------------------------------------------------------------
@@ -372,6 +351,20 @@ class Engine:
 
     # -- views ------------------------------------------------------------
 
+    @property
+    def trace_hash(self) -> str:
+        return self.trace.hash_hex()
+
+    @property
+    def band_histograms(self) -> dict[int, list[int]]:
+        """Per band id, in ascending order, the steps (9) counted at each occupancy."""
+        return {b.band_id: row for b, row in zip(self.bands, self._hist_rows)}
+
+    def timeseries_header(self) -> list[str]:
+        """Column names of the ``timeseries`` rows that ``Engine.step`` appends."""
+        bands = [f"band{band_id}_pu_used" for band_id in sorted(b.band_id for b in self.scenario.bands)]
+        return ["step", *bands, "active_sessions", "arrivals", "blocked", "completed", "dropped"]
+
     def band_views(self) -> list[SpectrumBand]:
         """The live bands in ascending id order: ``list(self.bands)``.
 
@@ -477,7 +470,7 @@ class Engine:
             raise EngineError("conservation violated: completed + dropped + active != admitted")
         if m.grants + m.refusals != m.negotiations:
             raise EngineError("conservation violated: grants + refusals != negotiations")
-        if self.timeseries is not None:  # columns: RunResult.timeseries_header
+        if self.timeseries is not None:  # columns: timeseries_header
             self.timeseries.append(
                 (t, *(b.pu_used for b in bands), m.still_active, m.arrivals, m.blocked, m.completed, m.dropped)
             )
@@ -618,18 +611,11 @@ class Engine:
         self.trace.add(t, EventKind.COMPLETED, session.session_id, session.band_id, 0)
         self.live.remove(session)
 
-    def run(self) -> RunResult:
+    def run(self) -> Engine:
+        """Step to the horizon and return this engine, which holds the run's results."""
         for _ in range(self.scenario.horizon - self.step_index):
             self.step()
-        return RunResult(
-            scenario=self.scenario,
-            seed=self.seed,
-            metrics=self.metrics,
-            trace=self.trace,
-            kb=self.kb,
-            band_histograms={b.band_id: row for b, row in zip(self.bands, self._hist_rows)},
-            timeseries=self.timeseries,
-        )
+        return self
 
 
 def run(
@@ -638,8 +624,8 @@ def run(
     keep_trace: bool = False,
     collect_timeseries: bool = False,
     kb: KnowledgeBase | None = None,
-) -> RunResult:
-    """Execute a scenario to its horizon and return metrics plus trace."""
+) -> Engine:
+    """Execute a scenario to its horizon and return the engine that ran it."""
     return Engine(
         scenario,
         seed=seed,

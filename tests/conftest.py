@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import copy
 from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from crsim.markov import OccupancyChain
 from crsim.negotiation import PuDisposition, PuState
@@ -76,6 +78,19 @@ def components_oracle(nodes, links: dict[int, set[int]]) -> list[set[int]]:
     return out
 
 
+def phase2_oracle(channel_sets: dict[int, frozenset], links: dict[int, set[int]], rounds: int) -> dict:
+    """Candidate sets after every one of ``rounds`` rounds, none skipped: in
+    ascending node order each node's set, as it stands at its slot, is
+    intersected into each neighbor's."""
+    candidates = {i: set(s) for i, s in sorted(channel_sets.items())}
+    for _ in range(rounds):
+        for node in sorted(candidates):
+            payload = frozenset(candidates[node])
+            for other in links.get(node, ()):
+                candidates[other] &= payload
+    return {i: frozenset(c) for i, c in candidates.items()}
+
+
 def diameter_oracle(links: dict[int, set[int]]) -> int:
     """Max BFS eccentricity within components (0 for isolated nodes)."""
     best = 0
@@ -91,6 +106,37 @@ def diameter_oracle(links: dict[int, set[int]]) -> int:
         if dist:
             best = max(best, max(dist.values()))
     return best
+
+
+def slots(value, found=None) -> list:
+    """Every (container, key or index) pair in a JSON value."""
+    found = [] if found is None else found
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        found.append((value, key))
+        slots(item, found)
+    return found
+
+
+def containers(value) -> list[dict]:
+    return [value] + [parent[key] for parent, key in slots(value) if isinstance(parent[key], dict)]
+
+
+def mutate(draw, valid, values, keys):
+    """A copy of ``valid``, a JSON object, after one to three drawn edits: a
+    value replaced by one of ``values`` or deleted, or one of ``keys`` added."""
+    doc = copy.deepcopy(valid)
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["replace", "replace", "delete", "add"]))
+        if op == "add" or not slots(doc):
+            draw(st.sampled_from(containers(doc)))[draw(keys)] = draw(values)
+            continue
+        parent, key = draw(st.sampled_from(slots(doc)))
+        if op == "delete":
+            del parent[key]
+        else:
+            parent[key] = draw(values)
+    return doc
 
 
 @pytest.fixture

@@ -15,11 +15,17 @@ engine's event export must reproduce them byte for byte.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from conftest import mutate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crsim import __version__, qos
 from crsim.cli import main
@@ -304,6 +310,8 @@ def test_kb_snapshot_round_trip(tmp_path, capsys):
         ),
         # a non-finite completion probability
         (["simulate", "--scenario", "{s}"], {"s": scenario([{**VIDEO_HOLDING, "c": float("nan")}])}),
+        # an unknown key holding a line break
+        (["simulate", "--scenario", "{s}"], {"s": {**SCENARIOS["holding"], "line\nbreak": 1}}),
         # a missing file
         (["analyze", "--scenario", "{missing}"], {}),
         # replication counts and single-run exports
@@ -317,6 +325,10 @@ def test_kb_snapshot_round_trip(tmp_path, capsys):
         (["tdma", "--topology", "{broken}"], {}),
         (["simulate", "--scenario", "{s}", "--kb-in", "{missing}"], {"s": SCENARIOS["holding"]}),
         (["simulate", "--scenario", "{s}", "--kb-in", "{broken}"], {"s": SCENARIOS["holding"]}),
+        # files nested deeper than the JSON reader can follow
+        (["simulate", "--scenario", "{deep}"], {}),
+        (["tdma", "--topology", "{deep}"], {}),
+        (["simulate", "--scenario", "{s}", "--kb-in", "{deep}"], {"s": SCENARIOS["holding"]}),
     ],
     ids=[
         "rounds-string",
@@ -337,6 +349,7 @@ def test_kb_snapshot_round_trip(tmp_path, capsys):
         "kb-leading-zero-id",
         "kb-negative-id",
         "nan-completion",
+        "key-with-line-break",
         "missing-scenario",
         "replications-zero",
         "replications-trace",
@@ -347,6 +360,9 @@ def test_kb_snapshot_round_trip(tmp_path, capsys):
         "broken-topology",
         "missing-kb",
         "broken-kb",
+        "deep-scenario",
+        "deep-topology",
+        "deep-kb",
     ],
 )
 def test_malformed_input_exits_1_with_error_line(argv, files, tmp_path, capsys):
@@ -359,12 +375,12 @@ def test_malformed_input_exits_1_with_error_line(argv, files, tmp_path, capsys):
 
 def input_paths(tmp_path: Path, files: dict) -> dict:
     """``files`` written as JSON, plus a ``missing`` path, an ``x`` export path and
-    two files that are not JSON: ``broken`` holds ``{``, ``latin1`` a byte that
-    is not UTF-8."""
+    three files that cannot be read as JSON: ``broken`` holds ``{``, ``latin1`` a
+    byte that is not UTF-8 and ``deep`` 100,000 ``[``."""
     paths = {name: write_json(tmp_path / f"{name}.json", data) for name, data in files.items()}
     paths["missing"] = str(tmp_path / "missing.json")
     paths["x"] = str(tmp_path / "x")
-    for name, text in (("broken", b"{"), ("latin1", b'{"nodes": "\xe9"}')):
+    for name, text in (("broken", b"{"), ("latin1", b'{"nodes": "\xe9"}'), ("deep", b"[" * 100_000)):
         paths[name] = str(tmp_path / f"{name}.json")
         (tmp_path / f"{name}.json").write_bytes(text)
     return paths
@@ -384,6 +400,12 @@ LATIN1 = "is not valid JSON: 'utf-8' codec can't decode byte 0xe9 in position 11
         (["simulate", "--preset", "canonical", "--kb-in", "{missing}"], "knowledge-base file not found: {missing}"),
         (["simulate", "--preset", "canonical", "--kb-in", "{broken}"], f"knowledge-base file {{broken}} {BROKEN}"),
         (["tdma", "--topology", "{latin1}"], f"topology file {{latin1}} {LATIN1}"),
+        (["simulate", "--scenario", "{deep}"], "invalid scenario: scenario file nested too deeply to read: {deep}"),
+        (["tdma", "--topology", "{deep}"], "topology file nested too deeply to read: {deep}"),
+        (
+            ["simulate", "--preset", "canonical", "--kb-in", "{deep}"],
+            "knowledge-base file nested too deeply to read: {deep}",
+        ),
     ],
     ids=[
         "missing-scenario",
@@ -393,6 +415,9 @@ LATIN1 = "is not valid JSON: 'utf-8' codec can't decode byte 0xe9 in position 11
         "missing-kb",
         "broken-kb",
         "latin1-topology",
+        "deep-scenario",
+        "deep-topology",
+        "deep-kb",
     ],
 )
 def test_a_file_that_is_missing_or_not_json_is_named_in_the_error(argv, message, tmp_path, capsys):
@@ -461,3 +486,91 @@ def test_the_checked_in_malformed_scenario_exits_1_with_one_error_line(capsys):
     code, out, err = run_cli(capsys, ["simulate", "--scenario", str(path)])
     assert (code, out) == (1, "")
     assert err.startswith("error: invalid scenario: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, topology",
+    [
+        (["tdma", "--rounds", "100000000000", "--topology", "{t}"], TOPOLOGY),
+        (["tdma", "--topology", "{t}"], {**TOPOLOGY, "rounds": 100_000_000_000}),
+    ],
+    ids=["option", "file"],
+)
+def test_tdma_rounds_past_the_fixed_point_finish(argv, topology, tmp_path, capsys):
+    """Phase 2 stops once a round changes nothing: a round count no loop could
+    finish gives the default run's candidates and reports the count given."""
+    path = write_json(tmp_path / "topology.json", topology)
+    code, out, err = run_cli(capsys, [arg.format(t=path) for arg in argv])
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {**json.loads(GOLDEN["tdma topology"]["stdout"]), "rounds": 100_000_000_000}
+
+
+# a valid document per file option, each small: the scenario runs 60 steps.
+# analyze is left out: its non-completion solve takes memory in the square of
+# a band's capacity, which a mutated document can set to 65,536
+SMALL_SCENARIO = scenario(
+    [VIDEO_HOLDING, {"traffic": "Voice", "c": 0.5, "arrival": 3}],
+    bands=[band(0), band(1, capacity=6, state="noncooperative")],
+    horizon=60,
+)
+KB_SNAPSHOT = {
+    "0": {"attempts": 4, "grants": 2, "sensed": 9, "available": 3},
+    "1": {"attempts": 1, "grants": 0, "sensed": 2, "available": 2},
+}
+FILE_OPTIONS = {
+    "--scenario": (SMALL_SCENARIO, ["simulate", "--scenario", "{f}"]),
+    "--topology": ({**TOPOLOGY, "rounds": 2}, ["tdma", "--topology", "{f}"]),
+    "--kb-in": (KB_SNAPSHOT, ["simulate", "--scenario", "{s}", "--kb-in", "{f}"]),
+}
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | st.sampled_from([100_000_000_000, 10**18, INT_MAX + 1])
+    | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=10,
+)
+JSON_KEYS = st.text(max_size=6) | st.sampled_from(
+    ["nodes", "edges", "id", "channels", "rounds", "bands", "capacity", "sessions", "sensed"]
+)
+
+
+@st.composite
+def file_contents(draw, valid: dict) -> bytes:
+    """Arbitrary bytes, any JSON value, deep nesting or ``valid`` mutated up to three times."""
+    kind = draw(st.sampled_from(["bytes", "value", "deep", "mutated"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=64))
+    if kind == "value":
+        return json.dumps(draw(JSON_VALUES)).encode()
+    if kind == "deep":
+        opening, inner, closing = draw(st.sampled_from([("[", "", "]"), ('{"a":', "1", "}")]))
+        depth = draw(st.integers(1, 2_000) | st.just(100_000))
+        tail = inner + closing * depth if draw(st.booleans()) else ""
+        return (opening * depth + tail).encode()
+    doc = mutate(draw, valid, JSON_VALUES, JSON_KEYS)
+    horizon = doc.get("horizon")
+    if isinstance(horizon, int) and not isinstance(horizon, bool) and horizon > 100:
+        doc["horizon"] = 100  # a longer run only takes longer; the reader's bounds have their own tests
+    return json.dumps(doc).encode()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_any_input_file_exits_0_or_1_with_one_error_line(data):
+    """Whatever a ``--scenario``, ``--topology`` or ``--kb-in`` file holds, the
+    CLI exits 0, or 1 with one ``error:`` line.  ``--kb-in`` goes with the
+    small scenario, never the canonical preset and its 400,000 steps."""
+    valid, argv = FILE_OPTIONS[data.draw(st.sampled_from(sorted(FILE_OPTIONS)))]
+    contents = data.draw(file_contents(valid))
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"f": str(Path(tmp) / "input.json"), "s": write_json(Path(tmp) / "scenario.json", SMALL_SCENARIO)}
+        Path(paths["f"]).write_bytes(contents)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([arg.format(**paths) for arg in argv])
+    assert code in (0, 1)
+    if code == 1:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

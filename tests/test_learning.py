@@ -123,6 +123,8 @@ def test_json_round_trip():
 def test_json_rejects_inconsistent_counters():
     with pytest.raises(ValueError):
         KnowledgeBase.from_json_dict({"0": {"attempts": 1, "grants": 2, "sensed": 0, "available": 0}})
+    with pytest.raises(ValueError, match="available must be within"):
+        KnowledgeBase.from_json_dict({"0": {"attempts": 0, "grants": 0, "sensed": 1, "available": 2}})
 
 
 @pytest.mark.parametrize(
@@ -214,7 +216,10 @@ record_ops = st.one_of(
 
 
 @given(ops=st.lists(record_ops, max_size=60))
-def test_cached_score_matches_fresh_estimates(ops):
+def test_score_is_the_product_of_both_estimates_after_any_writes(ops):
+    """After any mix of negotiation and sense writes, and of score reads in
+    between, each band scores its grant-rate estimate times its availability
+    estimate."""
     kb = KnowledgeBase()
     for op, band_id, arg in ops:
         if op == "negotiation":

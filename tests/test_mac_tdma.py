@@ -5,7 +5,7 @@ from __future__ import annotations
 from functools import reduce
 
 import pytest
-from conftest import components_oracle, diameter_oracle, pairwise_common_oracle
+from conftest import components_oracle, diameter_oracle, pairwise_common_oracle, phase2_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -67,6 +67,35 @@ def test_rounds_bound_how_far_candidates_spread():
     one = discover(profiles, edges, rounds=1)
     assert one.candidates[2] == frozenset({2})  # node 1 broadcast 0's set before 2's slot
     assert one.candidates[0] == frozenset({1, 2})
+
+
+@settings(max_examples=200, deadline=None)
+@given(topologies(), st.integers(0, 6))
+def test_each_round_count_matches_the_round_by_round_reference(topology, rounds):
+    channels, edges = topology
+    result = discover([NodeProfile(i, s) for i, s in channels.items()], edges, rounds=rounds)
+    expected = phase2_oracle(channels, oracle_links(pairwise_common_oracle(channels, edges)), rounds)
+    assert result.rounds == rounds
+    assert list(result.candidates.items()) == list(expected.items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(topologies())
+def test_rounds_past_the_fixed_point_change_nothing(topology):
+    """The default round count already reaches the fixed point, so a round
+    count no loop could finish gives its candidates, at once."""
+    channels, edges = topology
+    profiles = [NodeProfile(i, s) for i, s in channels.items()]
+    default, huge = discover(profiles, edges), discover(profiles, edges, rounds=10**18)
+    assert huge.rounds == 10**18
+    assert list(huge.candidates.items()) == list(default.candidates.items())
+    assert huge.global_common == default.global_common
+
+
+def test_an_empty_topology_is_connected_with_no_common_set():
+    result = discover([], [])
+    assert (result.neighbor_tables, result.candidates, result.connected, result.rounds) == ({}, {}, True, 1)
+    assert result.global_common is None
 
 
 @pytest.mark.parametrize(

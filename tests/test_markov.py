@@ -5,6 +5,7 @@ from conftest import stationary_by_linear_solve
 from crsim.kernels import mc_noncompletion
 from crsim.markov import (
     ChainError,
+    Distribution,
     OccupancyChain,
     blocking_probability,
     noncompletion_by_state,
@@ -59,6 +60,8 @@ def test_chain_invariants_enforced():
         OccupancyChain(4, 0.7, 0.7)
     with pytest.raises(ChainError):
         OccupancyChain(4, -0.1, 0.2)
+    with pytest.raises(ChainError, match="death probability"):
+        OccupancyChain(4, 0.2, 1.5)
 
 
 def test_stationary_uniform_when_rates_match():
@@ -92,6 +95,24 @@ def test_stationary_matches_linear_solve_on_random_chains():
         m = transition_matrix(chain)
         assert np.max(np.abs(pi @ m - pi)) < 1e-10
         assert np.max(np.abs(pi - stationary_by_linear_solve(m))) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "vector, message",
+    [([[0.5, 0.5]], "1-d"), ([1.5, -0.5], "nonnegative"), ([0.5, 0.4], "sum to 1")],
+    ids=["two-d", "negative", "short-sum"],
+)
+def test_distribution_rejects_what_is_not_a_probability_vector(vector, message):
+    with pytest.raises(ChainError, match=message):
+        Distribution(np.array(vector))
+
+
+@pytest.mark.parametrize(
+    "figure", [prob_free_at_least, lambda chain, d: blocking_probability([chain], d)], ids=["prob-free", "blocking"]
+)
+def test_a_negative_demand_is_refused(figure):
+    with pytest.raises(ChainError, match="demand must be nonnegative"):
+        figure(OccupancyChain(4, 0.2, 0.2), -1)
 
 
 def test_prob_free_examples():
@@ -153,6 +174,8 @@ def test_noncompletion_parameter_validation():
         noncompletion_probability(chain, 9, 0.2, 0.5)
     with pytest.raises(ChainError):
         noncompletion_probability(chain, 4, 0.2, 1.5)
+    with pytest.raises(ChainError, match="completion probability"):
+        noncompletion_probability(chain, 4, 1.5, 0.5)
 
 
 def test_noncompletion_two_state_solve_frozen_value():

@@ -136,6 +136,8 @@ def test_request_and_outcome_validation():
         NegotiationOutcome(granted=False, channels=2)
     with pytest.raises(ValueError):
         PuDisposition(PuState.COOPERATIVE, 1.2, 0.0)
+    with pytest.raises(ValueError, match="beta"):
+        PuDisposition(PuState.COOPERATIVE, 0.0, 1.2)
 
 
 @pytest.mark.parametrize(

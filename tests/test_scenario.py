@@ -6,6 +6,7 @@ import copy
 import math
 
 import pytest
+from conftest import mutate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_simcore import multiband_latency
@@ -197,7 +198,7 @@ def test_from_dict_reports_unknown_keys_at_every_level():
             {"traffic": "Email", "c": 0.5, "every": 2, "dmand": 1},
         ],
         negotiation={"latncy": 0},
-        handover={"scan": 3},
+        handover={"scan": 3, "scan\ninterval": 3},
     )
     assert problems_of(data) == [
         "bands[0].intial_occupancy: unknown key",
@@ -207,6 +208,7 @@ def test_from_dict_reports_unknown_keys_at_every_level():
         "sessions[1].dmand: unknown key",
         "negotiation.latncy: unknown key",
         "handover.scan: unknown key",
+        "handover.'scan\\ninterval': unknown key",  # quoted, so that the report stays on one line
     ]
 
 
@@ -249,34 +251,10 @@ JUNK = st.sampled_from(
 KEYS = st.sampled_from(["id", "p", "state", "arrival", "every", "start", "until", "demand", "latency", "bogus"])
 
 
-def slots(value, found=None) -> list:
-    """Every (container, key or index) pair in a JSON value."""
-    found = [] if found is None else found
-    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
-    for key, item in items:
-        found.append((value, key))
-        slots(item, found)
-    return found
-
-
-def containers(value) -> list[dict]:
-    return [value] + [parent[key] for parent, key in slots(value) if isinstance(parent[key], dict)]
-
-
 @settings(max_examples=400, deadline=None)
 @given(data=st.data())
 def test_from_dict_accepts_or_reports_any_mutated_document(data):
-    doc = copy.deepcopy(data.draw(st.sampled_from(VALID_DOCUMENTS)))
-    for _ in range(data.draw(st.integers(1, 3))):
-        op = data.draw(st.sampled_from(["replace", "replace", "delete", "add"]))
-        if op == "add":
-            data.draw(st.sampled_from(containers(doc)))[data.draw(KEYS)] = data.draw(JUNK)
-            continue
-        parent, key = data.draw(st.sampled_from(slots(doc)))
-        if op == "delete":
-            del parent[key]
-        else:
-            parent[key] = data.draw(JUNK)
+    doc = mutate(data.draw, data.draw(st.sampled_from(VALID_DOCUMENTS)), JUNK, KEYS)
     try:
         scenario = Scenario.from_dict(doc)
     except ScenarioError:

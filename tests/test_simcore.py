@@ -492,6 +492,34 @@ def test_conservation_holds(name):
     assert m.grants + m.refusals == m.negotiations
 
 
+@pytest.mark.parametrize(
+    "counter, message",
+    [
+        ("blocked", r"admitted \+ blocked != arrivals"),
+        ("completed", r"completed \+ dropped \+ active != admitted"),
+        ("grants", r"grants \+ refusals != negotiations"),
+    ],
+)
+def test_a_broken_count_fails_the_next_step(counter, message):
+    engine = Engine(multiband_latency())
+    for _ in range(50):
+        engine.step()
+    setattr(engine.metrics, counter, getattr(engine.metrics, counter) + 1)
+    with pytest.raises(EngineError, match=message):
+        engine.step()
+
+
+def test_a_run_returns_the_engine_that_ran_it():
+    scenario = multiband_latency()
+    engine = Engine(scenario, collect_timeseries=True)
+    assert engine.run() is engine and engine.step_index == scenario.horizon
+    other = run(scenario)
+    assert isinstance(other, Engine) and other.trace_hash == engine.trace_hash == engine.trace.hash_hex()
+    assert list(engine.band_histograms) == sorted(b.band_id for b in scenario.bands)
+    assert all(sum(row) == scenario.horizon for row in engine.band_histograms.values())
+    assert len(engine.timeseries_header()) == len(engine.timeseries[0])
+
+
 def test_a_session_filling_a_band_with_an_idle_licensed_user_transmits(caplog):
     # demand 4 on a static, idle, cooperative 4-channel band: the session
     # fills the band with nothing to negotiate for, so it transmits

@@ -99,6 +99,9 @@ class KnowledgeBase:
             if not (digits and str(int(band_id)) == band_id):
                 raise ValueError(f"band id must be a nonnegative integer without leading zeros, got {band_id!r}")
             values = {key: counters.get(key, 0) for key in ("attempts", "grants", "sensed", "available")}
+            for key in counters:
+                if key not in values:
+                    raise ValueError(f"band {band_id}: unknown key {key!r}")
             for key, value in values.items():
                 if not isinstance(value, int) or isinstance(value, bool) or value < 0:
                     raise ValueError(f"band {band_id}: {key} must be a nonnegative integer, got {value!r}")

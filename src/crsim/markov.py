@@ -150,10 +150,10 @@ def blocking_probability(bands: Sequence[OccupancyChain], demand: int) -> float:
     return blocked
 
 
-def _noncompletion_system(
+def noncompletion_by_state(
     chain: OccupancyChain, demand: int, completion: float, grant_probability: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Linear system (A x = b) for per-state drop probabilities.
+) -> np.ndarray:
+    """Per-start-state drop probabilities x_k for k in {0..C-demand}.
 
     Transient states are occupancies k in {0..B} with B = C - demand.  Each
     step the session first completes with probability ``completion``;
@@ -162,36 +162,11 @@ def _noncompletion_system(
     instantaneous negotiation: with ``grant_probability`` one channel is
     yielded back (the move is undone), otherwise the session is dropped.
     A move past the boundary drops the session outright.
+
+    Row k ties x_k only to x_{k-1} and x_{k+1}, and completion > 0 makes
+    every row strictly diagonally dominant, so one elimination sweep up the
+    rows and one back-substitution down them solve it without pivoting.
     """
-    c, p, q = chain.capacity, chain.birth, chain.death
-    b_state = c - demand
-    n = b_state + 1
-    s = 1.0 - completion
-    a = np.eye(n)
-    rhs = np.zeros(n)
-    for k in range(n):
-        down = q if k > 0 else 0.0
-        stay = 1.0 - p - down
-        a[k, k] -= s * stay
-        if k > 0:
-            a[k, k - 1] -= s * down
-        target = k + 1
-        if target < b_state:
-            a[k, target] -= s * p
-        elif target == b_state and k < b_state:
-            # negotiated entry: grant returns the walker to B-1, refusal drops
-            a[k, k] -= s * p * grant_probability
-            rhs[k] += s * p * (1.0 - grant_probability)
-        else:
-            # k == B: any further rise exceeds capacity and drops the session
-            rhs[k] += s * p
-    return a, rhs
-
-
-def noncompletion_by_state(
-    chain: OccupancyChain, demand: int, completion: float, grant_probability: float
-) -> np.ndarray:
-    """Per-start-state drop probabilities x_k for k in {0..C-demand}."""
     if not 0 < demand <= chain.capacity:
         raise ChainError(f"demand must be in 1..capacity, got {demand}")
     if completion == 0.0:
@@ -200,8 +175,30 @@ def noncompletion_by_state(
         raise ChainError(f"completion probability must be in (0, 1], got {completion}")
     if not 0.0 <= grant_probability <= 1.0:
         raise ChainError(f"grant probability must be in [0, 1], got {grant_probability}")
-    a, rhs = _noncompletion_system(chain, demand, completion, grant_probability)
-    return np.linalg.solve(a, rhs)
+    p, q = chain.birth, chain.death
+    b_state = chain.capacity - demand
+    s = 1.0 - completion
+    # elimination up the rows leaves row k as pivot[k] * x_k = y[k] + upper[k] * x_{k+1}
+    pivot, upper, y = [0.0] * (b_state + 1), [0.0] * (b_state + 1), [0.0] * (b_state + 1)
+    for k in range(b_state + 1):
+        down = q if k > 0 else 0.0
+        diag, up, rhs = 1.0 - s * (1.0 - p - down), s * p, 0.0
+        if k == b_state:
+            up, rhs = 0.0, s * p  # any further rise exceeds capacity and drops the session
+        elif k + 1 == b_state:
+            # negotiated entry: grant returns the walker to B-1, refusal drops
+            diag, up, rhs = diag - s * p * grant_probability, 0.0, s * p * (1.0 - grant_probability)
+        if k > 0:
+            factor = s * down * (1.0 / pivot[k - 1])
+            diag -= factor * upper[k - 1]
+            rhs += factor * y[k - 1]
+        if diag == 0.0:  # a completion lost in rounding (1 - completion == 1) can leave the rows singular
+            raise ChainError(f"absorption equations are singular in double precision (completion {completion!r})")
+        pivot[k], upper[k], y[k] = diag, up, rhs
+    x = 0.0  # back-substitution down the rows; row B has no x_{B+1} term
+    for k in range(b_state, -1, -1):
+        x = y[k] = (y[k] + upper[k] * x) / pivot[k]
+    return np.array(y)
 
 
 def noncompletion_probability(

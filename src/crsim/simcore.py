@@ -697,8 +697,9 @@ def analytic_figures(scenario: Scenario) -> dict:
     always apply; a static band (p = q = 0) has no stationary law and raises
     ``ChainError``.  ``noncompletion`` (with the ``grant_probability`` it
     uses) applies only to sessions that hold spectrum (demand > 0) on a
-    single band with no alternative and that do not complete instantly
-    (completion < 1); otherwise it is None and ``skipped`` says why.
+    single band with no alternative, that do not complete instantly
+    (completion < 1) and that the band can admit (demand <= capacity);
+    otherwise it is None and ``skipped`` says why.
     """
     demands = {decl.effective_demand() for decl in scenario.sessions}
     traffics = {decl.traffic for decl in scenario.sessions}
@@ -733,6 +734,8 @@ def analytic_figures(scenario: Scenario) -> dict:
         figures["skipped"] = "analytic model covers a single band with no alternative"
     elif completion >= 1.0:
         figures["skipped"] = "instant-completion probes never race the occupancy chain"
+    elif demand > built[0].capacity:
+        figures["skipped"] = "demand exceeds the band's capacity: no session is ever admitted"
     else:
         gamma = negotiation.stationary_cooperative_probability(built[0].disposition)
         figures["noncompletion"] = markov.noncompletion_probability(built[0].chain, demand, completion, gamma)

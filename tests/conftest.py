@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from crsim.markov import OccupancyChain
+from crsim.markov import OccupancyChain, transition_matrix
 from crsim.negotiation import PuDisposition, PuState
 from crsim.spectrum_env import SpectrumBand
 from crsim.su_fsm import SuSession
@@ -42,6 +42,26 @@ def stationary_by_linear_solve(matrix: np.ndarray) -> np.ndarray:
     b = np.zeros(n)
     b[-1] = 1.0
     return np.linalg.solve(a, b)
+
+
+def noncompletion_by_dense_solve(
+    chain: OccupancyChain, demand: int, completion: float, grant_probability: float
+) -> np.ndarray:
+    """Per-state drop probabilities from the chain's own transition matrix,
+    cut to the transient states 0..B (B = C - demand) and solved densely."""
+    b_state = chain.capacity - demand
+    moves = transition_matrix(chain)
+    within = moves[: b_state + 1, : b_state + 1].copy()
+    dropped = np.zeros(b_state + 1)
+    dropped[b_state] = moves[b_state, b_state + 1]  # a rise from B exceeds capacity
+    if b_state > 0:
+        # a rise from B-1 into B is negotiated: a grant undoes it, a refusal drops
+        rise = within[b_state - 1, b_state]
+        within[b_state - 1, b_state] = 0.0
+        within[b_state - 1, b_state - 1] += rise * grant_probability
+        dropped[b_state - 1] = rise * (1.0 - grant_probability)
+    survive = 1.0 - completion
+    return np.linalg.solve(np.eye(b_state + 1) - survive * within, survive * dropped)
 
 
 def tv_distance(counts, reference: np.ndarray) -> float:

@@ -228,6 +228,23 @@ def test_analyze_and_compare_agree_on_a_static_band(tmp_path, capsys):
         )
 
 
+def test_a_demand_wider_than_the_only_band_is_always_blocked(tmp_path, capsys):
+    """Demand 4 on a lone band of 3 channels: blocking is 1 and non-completion
+    is undefined, because no session is ever admitted; both commands say so."""
+    path = write_json(tmp_path / "narrow.json", scenario([VIDEO_HOLDING], bands=[band(0, capacity=3)], horizon=50))
+    note = "demand exceeds the band's capacity: no session is ever admitted"
+    code, out, err = run_cli(capsys, ["analyze", "--scenario", path])
+    analyzed = json.loads(out)
+    assert (code, err) == (0, "")
+    assert (analyzed["blocking"], analyzed["noncompletion"]) == (1.0, None)
+    assert analyzed["notes"] == [f"non-completion skipped: {note}"]
+    code, out, err = run_cli(capsys, ["compare", "--json", "--scenario", path])
+    compared = json.loads(out)
+    assert (code, err) == (0, "")
+    assert compared["rows"] == [{"metric": "blocking", "analytic": 1.0, "simulated": 1.0, "abs_diff": 0.0}]
+    assert compared["notes"] == [f"non-completion row skipped: {note}"]
+
+
 def test_qos_list_is_the_table(capsys):
     assert run_cli(capsys, ["qos", "list"]) == (0, qos.table_csv(), "")
 
@@ -308,6 +325,15 @@ def test_kb_snapshot_round_trip(tmp_path, capsys):
             ["simulate", "--scenario", "{s}", "--kb-in", "{t}"],
             {"s": SCENARIOS["holding"], "t": {"-3": {"sensed": 2, "available": 1}}},
         ),
+        # a counter the snapshot format does not have, plainly misspelt or holding a line break
+        (
+            ["simulate", "--scenario", "{s}", "--kb-in", "{t}"],
+            {"s": SCENARIOS["holding"], "t": {"0": {"attemps": 50, "grants": 0}}},
+        ),
+        (
+            ["simulate", "--scenario", "{s}", "--kb-in", "{t}"],
+            {"s": SCENARIOS["holding"], "t": {"0": {"line\nbreak": 1}}},
+        ),
         # a non-finite completion probability
         (["simulate", "--scenario", "{s}"], {"s": scenario([{**VIDEO_HOLDING, "c": float("nan")}])}),
         # an unknown key holding a line break
@@ -348,6 +374,8 @@ def test_kb_snapshot_round_trip(tmp_path, capsys):
         "kb-bool-counter",
         "kb-leading-zero-id",
         "kb-negative-id",
+        "kb-unknown-counter",
+        "kb-key-with-line-break",
         "nan-completion",
         "key-with-line-break",
         "missing-scenario",
@@ -505,28 +533,31 @@ def test_tdma_rounds_past_the_fixed_point_finish(argv, topology, tmp_path, capsy
     assert json.loads(out) == {**json.loads(GOLDEN["tdma topology"]["stdout"]), "rounds": 100_000_000_000}
 
 
-# a valid document per file option, each small: the scenario runs 60 steps.
-# analyze is left out: its non-completion solve takes memory in the square of
-# a band's capacity, which a mutated document can set to 65,536
+# a valid document per file option, each small: the scenarios run 60 steps, and
+# analyze and compare get one band with zero latency, so they reach the
+# non-completion solve
 SMALL_SCENARIO = scenario(
     [VIDEO_HOLDING, {"traffic": "Voice", "c": 0.5, "arrival": 3}],
     bands=[band(0), band(1, capacity=6, state="noncooperative")],
     horizon=60,
 )
+ONE_BAND_SCENARIO = scenario([VIDEO_HOLDING], horizon=60)
 KB_SNAPSHOT = {
     "0": {"attempts": 4, "grants": 2, "sensed": 9, "available": 3},
     "1": {"attempts": 1, "grants": 0, "sensed": 2, "available": 2},
 }
 FILE_OPTIONS = {
-    "--scenario": (SMALL_SCENARIO, ["simulate", "--scenario", "{f}"]),
-    "--topology": ({**TOPOLOGY, "rounds": 2}, ["tdma", "--topology", "{f}"]),
-    "--kb-in": (KB_SNAPSHOT, ["simulate", "--scenario", "{s}", "--kb-in", "{f}"]),
+    "simulate --scenario": (SMALL_SCENARIO, ["simulate", "--scenario", "{f}"]),
+    "analyze --scenario": (ONE_BAND_SCENARIO, ["analyze", "--scenario", "{f}"]),
+    "compare --json --scenario": (ONE_BAND_SCENARIO, ["compare", "--json", "--scenario", "{f}"]),
+    "tdma --topology": ({**TOPOLOGY, "rounds": 2}, ["tdma", "--topology", "{f}"]),
+    "simulate --kb-in": (KB_SNAPSHOT, ["simulate", "--scenario", "{s}", "--kb-in", "{f}"]),
 }
 JSON_VALUES = st.recursive(
     st.none()
     | st.booleans()
     | st.integers(-(2**70), 2**70)
-    | st.sampled_from([100_000_000_000, 10**18, INT_MAX + 1])
+    | st.sampled_from([65_536, 100_000_000_000, 10**18, INT_MAX + 1])
     | st.floats()
     | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
@@ -560,9 +591,10 @@ def file_contents(draw, valid: dict) -> bytes:
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_any_input_file_exits_0_or_1_with_one_error_line(data):
-    """Whatever a ``--scenario``, ``--topology`` or ``--kb-in`` file holds, the
-    CLI exits 0, or 1 with one ``error:`` line.  ``--kb-in`` goes with the
-    small scenario, never the canonical preset and its 400,000 steps."""
+    """Whatever a ``--scenario`` (to ``simulate``, ``analyze`` or ``compare``),
+    ``--topology`` or ``--kb-in`` file holds, the CLI exits 0, or 1 with one
+    ``error:`` line.  ``--kb-in`` goes with the small scenario, never the
+    canonical preset and its 400,000 steps."""
     valid, argv = FILE_OPTIONS[data.draw(st.sampled_from(sorted(FILE_OPTIONS)))]
     contents = data.draw(file_contents(valid))
     with tempfile.TemporaryDirectory() as tmp:

@@ -127,6 +127,12 @@ def test_json_rejects_inconsistent_counters():
         KnowledgeBase.from_json_dict({"0": {"attempts": 0, "grants": 0, "sensed": 1, "available": 2}})
 
 
+def test_json_rejects_a_counter_that_to_json_dict_never_writes():
+    # a misspelt counter must not warm-start the band from zeros
+    with pytest.raises(ValueError, match="^band 0: unknown key 'attemps'$"):
+        KnowledgeBase.from_json_dict({"0": {"attemps": 50, "grants": 0}})
+
+
 @pytest.mark.parametrize(
     "snapshot",
     [

@@ -1,7 +1,11 @@
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import stationary_by_linear_solve
+from conftest import noncompletion_by_dense_solve, stationary_by_linear_solve
 from crsim.kernels import mc_noncompletion
 from crsim.markov import (
     ChainError,
@@ -209,3 +213,54 @@ def test_noncompletion_monotone_in_grant_probability_and_completion():
     for g in (0.1, 0.5, 0.9):
         values = [noncompletion_probability(chain, 4, c, g) for c in (0.05, 0.1, 0.25, 0.6, 1.0)]
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
+
+
+@st.composite
+def absorbing_chains(draw):
+    """A chain of up to 40 channels, with p and q including 0 and p + q = 1,
+    and a demand, completion and grant probability it can be solved for.
+
+    Each row's margin of diagonal dominance is the completion probability, so
+    two sound solves can part by about 1e-17 / completion: completions start at
+    1e-4 to keep that under 1e-12."""
+    capacity = draw(st.integers(1, 40))
+    birth = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    death = draw(st.sampled_from([0.0, 1.0 - birth]) | st.floats(0.0, 1.0 - birth))
+    demand = draw(st.integers(1, capacity))
+    completion = draw(st.sampled_from([1e-4, 1.0]) | st.floats(1e-4, 1.0))
+    grant = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    return OccupancyChain(capacity, birth, death), demand, completion, grant
+
+
+@settings(max_examples=300, deadline=None)
+@given(absorbing_chains())
+def test_noncompletion_by_state_matches_the_dense_reference(case):
+    x = noncompletion_by_state(*case)
+    assert x.shape == (case[0].capacity - case[1] + 1,)
+    assert np.allclose(x, noncompletion_by_dense_solve(*case), rtol=0.0, atol=1e-12)
+
+
+def test_a_demand_equal_to_capacity_leaves_one_transient_state():
+    # B = 0: the only state is the boundary, any rise drops the session and
+    # no negotiation is ever held, so the grant probability plays no part
+    chain = OccupancyChain(5, 0.3, 0.1)
+    x = noncompletion_by_state(chain, 5, 0.2, 0.4)
+    assert x.shape == (1,)
+    assert x[0] == pytest.approx(noncompletion_by_dense_solve(chain, 5, 0.2, 0.4)[0], abs=1e-15)
+    assert x[0] == pytest.approx(0.8 * 0.3 / (1.0 - 0.8 * 0.7), abs=1e-15)
+
+
+def test_a_completion_lost_in_rounding_leaves_a_singular_system():
+    # 1 - 1e-300 == 1: a chain that never rises then has no term to pin x
+    with pytest.raises(ChainError, match="singular in double precision"):
+        noncompletion_by_state(OccupancyChain(8, 0.0, 0.2), 4, 1e-300, 0.5)
+
+
+def test_the_widest_band_the_reader_accepts_is_solved_in_linear_memory():
+    # a dense system for 65,536 channels would take 32 GiB
+    chain = OccupancyChain(65_536, 0.2, 0.2)
+    start = time.perf_counter()
+    x = noncompletion_by_state(chain, 4, 0.05, 0.5)
+    assert time.perf_counter() - start < 1.0
+    assert x.shape == (65_533,)
+    assert np.all((x >= 0.0) & (x <= 1.0))

@@ -27,17 +27,24 @@ def select_target(
     secondary session and enough free channels; the knowledge-base score
     ranks them, ties breaking toward the lowest band id.  The result is
     independent of the order bands are listed in.  Pass ``current=-1``
-    when the session holds no band.
+    when the session holds no band.  Scores are read only once a second
+    candidate competes, so a lone candidate costs no ``kb.score`` call.
     """
     best: int | None = None
-    best_score = -1.0
+    best_score: float | None = None  # not read while ``best`` is unopposed
     for band in bands:
         # most bands of a busy run hold a session: test that before the free property
         if band.su is not None or band.band_id == current or band.free < demand:
             continue
-        score = kb.score(band.band_id)
-        if score > best_score or (score == best_score and (best is None or band.band_id < best)):
-            best = band.band_id
+        band_id = band.band_id
+        if best is None:
+            best = band_id
+            continue
+        if best_score is None:
+            best_score = kb.score(best)
+        score = kb.score(band_id)
+        if score > best_score or (score == best_score and band_id < best):
+            best = band_id
             best_score = score
     return best
 

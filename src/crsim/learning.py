@@ -25,11 +25,13 @@ class KnowledgeBase:
     """Monotone per-band event counters with smoothed estimates."""
 
     def __init__(self) -> None:
-        # a record is created by the first write to its band; reads use .get
-        self._records: defaultdict[int, BandRecord] = defaultdict(BandRecord)
+        # band id -> that band's live counters.  A record is created by the
+        # first write to its band (``records[band_id].sensed += 1`` is a
+        # write); reads use ``.get``.  The engine increments these inline.
+        self.records: defaultdict[int, BandRecord] = defaultdict(BandRecord)
 
     def record_negotiation(self, band_id: int, granted: bool) -> None:
-        rec = self._records[band_id]
+        rec = self.records[band_id]
         rec.attempts += 1
         if granted:
             rec.grants += 1
@@ -49,7 +51,7 @@ class KnowledgeBase:
         records before it stay recorded); a band's counters are created only
         by a record with ``sensed > 0``.
         """
-        bands = self._records
+        bands = self.records
         for band_id, sensed, available in records:
             if not 0 <= available <= sensed:
                 raise ValueError(f"need 0 <= available <= sensed, got available={available}, sensed={sensed}")
@@ -59,13 +61,13 @@ class KnowledgeBase:
                 rec.available += available
 
     def coop_estimate(self, band_id: int) -> float:
-        rec = self._records.get(band_id)
+        rec = self.records.get(band_id)
         if rec is None:
             return 0.5
         return (rec.grants + 1) / (rec.attempts + 2)
 
     def availability_estimate(self, band_id: int) -> float:
-        rec = self._records.get(band_id)
+        rec = self.records.get(band_id)
         if rec is None:
             return 0.5
         return (rec.available + 1) / (rec.sensed + 2)
@@ -75,7 +77,7 @@ class KnowledgeBase:
 
     def counters(self, band_id: int) -> BandRecord:
         """A copy of the raw counters for a band (zeros if never touched)."""
-        return replace(self._records.get(band_id, BandRecord()))
+        return replace(self.records.get(band_id, BandRecord()))
 
     def to_json_dict(self) -> dict[str, dict[str, int]]:
         return {
@@ -85,7 +87,7 @@ class KnowledgeBase:
                 "sensed": rec.sensed,
                 "available": rec.available,
             }
-            for band_id, rec in sorted(self._records.items())
+            for band_id, rec in sorted(self.records.items())
         }
 
     @classmethod
@@ -110,5 +112,5 @@ class KnowledgeBase:
                 raise ValueError(f"band {band_id}: grants must be within 0..attempts")
             if not 0 <= rec.available <= rec.sensed:
                 raise ValueError(f"band {band_id}: available must be within 0..sensed")
-            kb._records[int(band_id)] = rec
+            kb.records[int(band_id)] = rec
         return kb

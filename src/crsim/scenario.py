@@ -319,7 +319,12 @@ class Scenario(_Decl):
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
     def sha256(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()
+        """The SHA-256 of ``canonical_json()``, computed once: the scenario is frozen."""
+        digest = self.__dict__.get("_sha256")
+        if digest is None:
+            digest = hashlib.sha256(self.canonical_json().encode()).hexdigest()
+            object.__setattr__(self, "_sha256", digest)
+        return digest
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":

@@ -7,20 +7,27 @@ mode and acts (transmit / negotiate / hand over), (7) transmitting sessions
 draw completion, (8) buffered knowledge-base updates apply, (9) metrics,
 histograms and invariant checks.
 
-Sensing in (4-6) only buffers knowledge-base counters; (8) applies them, so
-every score read during a step sees the counters as of the step's start.
-Each time an active session senses and classifies its mode it observes
-every band once on a scan step (step index a multiple of the handover scan
-interval), its own band included, and only its own band on any other step.
-Every observation reaches (8) as a (band, sensed, available) record.  An
-own-band sense is buffered at once as (band, 1, free >= demand); a scan is
-only counted by demand, and (8) writes one record per band for all of the
+Every score read during a step sees the knowledge-base counters as of the
+step's start.  Each time an active session senses and classifies its mode
+it observes every band once on a scan step (step index a multiple of the
+handover scan interval), its own band included, and only its own band on
+any other step.  An own-band sense reads the session's mode row, whose
+availability field is 1 when the demand fits the band's free channels
+(any mode but Failure).  On a step without a scan, a session that
+transmits writes that sense (sensed 1, available 1) into the knowledge
+base at once, and this is exact: admission and handover score only bands
+with no resident session, and a transmitting session holds its band until
+(7), after which no score is read in the step.  A session that goes on to
+negotiate or hand over may leave its band vacant for a later ranking in
+the same step, so its sense is buffered as (band, 1, fits) and (8)
+applies it.  A scan is only counted by demand, and (8) senses every band
+(``spectrum_env.sense``) and writes one record per band for all of the
 step's scans, available being those whose demand fits the band's free
 channels.  Within (4-6) only a negotiation grant changes a band's
 occupancy, and it frees channels, so a grant notes the scans counted
 before it whose demand fits only with the granted channels, and (8) takes
 them off that band's available count.  The knowledge base's counters are
-sums, so (8) applies all of the step's records in one call.
+sums, so (8) applies all of the step's buffered records in one call.
 
 Sessions admitted in (3) take part in (4-6) and (7) of the same step: they
 sense the occupancy that (1) has just produced and act on it at once.  A
@@ -64,7 +71,7 @@ import numpy as np
 from . import handover as ho
 from . import markov, negotiation, spectrum_env, su_fsm
 from .learning import KnowledgeBase
-from .qos import TrafficType
+from .qos import TrafficType, priority
 from .scenario import Scenario  # also reached as simcore.Scenario by the benchmark
 from .spectrum_env import SpectrumBand
 from .su_fsm import MODE_NAMES, Action, Mode, SessionStatus, SuSession
@@ -301,6 +308,9 @@ class Engine:
             (decl.build() for decl in scenario.bands), key=lambda b: b.band_id
         )
         self.kb = kb if kb is not None else KnowledgeBase()
+        # band id -> band, for every band with no resident session: the only
+        # bands admission and handover can choose
+        self._vacant: dict[int, SpectrumBand] = {b.band_id: b for b in self.bands}
         self.metrics = Metrics()
         self.trace = EventTrace(scenario.sha256(), self.seed, keep_records=keep_trace)
         self.live: list[SuSession] = []
@@ -327,14 +337,17 @@ class Engine:
             else:
                 stop = scenario.horizon if decl.until is None else min(decl.until, scenario.horizon)
                 self._patterns.append((arrival, decl.start, stop, decl.every))
+        # in admission order: highest priority first, ties as declared
+        self._patterns.sort(key=lambda pattern: -priority(pattern[0].traffic))
         # per band id and demand the band can hold: the ``place`` of a session
         # of that demand on that band, the band's position in self.bands and
-        # the (mode name, action) at each occupancy.  A position, not the band:
-        # the band holds the session, and a cycle between them would leave each
-        # run's last bands and sessions to the cyclic garbage collector
+        # the (mode name, action, demand fits: 1 or 0) at each occupancy.  A
+        # position, not the band: the band holds the session, and a cycle
+        # between them would leave each run's last bands and sessions to the
+        # cyclic garbage collector
         demands = {decl.effective_demand() for decl in scenario.sessions}
         capacities = {b.capacity for b in self.bands}
-        entries = [(MODE_NAMES[mode], su_fsm.MODE_ACTIONS[mode]) for mode in Mode]
+        entries = [(MODE_NAMES[mode], su_fsm.MODE_ACTIONS[mode], int(mode is not Mode.FAILURE)) for mode in Mode]
         tables = {
             (c, d): tuple(map(entries.__getitem__, su_fsm.mode_table(c, d)))
             for c in capacities
@@ -368,7 +381,7 @@ class Engine:
     def band_views(self) -> list[SpectrumBand]:
         """The live bands in ascending id order: ``list(self.bands)``.
 
-        The engine ranks ``self.bands`` itself and never calls this; it stays
+        The engine ranks its vacant bands itself and never calls this; it stays
         while the benchmark's tracer wraps it, and goes with the benchmark
         change of ROADMAP item 3.
         """
@@ -391,21 +404,20 @@ class Engine:
         spectrum_env.step_bands(self._chain_rows, draws)
         negotiation.step_dispositions(self._dispositions, draws[n_bands:])
 
-        # (3) arrivals in priority order
-        due = self._single_arrivals.pop(t, [])
-        due += [a for a, start, stop, every in self._patterns if start <= t < stop and (t - start) % every == 0]
-        if due:
-            if len(due) > 1:
-                due = su_fsm.order_arrivals(due)
-            for arrival in due:
-                self._admit_one(t, arrival)
+        # (3) arrivals in priority order; the patterns are kept in that order
+        due = [a for a, start, stop, every in self._patterns if start <= t < stop and (t - start) % every == 0]
+        singles = self._single_arrivals.pop(t, None)
+        if singles:
+            due = su_fsm.order_arrivals(singles + due)
+        for arrival in due:
+            self._admit_one(t, arrival)
 
         # (4-6) sense, classify, decide, act: one turn per live session
         mode_histogram = m.mode_histogram
         scan = t % self.scenario.handover.scan_interval == 0
         scans = self._scan_counts
         senses = self._senses
-        sense = spectrum_env.sense
+        records = self.kb.records
         transmitters = self._transmitters
         left = self._left
         for session in tuple(self.live):
@@ -422,14 +434,18 @@ class Engine:
                     # sense the own band, classify the mode and act on it
                     position, modes = session.place
                     band = bands[position]
-                    demand = session.demand
-                    if scan:
-                        scans[demand] = scans.get(demand, 0) + 1
-                    else:
-                        # 1 or 0, not a bool: (8) then adds plain ints
-                        senses.append((band.band_id, 1, 1 if sense(band) >= demand else 0))
-                    mode_name, action = modes[band.pu_used]
+                    mode_name, action, fits = modes[band.pu_used]
                     mode_histogram[mode_name] += 1
+                    if scan:
+                        demand = session.demand
+                        scans[demand] = scans.get(demand, 0) + 1
+                    elif action is _TRANSMIT:
+                        # no score reads a band its session holds: write at once
+                        rec = records[band.band_id]
+                        rec.sensed += 1
+                        rec.available += fits
+                    else:
+                        senses.append((band.band_id, 1, fits))
                     if action is _TRANSMIT:
                         transmitters.append(session)
                         break
@@ -481,7 +497,7 @@ class Engine:
         m = self.metrics
         sid = m.arrivals
         m.arrivals += 1
-        band_id = su_fsm.admit(self.bands, demand, self.kb)
+        band_id = su_fsm.admit(self._vacant.values(), demand, self.kb)
         if band_id is None:
             m.blocked += 1
             self.trace.add(t, EventKind.BLOCK, sid, -1, demand)
@@ -489,7 +505,7 @@ class Engine:
         m.admitted += 1
         place = self._places[band_id][demand]
         session = SuSession(sid, demand, arrival.completion, band_id, place=place)
-        self.bands[place[0]].su = session
+        self._vacant.pop(band_id).su = session
         self.live.append(session)
         self.trace.add(t, EventKind.ADMIT, sid, band_id, demand)
 
@@ -529,7 +545,8 @@ class Engine:
         # never hand the session back to a band it has left in this step
         left = self._left
         left.add(source)
-        bands = self.bands if len(left) == 1 else [b for b in self.bands if b.band_id not in left]
+        vacant = self._vacant.values()
+        bands = vacant if len(left) == 1 else [b for b in vacant if b.band_id not in left]
         plan = ho.plan_handover(bands, current=source, demand=session.demand, kb=self.kb)
         self.trace.add(
             t,
@@ -557,6 +574,7 @@ class Engine:
             session.status = _ACTIVE
             session.replans = 0
             target.su = session
+            del self._vacant[target.band_id]
             self.metrics.handovers += 1
             self.trace.add(t, EventKind.HANDOVER_COMPLETED, session.session_id, target.band_id, replans_taken)
             return _SENSE  # fresh sensing, mode, action
@@ -586,18 +604,20 @@ class Engine:
         total, top = fits[-1], demands[-1]
         moved = self._scan_moved
         senses = self._senses
+        sense = spectrum_env.sense
         for band in self.bands:
-            free = band.free
+            free = sense(band)
             available = total if free >= top else fits[bisect_right(demands, free)]
             senses.append((band.band_id, total, available - moved.get(band.band_id, 0)))
         counts.clear()
         moved.clear()
 
     def _vacate(self, session: SuSession) -> None:
-        """Clear the session's band of it, if it is resident there."""
+        """Clear the session's band of it, if it is resident there; the band is then vacant."""
         band = self.bands[session.place[0]]
         if band.su is session:
             band.su = None
+            self._vacant[band.band_id] = band
 
     def _drop(self, session: SuSession, t: int, reason: int) -> None:
         # a session is dropped only while handing over, when no band holds it

@@ -34,6 +34,21 @@ def band(band_id: int, free: int, busy: bool = False, capacity: int = 8) -> Spec
     return out
 
 
+def select_target_by_scoring_every_candidate(bands, current: int, demand: int, kb) -> int | None:
+    """Handover target selection as first written: every candidate is scored as
+    it is met, and the best score wins, ties toward the lowest band id."""
+    best = None
+    best_score = -1.0
+    for b in bands:
+        if b.su is not None or b.band_id == current or b.free < demand:
+            continue
+        score = kb.score(b.band_id)
+        if score > best_score or (score == best_score and (best is None or b.band_id < best)):
+            best = b.band_id
+            best_score = score
+    return best
+
+
 def stationary_by_linear_solve(matrix: np.ndarray) -> np.ndarray:
     """Solve pi P = pi, sum(pi) = 1 directly (dense, no closed form)."""
     n = matrix.shape[0]

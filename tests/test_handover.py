@@ -1,6 +1,6 @@
 from itertools import permutations
 
-from conftest import band
+from conftest import band, select_target_by_scoring_every_candidate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -63,6 +63,48 @@ def test_selection_order_independent():
 def test_equal_scores_tie_break_lowest_id():
     bands = [band(9, 5), band(4, 5), band(6, 5)]
     assert select_target(bands, current=9, demand=4, kb=KnowledgeBase()) == 4
+
+
+class CountingKnowledgeBase(KnowledgeBase):
+    def __init__(self) -> None:
+        super().__init__()
+        self.scored: list[int] = []
+
+    def score(self, band_id: int) -> float:
+        self.scored.append(band_id)
+        return super().score(band_id)
+
+
+def test_a_lone_candidate_is_chosen_without_a_score():
+    kb = CountingKnowledgeBase()
+    bands = [band(0, 2), band(1, 6), band(2, 8, busy=True), band(3, 8)]
+    assert select_target(bands, current=3, demand=4, kb=kb) == 1
+    assert kb.scored == []
+    # a second candidate makes both count
+    assert select_target(bands, current=-1, demand=4, kb=kb) == 1
+    assert sorted(kb.scored) == [1, 3]
+
+
+# small counter ranges, so that equal scores on different bands are common
+band_counters = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)).map(
+    lambda c: {"attempts": c[0], "grants": min(c[1], c[0]), "sensed": c[2], "available": min(c[3], c[2])}
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.dictionaries(st.integers(0, 9), st.tuples(st.integers(0, 8), st.booleans()), max_size=8),
+    counters=st.dictionaries(st.integers(0, 9).map(str), band_counters, max_size=10),
+    current=st.integers(-1, 9),
+    demand=st.integers(0, 8),
+    data=st.data(),
+)
+def test_lazy_scoring_chooses_what_scoring_every_candidate_chooses(rows, counters, current, demand, data):
+    bands = [band(band_id, free, busy) for band_id, (free, busy) in rows.items()]
+    kb = KnowledgeBase.from_json_dict(counters)
+    expected = select_target_by_scoring_every_candidate(bands, current, demand, kb)
+    order = data.draw(st.permutations(bands))
+    assert select_target(order, current=current, demand=demand, kb=kb) == expected
 
 
 def test_plan_handover_builds_plan():

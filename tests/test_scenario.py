@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
+import hashlib
 import math
 
 import pytest
@@ -22,6 +24,17 @@ def test_scenario_round_trips_through_dict():
     again = Scenario.from_dict(scenario.to_dict())
     assert again == scenario
     assert again.sha256() == scenario.sha256()
+
+
+def test_the_memoised_digest_is_the_digest_of_the_canonical_json():
+    scenario, twin = multiband_latency(), multiband_latency()
+    fresh = hashlib.sha256(scenario.canonical_json().encode()).hexdigest()
+    assert scenario.sha256() == fresh and scenario.sha256() == fresh  # computed, then remembered
+    # remembering the digest leaves equality, hashing and the written form as they were
+    assert scenario == twin and hash(scenario) == hash(twin) and scenario.to_dict() == twin.to_dict()
+    assert twin.sha256() == fresh
+    shorter = dataclasses.replace(scenario, horizon=scenario.horizon - 1)
+    assert shorter.sha256() == hashlib.sha256(shorter.canonical_json().encode()).hexdigest() != fresh
 
 
 def test_from_dict_reports_every_non_finite_number():

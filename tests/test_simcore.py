@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import dataclasses
 
+import differential
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crsim import su_fsm
-from crsim.learning import KnowledgeBase
+from crsim.learning import BandRecord, KnowledgeBase
 from crsim.negotiation import PuState
 from crsim.qos import TrafficType
 from crsim.scenario import (
@@ -460,11 +461,117 @@ def test_every_live_session_sits_in_the_place_of_its_band(scenario):
             position, modes = session.place
             band = engine.bands[position]
             assert band.band_id == session.band_id
-            assert [name for name, _ in modes] == [MODE_NAMES[m] for m in mode_table(band.capacity, session.demand)]
+            assert [name for name, *_ in modes] == [MODE_NAMES[m] for m in mode_table(band.capacity, session.demand)]
+            # the availability field: the demand fits the channels left free
+            assert [fits for *_, fits in modes] == [
+                int(band.capacity - occupancy >= session.demand) for occupancy in range(band.capacity + 1)
+            ]
             if band.su is not session:  # it has left the band to hand over
                 assert session.status is not SessionStatus.ACTIVE
+        # the vacant-band index holds exactly the bands with no resident session
+        assert sorted(engine._vacant) == [b.band_id for b in engine.bands if b.su is None]
+        assert all(engine._vacant[b.band_id] is b for b in engine.bands if b.su is None)
         landed = landed or engine.metrics.handovers > 0
     assert landed
+
+
+def test_arrivals_are_admitted_in_priority_order_singles_first_on_ties():
+    # patterns declared lowest priority first, each tagged by its demand, and a
+    # single arrival (ECommerce, priority 12 as Voice) on a pattern step
+    scenario = Scenario(
+        bands=(BandDecl(0, 8, 0.0, 0.0, 0, COOP, 0.0, 0.0), BandDecl(1, 8, 0.0, 0.0, 0, COOP, 0.0, 0.0)),
+        sessions=(
+            SessionDecl(T.EMAIL, 1.0, every=1, demand=1),  # priority 10
+            SessionDecl(T.VOICE, 1.0, every=1, demand=2),  # 12
+            SessionDecl(T.SERIOUS_BROWSING, 1.0, every=1, demand=3),  # 13
+            SessionDecl(T.VIDEO_CONFERENCING, 1.0, every=1, demand=4),  # 15
+            SessionDecl(T.ECOMMERCE, 1.0, arrival=2, demand=5),  # 12
+        ),
+        horizon=4,
+        seed=1,
+        negotiation=NegotiationParams(1, 0),
+        handover=HandoverParams(latency=0),
+    )
+    engine = Engine(scenario, keep_trace=True).run()
+    demands = {t: [] for t in range(scenario.horizon)}
+    for t, kind, _, _, demand in engine.trace.records:
+        if kind in (EventKind.ADMIT, EventKind.BLOCK):
+            demands[t].append(demand)
+    assert demands == {0: [4, 3, 2, 1], 1: [4, 3, 2, 1], 2: [4, 3, 5, 2, 1], 3: [4, 3, 2, 1]}
+    assert engine.metrics.blocked > 0  # both kinds of event are in the order
+
+
+def fast_wide() -> Scenario:
+    """24 bands holding long sessions, few of them vacant, as in the wide64
+    benchmark; occupancy rises fast enough that sessions in Failure leave
+    their bands while other sessions hand over in the same step."""
+    bands = tuple(
+        BandDecl(i, 6 + (i * 5) % 11, round(0.2 + 0.02 * (i % 7), 2), round(0.1 + 0.05 * (i % 5), 2),
+                 i % 4, COOP if i % 2 else NONCOOP, round(0.01 * (i % 10), 2), round(0.01 * (i % 9), 2))
+        for i in range(24)
+    )
+    sessions = tuple(
+        SessionDecl(traffic, 0.02, every=every)
+        for traffic, every in ((T.VIDEO_CONFERENCING, 3), (T.VOICE, 2), (T.FILE_TRANSFERS, 5), (T.SERIOUS_BROWSING, 4))
+    )
+    return Scenario(
+        bands=bands, sessions=sessions, horizon=300, seed=5,
+        negotiation=NegotiationParams(1, 1), handover=HandoverParams(latency=2, max_replans=3, scan_interval=10),
+    )
+
+
+def churning() -> Scenario:
+    """Fast-churning bands and four patterns arriving together, as in the churn
+    benchmark, with twelve bands and no negotiation latency: a refused session
+    leaves its band in the step it sensed it, for later sessions to rank."""
+    bands = tuple(
+        BandDecl(i, 8, round(0.35 + 0.02 * i, 2), round(0.45 - 0.02 * i, 2), i % 9, NONCOOP if i % 2 == 0 else COOP,
+                 0.3, 0.3)
+        for i in range(12)
+    )
+    sessions = tuple(
+        SessionDecl(traffic, 0.1, every=2)
+        for traffic in (T.VIDEO_CONFERENCING, T.VOICE, T.FILE_TRANSFERS, T.SERIOUS_BROWSING)
+    )
+    return Scenario(
+        bands=bands, sessions=sessions, horizon=400, seed=3,
+        negotiation=NegotiationParams(1, 0), handover=HandoverParams(latency=2, max_replans=2, scan_interval=10),
+    )
+
+
+def score_reads(scenario: Scenario, kb: KnowledgeBase | None = None) -> int:
+    """Step an engine to the horizon, checking that every ``kb.score`` call sees
+    the scored band's counters as they stood at the step's start; the number of calls."""
+    engine = Engine(scenario, kb=kb)
+    kb = engine.kb
+    score = kb.score
+    start: dict[str, dict[str, int]] = {}
+    reads = 0
+
+    def checked(band_id: int) -> float:
+        nonlocal reads
+        reads += 1
+        assert dataclasses.asdict(kb.counters(band_id)) == start.get(str(band_id), dataclasses.asdict(BandRecord()))
+        return score(band_id)
+
+    kb.score = checked
+    for _ in range(scenario.horizon):
+        start = kb.to_json_dict()
+        engine.step()
+    return reads
+
+
+@pytest.mark.parametrize("scenario", [fast_wide, churning])
+def test_every_score_read_sees_the_counters_of_the_step_start(scenario):
+    assert score_reads(scenario()) > 0
+
+
+def test_every_score_read_of_the_differential_family_sees_the_counters_of_the_step_start():
+    reads = 0
+    for index in range(50):
+        scenario, kb = differential.scenario(1, index)
+        reads += score_reads(scenario, None if kb is None else KnowledgeBase.from_json_dict(kb))
+    assert reads > 0
 
 
 def test_replan_exhaustion_scenario_exhausts_replans():
@@ -602,7 +709,7 @@ def test_engine_set_up_classifies_once_per_band_width_and_demand(monkeypatch):
     engine = Engine(scenario)
     assert sorted(calls) == [(8, 1), (8, 4), (MAX_CAPACITY, 1), (MAX_CAPACITY, 4)]
     _, modes = engine._places[0][4]
-    assert [name for name, _ in modes[MAX_CAPACITY - 5 : MAX_CAPACITY - 2]] == ["Normal", "Warning", "Failure"]
+    assert [name for name, *_ in modes[MAX_CAPACITY - 5 : MAX_CAPACITY - 2]] == ["Normal", "Warning", "Failure"]
 
 
 def test_analytic_figures_refuse_two_completion_probabilities():

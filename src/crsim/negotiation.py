@@ -13,7 +13,6 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
 
 from .spectrum_env import SpectrumBand, grant_channels
 
@@ -57,26 +56,18 @@ class NegotiationOutcome:
 REFUSED = NegotiationOutcome(granted=False)
 
 # bound once: before Python 3.12 reading an Enum member off its class costs a
-# descriptor call, and step_dispositions runs every engine step
+# descriptor call, and negotiate runs on every negotiation
 _COOPERATIVE, _NONCOOPERATIVE = PuState.COOPERATIVE, PuState.NONCOOPERATIVE
 
 
-def step_dispositions(dispositions: Iterable[PuDisposition], draws: Iterable[float]) -> None:
-    """Advance each willingness chain one step (in place), one draw per chain, in order.
-
-    Draws beyond the last chain are left unread.
-    """
-    for disposition, u in zip(dispositions, draws):
-        if disposition.state is _COOPERATIVE:
-            if u < disposition.alpha:
-                disposition.state = _NONCOOPERATIVE
-        elif u < disposition.beta:
-            disposition.state = _COOPERATIVE
-
-
 def step_disposition(disposition: PuDisposition, rng) -> None:
-    """Advance one willingness chain one step (in place, one uniform draw)."""
-    step_dispositions((disposition,), (rng.random(),))
+    """Advance one willingness chain one step (in place, one uniform draw), as ``simcore.step_chains`` does."""
+    u = rng.random()
+    if disposition.state is _COOPERATIVE:
+        if u < disposition.alpha:
+            disposition.state = _NONCOOPERATIVE
+    elif u < disposition.beta:
+        disposition.state = _COOPERATIVE
 
 
 def stationary_cooperative_probability(disposition: PuDisposition) -> float:

@@ -1,11 +1,18 @@
 """Deterministic discrete-time engine orchestrating bands, sessions, learning.
 
 Each step applies a fixed sub-step order: (1) every band's occupancy
-evolves, (2) every licensed-user disposition evolves, (3) due arrivals are
-admitted in priority order, (4-6) each live session senses, classifies its
-mode and acts (transmit / negotiate / hand over), (7) transmitting sessions
-draw completion, (8) buffered knowledge-base updates apply, (9) metrics,
+evolves, (2) every licensed-user disposition evolves, both in one pass over
+the bands (``step_chains``), (3) due arrivals are admitted in priority
+order, (4-6) each live session senses, classifies its mode and acts
+(transmit / negotiate / hand over), (7) transmitting sessions draw
+completion, (8) buffered knowledge-base updates apply, (9) metrics,
 histograms and invariant checks.
+
+(3) reads a schedule built once per run, from step to the admission ranks
+of the arrivals due then: ``su_fsm.order_arrivals`` ranks every declaration
+once (priority first; on ties single arrivals, then patterns, each as
+declared), and a due pattern files itself again at ``t + every`` while that
+step is before its stop.  A single arrival is a pattern of one step.
 
 Every score read during a step sees the knowledge-base counters as of the
 step's start.  Each time an active session senses and classifies its mode
@@ -35,16 +42,16 @@ session admitted onto a band at the Warning boundary (occupancy + demand ==
 capacity) therefore negotiates in its admission step, and one admitted in
 Normal mode may complete in that step.
 
-A session's turn in (4-6) senses and acts on its band (written inline in
-the turn loop, which every active session runs each step, reading the band
-and its mode row for the session's demand through the session's ``place``,
-which the engine writes wherever it writes ``band_id``) or runs the
-handlers (negotiate, hand over, arrive) one after another, each returning
-what is due next in this step: another handler, sensing again (a handover
-that lands), or nothing.  Within one step a session is never handed
-back to a band it has already left in that step, so a turn visits each band
-at most once and ends by itself; a session that every band it can still
-reach refuses is dropped for want of a target.
+In (4-6) an active session goes straight to the turn loop's one sense
+block: it reads its band and its mode row for its demand through its
+``place``, which the engine writes wherever it writes ``band_id``, and acts
+on the mode.  ``_handle`` runs the handlers (negotiate, hand over, arrive)
+one after another, each returning what is due next in this step: another
+handler, ``_SENSE`` (a handover landed: sense the new band), or None (the
+turn is over).  Within one step a session is never handed back to a band
+it has already left in that step, so a turn visits each band at most once
+and ends by itself; a session that every band it can still reach refuses
+is dropped for want of a target.
 
 Determinism contract: a single uniform stream seeded from the scenario
 seed is consumed in a documented order — bands by ascending id, then
@@ -64,14 +71,15 @@ import json
 import struct
 from dataclasses import dataclass, field, fields
 from bisect import bisect_right
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import handover as ho
 from . import markov, negotiation, spectrum_env, su_fsm
 from .learning import KnowledgeBase
-from .qos import TrafficType, priority
+from .negotiation import PuState
+from .qos import TrafficType
 from .scenario import Scenario  # also reached as simcore.Scenario by the benchmark
 from .spectrum_env import SpectrumBand
 from .su_fsm import MODE_NAMES, Action, Mode, SessionStatus, SuSession
@@ -280,14 +288,41 @@ _NEGOTIATING = SessionStatus.NEGOTIATING
 _HANDING_OVER = SessionStatus.HANDING_OVER
 _TRANSMIT = Action.CONTINUE_TRANSMIT
 _NEGOTIATE = Action.START_NEGOTIATION
+_COOPERATIVE = PuState.COOPERATIVE
+_NONCOOPERATIVE = PuState.NONCOOPERATIVE
+
+
+def step_chains(rows: Sequence[tuple], draws: Sequence[float]) -> None:
+    """(1) and (2) in one pass, by the rules of ``spectrum_env.step_band`` and ``negotiation.step_disposition``.
+
+    Of n rows, row i is (i, n + i, band, birth, birth + death, capacity,
+    disposition): its occupancy reads ``draws[i]`` and its disposition
+    ``draws[n + i]``, and draws past the first 2n go unread.
+    """
+    for i, j, band, birth, birth_death, capacity, disposition in rows:
+        u = draws[i]
+        if u < birth:
+            if band.pu_used < capacity:
+                band.pu_used += 1
+        elif u < birth_death:
+            if band.pu_used > 0:
+                band.pu_used -= 1
+        if disposition.state is _COOPERATIVE:
+            if draws[j] < disposition.alpha:
+                disposition.state = _NONCOOPERATIVE
+        elif draws[j] < disposition.beta:
+            disposition.state = _COOPERATIVE
 
 
 class _Arrival(NamedTuple):
-    """One due arrival of a declaration, demand resolved once per run."""
+    """A declaration's arrivals, demand resolved once: due at start, start + every, ... before stop."""
 
     traffic: TrafficType
     demand: int
     completion: float
+    start: int
+    stop: int
+    every: int
 
 
 class Engine:
@@ -315,10 +350,15 @@ class Engine:
         self.trace = EventTrace(scenario.sha256(), self.seed, keep_records=keep_trace)
         self.live: list[SuSession] = []
         self.step_index = 0
-        # rows that (1), (2) and (9) walk, aligned with self.bands
-        self._chain_rows = spectrum_env.chain_rows(self.bands)
-        self._dispositions = [b.disposition for b in self.bands]
-        self._hist_rows = [[0] * (b.capacity + 1) for b in self.bands]
+        self._horizon = scenario.horizon
+        self._scan_interval = scenario.handover.scan_interval
+        # step_chains' rows, and the (band, occupancy histogram) pairs of (9)
+        n = len(self.bands)
+        self._chain_rows = [
+            (i, n + i, b, b.chain.birth, b.chain.birth + b.chain.death, b.chain.capacity, b.disposition)
+            for i, b in enumerate(self.bands)
+        ]
+        self._hist_rows = [(b, [0] * (b.capacity + 1)) for b in self.bands]
         self._neg_events: list[tuple[int, bool]] = []
         # the (band id, sensed, available) records that (8) applies
         self._senses: list[tuple[int, int, int]] = []
@@ -327,18 +367,21 @@ class Engine:
         self._scan_moved: dict[int, int] = {}
         # sessions that transmit in this step, in ascending session id
         self._transmitters: list[SuSession] = []
-        self._single_arrivals: dict[int, list[_Arrival]] = {}
-        # (arrival, start, stop, every) of each repeating declaration
-        self._patterns: list[tuple[_Arrival, int, int, int]] = []
-        for decl in scenario.sessions:
-            arrival = _Arrival(decl.traffic, decl.effective_demand(), decl.completion)
+        arrivals = []
+        for decl in sorted(scenario.sessions, key=lambda decl: decl.arrival is None):  # singles first
             if decl.arrival is not None:
-                self._single_arrivals.setdefault(decl.arrival, []).append(arrival)
+                start, stop, every = decl.arrival, decl.arrival + 1, 1
             else:
+                start, every = decl.start, decl.every
                 stop = scenario.horizon if decl.until is None else min(decl.until, scenario.horizon)
-                self._patterns.append((arrival, decl.start, stop, decl.every))
-        # in admission order: highest priority first, ties as declared
-        self._patterns.sort(key=lambda pattern: -priority(pattern[0].traffic))
+            arrivals.append(_Arrival(decl.traffic, decl.effective_demand(), decl.completion, start, stop, every))
+        # in admission order (see the module docstring); an arrival's rank is its index
+        self._arrivals = su_fsm.order_arrivals(arrivals)
+        # step -> ranks of the arrivals due then; a due pattern files its next step
+        self._schedule: dict[int, list[int]] = {}
+        for rank, arrival in enumerate(self._arrivals):
+            if arrival.start < arrival.stop:
+                self._schedule.setdefault(arrival.start, []).append(rank)
         # per band id and demand the band can hold: the ``place`` of a session
         # of that demand on that band, the band's position in self.bands and
         # the (mode name, action, demand fits: 1 or 0) at each occupancy.  A
@@ -371,7 +414,7 @@ class Engine:
     @property
     def band_histograms(self) -> dict[int, list[int]]:
         """Per band id, in ascending order, the steps (9) counted at each occupancy."""
-        return {b.band_id: row for b, row in zip(self.bands, self._hist_rows)}
+        return {b.band_id: row for b, row in self._hist_rows}
 
     def timeseries_header(self) -> list[str]:
         """Column names of the ``timeseries`` rows that ``Engine.step`` appends."""
@@ -391,77 +434,90 @@ class Engine:
 
     def step(self) -> None:
         """Advance the world one step (sub-steps 1-9, fixed order)."""
-        if self.step_index >= self.scenario.horizon:
+        if self.step_index >= self._horizon:
             raise EngineError("stepping past the scenario horizon")
         t = self.step_index
         stream = self.stream
         m = self.metrics
         bands = self.bands
-        n_bands = len(bands)
 
-        # (1) occupancy chains, then (2) disposition chains, ascending band id
-        draws = stream.take(2 * n_bands)
-        spectrum_env.step_bands(self._chain_rows, draws)
-        negotiation.step_dispositions(self._dispositions, draws[n_bands:])
+        # (1) occupancy chains and (2) disposition chains, ascending band id
+        step_chains(self._chain_rows, stream.take(2 * len(bands)))
 
-        # (3) arrivals in priority order; the patterns are kept in that order
-        due = [a for a, start, stop, every in self._patterns if start <= t < stop and (t - start) % every == 0]
-        singles = self._single_arrivals.pop(t, None)
-        if singles:
-            due = su_fsm.order_arrivals(singles + due)
-        for arrival in due:
-            self._admit_one(t, arrival)
+        # (3) arrivals due now, in admission order
+        schedule = self._schedule
+        ranks = schedule.pop(t, None)
+        if ranks is not None:
+            ranks.sort()
+            add = self.trace.add
+            vacant = self._vacant
+            places = self._places
+            for rank in ranks:
+                _, demand, completion, _, stop, every = self._arrivals[rank]
+                if t + every < stop:
+                    schedule.setdefault(t + every, []).append(rank)
+                sid = m.arrivals
+                m.arrivals += 1
+                band_id = su_fsm.admit(vacant.values(), demand, self.kb)
+                if band_id is None:
+                    m.blocked += 1
+                    add(t, EventKind.BLOCK, sid, -1, demand)
+                    continue
+                m.admitted += 1
+                session = SuSession(sid, demand, completion, band_id, place=places[band_id][demand])
+                vacant.pop(band_id).su = session
+                self.live.append(session)
+                add(t, EventKind.ADMIT, sid, band_id, demand)
 
         # (4-6) sense, classify, decide, act: one turn per live session
         mode_histogram = m.mode_histogram
-        scan = t % self.scenario.handover.scan_interval == 0
+        scan = t % self._scan_interval == 0
         scans = self._scan_counts
         senses = self._senses
         records = self.kb.records
         transmitters = self._transmitters
         left = self._left
         for session in tuple(self.live):
-            status = session.status
-            if status is _ACTIVE:
-                action = _SENSE
+            if session.status is _ACTIVE:
+                handler = _SENSE
             else:
                 session.wait -= 1
                 if session.wait > 0:
                     continue
-                action = self._resolve_negotiation if status is _NEGOTIATING else self._arrive
-            while action is not None:
-                if action is _SENSE:
-                    # sense the own band, classify the mode and act on it
-                    position, modes = session.place
-                    band = bands[position]
-                    mode_name, action, fits = modes[band.pu_used]
-                    mode_histogram[mode_name] += 1
-                    if scan:
-                        demand = session.demand
-                        scans[demand] = scans.get(demand, 0) + 1
-                    elif action is _TRANSMIT:
-                        # no score reads a band its session holds: write at once
-                        rec = records[band.band_id]
-                        rec.sensed += 1
-                        rec.available += fits
-                    else:
-                        senses.append((band.band_id, 1, fits))
-                    if action is _TRANSMIT:
-                        transmitters.append(session)
-                        break
-                    if action is _NEGOTIATE:
-                        action = self._begin_negotiation
-                    else:  # START_HANDOVER (Failure: no negotiation phase)
-                        session.status = _HANDING_OVER
-                        action = self._start_handover
-                action = action(session, t)
+                handler = self._resolve_negotiation if session.status is _NEGOTIATING else self._arrive
+                handler = self._handle(session, t, handler)
+            while handler is _SENSE:
+                # sense the own band, classify the mode and act on it
+                position, modes = session.place
+                band = bands[position]
+                mode_name, action, fits = modes[band.pu_used]
+                mode_histogram[mode_name] += 1
+                if scan:
+                    demand = session.demand
+                    scans[demand] = scans.get(demand, 0) + 1
+                elif action is _TRANSMIT:
+                    # no score reads a band its session holds: write at once
+                    rec = records[band.band_id]
+                    rec.sensed += 1
+                    rec.available += fits
+                else:
+                    senses.append((band.band_id, 1, fits))
+                if action is _TRANSMIT:
+                    transmitters.append(session)
+                    break
+                if action is _NEGOTIATE:
+                    handler = self._handle(session, t, self._begin_negotiation)
+                else:  # START_HANDOVER (Failure: no negotiation phase)
+                    session.status = _HANDING_OVER
+                    handler = self._handle(session, t, self._start_handover)
             if left:
                 left.clear()
 
         # (7) completion draws, ascending session id
         if transmitters:
-            for session, u in zip(transmitters, stream.take(len(transmitters))):
-                if u < session.completion:
+            draws = stream.take(len(transmitters))
+            for i, session in enumerate(transmitters):
+                if draws[i] < session.completion:
                     self._complete(session, t)
             transmitters.clear()
 
@@ -477,7 +533,7 @@ class Engine:
             senses.clear()
 
         # (9) metrics, histograms, invariants
-        for band, row in zip(bands, self._hist_rows):
+        for band, row in self._hist_rows:
             row[band.pu_used] += 1
         m.still_active = len(self.live)
         if m.admitted + m.blocked != m.arrivals:
@@ -492,22 +548,12 @@ class Engine:
             )
         self.step_index = t + 1
 
-    def _admit_one(self, t: int, arrival: _Arrival) -> None:
-        demand = arrival.demand
-        m = self.metrics
-        sid = m.arrivals
-        m.arrivals += 1
-        band_id = su_fsm.admit(self._vacant.values(), demand, self.kb)
-        if band_id is None:
-            m.blocked += 1
-            self.trace.add(t, EventKind.BLOCK, sid, -1, demand)
-            return
-        m.admitted += 1
-        place = self._places[band_id][demand]
-        session = SuSession(sid, demand, arrival.completion, band_id, place=place)
-        self._vacant.pop(band_id).su = session
-        self.live.append(session)
-        self.trace.add(t, EventKind.ADMIT, sid, band_id, demand)
+    def _handle(self, session: SuSession, t: int, handler: _Handler) -> object | None:
+        """Run ``handler`` and the handlers it hands on to: ``_SENSE`` when a
+        handover lands, None when the session's turn is over."""
+        while handler is not None and handler is not _SENSE:
+            handler = handler(session, t)
+        return handler
 
     def _begin_negotiation(self, session: SuSession, t: int) -> _Handler | None:
         session.status = _NEGOTIATING
@@ -633,7 +679,7 @@ class Engine:
 
     def run(self) -> Engine:
         """Step to the horizon and return this engine, which holds the run's results."""
-        for _ in range(self.scenario.horizon - self.step_index):
+        for _ in range(self._horizon - self.step_index):
             self.step()
         return self
 

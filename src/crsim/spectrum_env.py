@@ -9,7 +9,7 @@ number, the band's free channels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from .markov import OccupancyChain
 
@@ -53,34 +53,19 @@ class SpectrumBand:
             )
 
 
-# (band, birth, birth + death, capacity): what one occupancy step reads
-ChainRow = tuple[SpectrumBand, float, float, int]
-
-
-def chain_rows(bands: Iterable[SpectrumBand]) -> list[ChainRow]:
-    """The ``step_bands`` rows of ``bands``, in the order given."""
-    return [(b, b.chain.birth, b.chain.birth + b.chain.death, b.chain.capacity) for b in bands]
-
-
-def step_bands(rows: Iterable[ChainRow], draws: Iterable[float]) -> None:
-    """Advance each row's band by one chain step (in place), one draw per band, in order.
+def step_band(band: SpectrumBand, rng) -> None:
+    """Advance one band's occupancy by one chain step (in place, one uniform draw).
 
     A draw in [0, birth) raises occupancy, [birth, birth+death) lowers it,
-    the rest holds, with moves off the 0..capacity range suppressed.
-    Draws beyond the last row are left unread.
+    the rest holds, with moves off the 0..capacity range suppressed.  The
+    engine steps every band at once (``simcore.step_chains``), by this rule.
     """
-    for (band, birth, birth_death, capacity), u in zip(rows, draws):
-        if u < birth:
-            if band.pu_used < capacity:
-                band.pu_used += 1
-        elif u < birth_death:
-            if band.pu_used > 0:
-                band.pu_used -= 1
-
-
-def step_band(band: SpectrumBand, rng) -> None:
-    """Advance one band's occupancy by one chain step (in place, one uniform draw)."""
-    step_bands(chain_rows((band,)), (rng.random(),))
+    u = rng.random()
+    chain = band.chain
+    if u < chain.birth:
+        band.pu_used = min(band.pu_used + 1, chain.capacity)
+    elif u < chain.birth + chain.death:
+        band.pu_used = max(band.pu_used - 1, 0)
 
 
 def sense(band: SpectrumBand) -> int:

@@ -1,16 +1,23 @@
-"""Differential harness: a seeded family of short scenarios and one digest each.
+"""Differential harness: seeded families of short scenarios and one digest each.
 
-Each scenario is drawn from ``(seed, index)`` alone.  The family covers 1-8
-bands with gaps between their ids, negotiation and handover latencies 0-3,
-scan intervals 1-6, zero-demand probes, patterns that stop (``until``),
-single arrivals, demands equal to a band's capacity and warm-started
-knowledge bases.  A scenario's digest covers everything a run reports: the
-trace hash, the knowledge base, the metrics, the band histograms, the time
-series and the NDJSON trace.
+Each scenario is drawn from ``(seed, index)`` alone.  The ``mixed`` family
+covers 1-8 bands with gaps between their ids, negotiation and handover
+latencies 0-3, scan intervals 1-6, zero-demand probes, patterns that stop
+(``until``), single arrivals, demands equal to a band's capacity and
+warm-started knowledge bases.  The ``vacant`` family holds 6-12 fast
+bands, mostly with refusing licensed users, and 1-2 patterns arriving
+every step, so bands stand vacant, with no negotiation latency and scan
+intervals of 10-30: a refused session leaves its band in the step it
+sensed it, and a later handover of that step may rank that band.  Unlike
+the ``mixed`` family's, its digest changes when such a ranking reads the
+leaving session's sense, which belongs to the step's end.  A scenario's digest covers
+everything a run reports: the trace hash, the knowledge base, the metrics,
+the band histograms, the time series and the NDJSON trace.
 
-Two engines agree on the family when their manifests are equal:
+Two engines agree on a family when their manifests are equal:
 
     PYTHONPATH=src python tests/differential.py --count 2000 --seed 1 > a.txt
+    PYTHONPATH=src python tests/differential.py --family vacant --count 2000 --seed 3 > b.txt
 
 prints one line per scenario (index, scenario hash prefix, digest) and a
 last line ``combined <digest>`` over all of them.
@@ -33,31 +40,54 @@ from crsim.simcore import Engine
 TRAFFIC = [t.value for t in TrafficType]
 
 
+def _band(rng: random.Random, band_id: int) -> dict:
+    capacity = rng.randint(1, 12)
+    static = rng.random() < 0.15
+    p = 0.0 if static else round(rng.uniform(0.0, 0.4), 3)
+    q = 0.0 if static else round(rng.uniform(0.0, 0.4), 3)
+    still = rng.random() < 0.2  # a disposition that never switches
+    return {
+        "id": band_id,
+        "capacity": capacity,
+        "p": p,
+        "q": q,
+        "initial_occupancy": rng.randint(0, capacity),
+        "disposition": {
+            "state": rng.choice(("cooperative", "noncooperative")),
+            "alpha": 0.0 if still else round(rng.uniform(0.0, 0.3), 3),
+            "beta": 0.0 if still else round(rng.uniform(0.0, 0.3), 3),
+        },
+    }
+
+
+def _warm_start(rng: random.Random, band_ids: list[int]) -> dict | None:
+    """A knowledge-base snapshot for some runs, None (a fresh one) for the others."""
+    if rng.random() >= 0.3:
+        return None
+    n_bands = len(band_ids)
+    kb = {}
+    # some of the scenario's bands, and sometimes one it lacks
+    warm = rng.sample(band_ids, rng.randint(0, n_bands))
+    if rng.random() < 0.5:
+        warm.append(3 * n_bands + 2)
+    for band_id in warm:
+        sensed, attempts = rng.randint(0, 40), rng.randint(0, 10)
+        kb[str(band_id)] = {
+            "attempts": attempts,
+            "grants": rng.randint(0, attempts),
+            "sensed": sensed,
+            "available": rng.randint(0, sensed),
+        }
+    return kb
+
+
 def scenario(seed: int, index: int) -> tuple[Scenario, dict | None]:
-    """The scenario of ``(seed, index)`` and its warm-start snapshot, or None for a fresh knowledge base."""
+    """The ``mixed`` scenario of ``(seed, index)`` and its warm-start snapshot, or None for a fresh knowledge base."""
     rng = random.Random(seed * 1_000_003 + index)
     horizon = rng.randint(20, 160)
     n_bands = rng.randint(1, 8)
     band_ids = sorted(rng.sample(range(3 * n_bands + 2), n_bands))
-    bands = []
-    for band_id in band_ids:
-        capacity = rng.randint(1, 12)
-        static = rng.random() < 0.15
-        p = 0.0 if static else round(rng.uniform(0.0, 0.4), 3)
-        q = 0.0 if static else round(rng.uniform(0.0, 0.4), 3)
-        still = rng.random() < 0.2  # a disposition that never switches
-        bands.append({
-            "id": band_id,
-            "capacity": capacity,
-            "p": p,
-            "q": q,
-            "initial_occupancy": rng.randint(0, capacity),
-            "disposition": {
-                "state": rng.choice(("cooperative", "noncooperative")),
-                "alpha": 0.0 if still else round(rng.uniform(0.0, 0.3), 3),
-                "beta": 0.0 if still else round(rng.uniform(0.0, 0.3), 3),
-            },
-        })
+    bands = [_band(rng, band_id) for band_id in band_ids]
     rng.shuffle(bands)  # the engine orders bands by id, whatever the declaration order
     sessions = []
     for _ in range(rng.randint(1, 5)):
@@ -89,22 +119,53 @@ def scenario(seed: int, index: int) -> tuple[Scenario, dict | None]:
         "horizon": horizon,
         "seed": rng.randint(0, 2**31 - 1),
     }
-    kb = None
-    if rng.random() < 0.3:
-        kb = {}
-        # some of the scenario's bands, and sometimes one it lacks
-        warm = rng.sample(band_ids, rng.randint(0, n_bands))
-        if rng.random() < 0.5:
-            warm.append(3 * n_bands + 2)
-        for band_id in warm:
-            sensed, attempts = rng.randint(0, 40), rng.randint(0, 10)
-            kb[str(band_id)] = {
-                "attempts": attempts,
-                "grants": rng.randint(0, attempts),
-                "sensed": sensed,
-                "available": rng.randint(0, sensed),
-            }
-    return Scenario.from_dict(doc), kb
+    return Scenario.from_dict(doc), _warm_start(rng, band_ids)
+
+
+def vacant_scenario(seed: int, index: int) -> tuple[Scenario, dict | None]:
+    """The ``vacant`` scenario of ``(seed, index)`` and its warm-start snapshot, as ``scenario`` gives."""
+    rng = random.Random(seed * 1_000_003 + index)
+    horizon = rng.randint(40, 200)
+    n_bands = rng.randint(6, 12)
+    band_ids = sorted(rng.sample(range(3 * n_bands + 2), n_bands))
+    bands = []
+    for band_id in band_ids:
+        # fast chains and mostly refusing licensed users: sessions leave often
+        capacity = rng.randint(1, 12)
+        bands.append({
+            "id": band_id,
+            "capacity": capacity,
+            "p": round(rng.uniform(0.3, 0.5), 3),
+            "q": round(rng.uniform(0.3, 0.5), 3),
+            "initial_occupancy": rng.randint(0, capacity),
+            "disposition": {
+                "state": "cooperative" if rng.random() < 1 / 3 else "noncooperative",
+                "alpha": round(rng.uniform(0.0, 0.1), 3),
+                "beta": round(rng.uniform(0.0, 0.1), 3),
+            },
+        })
+    rng.shuffle(bands)
+    sessions = [
+        {"traffic": rng.choice(TRAFFIC), "c": round(rng.uniform(0.02, 0.2), 3), "every": 1, "start": rng.randint(0, 3)}
+        for _ in range(rng.randint(1, 2))
+    ]
+    doc = {
+        "name": f"vacant-{seed}-{index}",
+        "bands": bands,
+        "sessions": sessions,
+        "negotiation": {"grant_request": rng.randint(1, 3), "latency": 0},
+        "handover": {
+            "latency": rng.randint(0, 2),
+            "max_replans": rng.randint(0, 3),
+            "scan_interval": rng.randint(10, 30),
+        },
+        "horizon": horizon,
+        "seed": rng.randint(0, 2**31 - 1),
+    }
+    return Scenario.from_dict(doc), _warm_start(rng, band_ids)
+
+
+FAMILIES = {"mixed": scenario, "vacant": vacant_scenario}
 
 
 def outputs(scenario: Scenario, kb: dict | None) -> dict:
@@ -130,11 +191,11 @@ def digest(scenario: Scenario, kb: dict | None) -> str:
     return hashlib.sha256(json.dumps(outputs(scenario, kb), sort_keys=True).encode()).hexdigest()
 
 
-def manifest(count: int, seed: int) -> list[str]:
-    """One line per scenario, then ``combined <sha256 of the lines before it>``."""
+def manifest(count: int, seed: int, family: str = "mixed") -> list[str]:
+    """One line per scenario of ``family``, then ``combined <sha256 of the lines before it>``."""
     lines = []
     for index in range(count):
-        sc, kb = scenario(seed, index)
+        sc, kb = FAMILIES[family](seed, index)
         lines.append(f"{index} {sc.sha256()[:12]} {digest(sc, kb)}")
     combined = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     return [*lines, f"combined {combined}"]
@@ -144,10 +205,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--count", type=int, required=True, help="number of scenarios")
     parser.add_argument("--seed", type=int, required=True, help="seed of the family")
+    parser.add_argument("--family", choices=sorted(FAMILIES), default="mixed", help="family of scenarios")
     args = parser.parse_args(argv)
     # the engine logs a warning on each negotiation with an idle licensed user
     logging.basicConfig(level=logging.ERROR)
-    for line in manifest(args.count, args.seed):
+    for line in manifest(args.count, args.seed, args.family):
         print(line)
     return 0
 

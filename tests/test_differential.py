@@ -3,8 +3,11 @@
 The ``tier1`` digest was recorded with an engine that applied each sensing
 record to the knowledge base through its own call and settled scans band by
 band over every demand; the ``ci`` digest, over 2,000 scenarios, with one
-that settled a band's pending scans right before each grant.  ``tier1`` is
-checked here; CI checks the larger ``ci`` family with
+that settled a band's pending scans right before each grant.  The
+``vacant_tier1`` and ``vacant_ci`` digests of the ``vacant`` family were
+recorded with an engine that scanned every arrival pattern each step and
+ran each transmitting session through its handler loop.  The ``tier1``
+keys are checked here; CI checks the larger ``ci`` keys with
 ``python tests/differential.py``.
 """
 
@@ -23,6 +26,12 @@ PINNED = json.loads((Path(__file__).parent / "data" / "differential.json").read_
 def test_the_family_digest_is_unchanged():
     family = PINNED["tier1"]
     assert differential.manifest(family["count"], family["seed"])[-1] == f"combined {family['combined']}"
+
+
+def test_the_vacant_family_digest_is_unchanged():
+    family = PINNED["vacant_tier1"]
+    manifest = differential.manifest(family["count"], family["seed"], family["family"])
+    assert manifest[-1] == f"combined {family['combined']}"
 
 
 def test_the_family_reaches_every_event_kind_and_both_drop_reasons():

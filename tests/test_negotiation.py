@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from conftest import Draws
 from crsim.markov import OccupancyChain
@@ -12,7 +10,6 @@ from crsim.negotiation import (
     negotiate,
     stationary_cooperative_probability,
     step_disposition,
-    step_dispositions,
 )
 from crsim.spectrum_env import SpectrumBand
 from crsim.su_fsm import Mode, classify_mode
@@ -153,30 +150,3 @@ def test_step_disposition_boundary_draws(state, u, expected):
     disp = PuDisposition(state, 0.2, 0.3)
     step_disposition(disp, Draws([u]))
     assert disp.state is expected
-
-
-dispositions = st.tuples(
-    st.booleans(), st.sampled_from([0.0, 0.2, 0.5, 1.0]), st.sampled_from([0.0, 0.3, 0.5, 1.0])
-)
-
-
-@given(chains=st.lists(dispositions, min_size=1, max_size=6), steps=st.integers(1, 5), data=st.data())
-def test_step_dispositions_matches_step_disposition_draw_for_draw(chains, steps, data):
-    def build():
-        return [
-            PuDisposition(PuState.COOPERATIVE if coop else PuState.NONCOOPERATIVE, alpha, beta)
-            for coop, alpha, beta in chains
-        ]
-
-    # draws at alpha and at beta exactly, and at the ends of [0, 1)
-    boundaries = sorted({v for _, alpha, beta in chains for v in (alpha, beta)} | {0.0, 0.999})
-    n = steps * len(chains)
-    draws = data.draw(st.lists(st.sampled_from(boundaries) | st.floats(0.0, 0.999), min_size=n, max_size=n))
-    batched, single = build(), build()
-    for k in range(steps):
-        # a longer draw list leaves the extra draws unread
-        step_dispositions(batched, draws[k * len(chains):] + [0.0])
-        rng = Draws(draws[k * len(chains):(k + 1) * len(chains)])
-        for disp in single:
-            step_disposition(disp, rng)
-        assert [d.state for d in batched] == [d.state for d in single]

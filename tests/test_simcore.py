@@ -14,12 +14,14 @@ import dataclasses
 
 import differential
 import pytest
+from conftest import Draws
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crsim import su_fsm
 from crsim.learning import BandRecord, KnowledgeBase
-from crsim.negotiation import PuState
+from crsim.markov import OccupancyChain
+from crsim.negotiation import PuDisposition, PuState, step_disposition
 from crsim.qos import TrafficType
 from crsim.scenario import (
     MAX_CAPACITY,
@@ -40,7 +42,9 @@ from crsim.simcore import (
     analytic_figures,
     compare,
     run,
+    step_chains,
 )
+from crsim.spectrum_env import SpectrumBand, step_band
 from crsim.su_fsm import MODE_NAMES, SessionStatus, mode_table
 
 COOP = PuState.COOPERATIVE
@@ -501,6 +505,72 @@ def test_arrivals_are_admitted_in_priority_order_singles_first_on_ties():
     assert engine.metrics.blocked > 0  # both kinds of event are in the order
 
 
+# ECommerce and Voice share priority 12, SeriousBrowsing and Telnet 13
+tied_traffic = st.sampled_from([T.ECOMMERCE, T.VOICE, T.SERIOUS_BROWSING, T.TELNET, T.VIDEO_CONFERENCING])
+single_decl = st.builds(lambda traffic, at: ("single", traffic, at), tied_traffic, st.integers(0, 30))
+pattern_decl = st.builds(
+    lambda traffic, start, every, until: ("pattern", traffic, start, every, until),
+    tied_traffic,
+    st.integers(0, 8),
+    st.integers(1, 6),
+    st.none() | st.integers(1, 30),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    decls=st.lists(single_decl | pattern_decl, min_size=1, max_size=7),
+    horizon=st.integers(1, 24),
+    cut=st.integers(0, 24),
+)
+def test_the_arrival_schedule_admits_as_the_per_step_rule(decls, horizon, cut):
+    # declaration i demands i + 1 channels, so the demand of an event names its declaration
+    sessions = tuple(
+        SessionDecl(d[1], 0.5, arrival=d[2], demand=i + 1)
+        if d[0] == "single"
+        else SessionDecl(d[1], 0.5, every=d[3], start=d[2], until=d[4], demand=i + 1)
+        for i, d in enumerate(decls)
+    )
+    scenario = Scenario(
+        bands=(BandDecl(0, 8, 0.2, 0.2, 2, COOP, 0.1, 0.1), BandDecl(3, 8, 0.3, 0.1, 5, NONCOOP, 0.2, 0.1)),
+        sessions=sessions,
+        horizon=horizon,
+        seed=9,
+        negotiation=NegotiationParams(1, 0),
+        handover=HandoverParams(latency=1, scan_interval=3),
+    )
+
+    def due(decl, t):  # the per-step rule that the schedule must reproduce
+        if decl.arrival is not None:
+            return t == decl.arrival
+        stop = horizon if decl.until is None else min(decl.until, horizon)
+        return decl.start <= t < stop and (t - decl.start) % decl.every == 0
+
+    expected = {}
+    for t in range(horizon):
+        singles = [d for d in sessions if d.arrival is not None and due(d, t)]
+        patterns = [d for d in sessions if d.arrival is None and due(d, t)]
+        expected[t] = [d.demand for d in su_fsm.order_arrivals(singles + patterns)]
+
+    stepped = Engine(scenario, keep_trace=True)
+    for _ in range(horizon):
+        stepped.step()
+    got = {t: [] for t in range(horizon)}
+    for t, kind, _, _, demand in stepped.trace.records:
+        if kind in (EventKind.ADMIT, EventKind.BLOCK):
+            got[t].append(demand)
+    assert got == expected
+
+    # one step at a time, one run, and a few steps then a run give one result
+    resumed = Engine(scenario, keep_trace=True)
+    for _ in range(min(cut, horizon)):
+        resumed.step()
+    for engine in (run(scenario), resumed.run()):
+        assert engine.trace_hash == stepped.trace_hash
+        assert engine.kb.to_json_dict() == stepped.kb.to_json_dict()
+        assert engine.band_histograms == stepped.band_histograms
+
+
 def fast_wide() -> Scenario:
     """24 bands holding long sessions, few of them vacant, as in the wide64
     benchmark; occupancy rises fast enough that sessions in Failure leave
@@ -737,6 +807,51 @@ def test_ndjson_lines_need_a_kept_trace():
     result = run(dataclasses.replace(canonical_preset(), horizon=3))
     with pytest.raises(EngineError, match="keep_trace=True"):
         list(result.trace.ndjson_lines())
+
+
+chain_params = st.tuples(
+    st.integers(1, 8),
+    st.sampled_from([0.0, 0.1, 0.25, 0.5]),
+    st.sampled_from([0.0, 0.2, 0.5]),
+    st.integers(0, 8),
+    st.booleans(),
+    st.sampled_from([0.0, 0.2, 0.5, 1.0]),
+    st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+)
+
+
+@given(params=st.lists(chain_params, min_size=1, max_size=6), steps=st.integers(1, 5), data=st.data())
+def test_step_chains_matches_step_band_and_step_disposition_draw_for_draw(params, steps, data):
+    def build():
+        return [
+            SpectrumBand(i, OccupancyChain(c, p, q), min(used, c), PuDisposition(COOP if coop else NONCOOP, a, b))
+            for i, (c, p, q, used, coop, a, b) in enumerate(params)
+        ]
+
+    # draws at birth, birth + death, alpha and beta exactly, and at the ends of [0, 1)
+    edges = {v for _, p, q, _, _, alpha, beta in params for v in (p, p + q, alpha, beta)}
+    boundaries = sorted(edges | {0.0, 0.999})
+    n = len(params)
+    draws = data.draw(
+        st.lists(st.sampled_from(boundaries) | st.floats(0.0, 0.999), min_size=2 * n * steps, max_size=2 * n * steps)
+    )
+    batched, single = build(), build()
+    rows = [
+        (i, n + i, b, b.chain.birth, b.chain.birth + b.chain.death, b.chain.capacity, b.disposition)
+        for i, b in enumerate(batched)
+    ]
+    for k in range(steps):
+        block = draws[2 * n * k:]
+        # a longer draw list leaves the extra draws unread
+        step_chains(rows, block + [0.0])
+        # every band's occupancy, then every disposition, one draw each
+        occupancy, willingness = Draws(block[:n]), Draws(block[n:2 * n])
+        for band in single:
+            step_band(band, occupancy)
+        for band in single:
+            step_disposition(band.disposition, willingness)
+        assert [b.pu_used for b in batched] == [b.pu_used for b in single]
+        assert [b.disposition.state for b in batched] == [b.disposition.state for b in single]
 
 
 BLOCK = RandomStream._BLOCK

@@ -10,13 +10,10 @@ one), a non-cooperative one refuses outright.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from enum import Enum
 
 from .spectrum_env import SpectrumBand, grant_channels
-
-log = logging.getLogger(__name__)
 
 
 class PuState(Enum):
@@ -94,7 +91,10 @@ def negotiate(band: SpectrumBand, channels: int) -> NegotiationOutcome:
         # Warning mode needs the licensed user on at least one channel, so an
         # idle user here means it released its channels while a negotiation
         # waited out its latency: the engine does not classify the mode again
-        # before negotiating.
+        # before negotiating.  ``logging`` is imported only on this path.
+        import logging
+
+        log = logging.getLogger(__name__)
         log.warning("negotiation on band %d with idle PU: nothing to yield, refusing", band.band_id)
         return REFUSED
     yielded = min(channels, band.pu_used)

@@ -53,6 +53,27 @@ it has already left in that step, so a turn visits each band at most once
 and ends by itself; a session that every band it can still reach refuses
 is dropped for want of a target.
 
+A session whose turn ends in transmitting is *running* until (1) raises
+its band past the Normal rows of its demand.  At its place in the
+session-id loop, (4-6) settles a running session without reading its band:
+one Normal sense, its scan counted on a scan step and otherwise (1, 1)
+added to the band's record, which the session holds, and a transmit.  This
+is exact.  A running session's band changes in (4-6) only through its own
+grant, and (3) admits only onto vacant bands, so between two of its turns
+only (1) moves the band's occupancy, by at most one.  The Normal
+occupancies of a mode row run from 0 to a boundary (``su_fsm.mode_table``),
+so a band that did not rise keeps its running session in Normal mode;
+``step_chains`` reports the bands that rose, and a running session on one
+of them whose mode row no longer says transmit stops running and takes a
+full turn.  A grant may leave the band past Normal (the licensed user can
+take channels during the wait), so it makes the session running only when
+the mode row at the granted occupancy says transmit.  Running sessions stay
+in session-id order in the loop because a grant takes off the scans
+counted before it.  Holding the record changes no score: on a step without
+a scan the transmitting turn writes it, and on a scan step taking it
+creates it in (4-6) instead of (8), which writes every band on such a
+step; an empty record scores as a missing one.
+
 Determinism contract: a single uniform stream seeded from the scenario
 seed is consumed in a documented order — bands by ascending id, then
 dispositions by ascending id, then completion draws by ascending session
@@ -290,20 +311,25 @@ _TRANSMIT = Action.CONTINUE_TRANSMIT
 _NEGOTIATE = Action.START_NEGOTIATION
 _COOPERATIVE = PuState.COOPERATIVE
 _NONCOOPERATIVE = PuState.NONCOOPERATIVE
+# the mode-histogram key that a running session's turn counts
+_NORMAL_NAME = MODE_NAMES[Mode.NORMAL]
 
 
-def step_chains(rows: Sequence[tuple], draws: Sequence[float]) -> None:
+def step_chains(rows: Sequence[tuple], draws: Sequence[float]) -> list[SpectrumBand]:
     """(1) and (2) in one pass, by the rules of ``spectrum_env.step_band`` and ``negotiation.step_disposition``.
 
     Of n rows, row i is (i, n + i, band, birth, birth + death, capacity,
     disposition): its occupancy reads ``draws[i]`` and its disposition
-    ``draws[n + i]``, and draws past the first 2n go unread.
+    ``draws[n + i]``, and draws past the first 2n go unread.  Returns the
+    bands whose occupancy rose, in row order.
     """
+    risen = []
     for i, j, band, birth, birth_death, capacity, disposition in rows:
         u = draws[i]
         if u < birth:
             if band.pu_used < capacity:
                 band.pu_used += 1
+                risen.append(band)
         elif u < birth_death:
             if band.pu_used > 0:
                 band.pu_used -= 1
@@ -312,6 +338,7 @@ def step_chains(rows: Sequence[tuple], draws: Sequence[float]) -> None:
                 disposition.state = _NONCOOPERATIVE
         elif draws[j] < disposition.beta:
             disposition.state = _COOPERATIVE
+    return risen
 
 
 class _Arrival(NamedTuple):
@@ -441,8 +468,12 @@ class Engine:
         m = self.metrics
         bands = self.bands
 
-        # (1) occupancy chains and (2) disposition chains, ascending band id
-        step_chains(self._chain_rows, stream.take(2 * len(bands)))
+        # (1) occupancy chains and (2) disposition chains, ascending band id;
+        # a running session on a band that rose past its Normal rows senses again
+        for band in step_chains(self._chain_rows, stream.take(2 * len(bands))):
+            session = band.su
+            if session is not None and session.running and session.place[1][band.pu_used][1] is not _TRANSMIT:
+                session.running = False
 
         # (3) arrivals due now, in admission order
         schedule = self._schedule
@@ -464,7 +495,7 @@ class Engine:
                     add(t, EventKind.BLOCK, sid, -1, demand)
                     continue
                 m.admitted += 1
-                session = SuSession(sid, demand, completion, band_id, place=places[band_id][demand])
+                session = SuSession(sid, demand, completion, band_id, _ACTIVE, 0, None, 0, places[band_id][demand])
                 vacant.pop(band_id).su = session
                 self.live.append(session)
                 add(t, EventKind.ADMIT, sid, band_id, demand)
@@ -477,41 +508,56 @@ class Engine:
         records = self.kb.records
         transmitters = self._transmitters
         left = self._left
+        normal = 0  # turns that sensed Normal mode and transmit
         for session in tuple(self.live):
-            if session.status is _ACTIVE:
-                handler = _SENSE
-            else:
-                session.wait -= 1
-                if session.wait > 0:
-                    continue
-                handler = self._resolve_negotiation if session.status is _NEGOTIATING else self._arrive
-                handler = self._handle(session, t, handler)
-            while handler is _SENSE:
-                # sense the own band, classify the mode and act on it
-                position, modes = session.place
-                band = bands[position]
-                mode_name, action, fits = modes[band.pu_used]
-                mode_histogram[mode_name] += 1
-                if scan:
-                    demand = session.demand
-                    scans[demand] = scans.get(demand, 0) + 1
-                elif action is _TRANSMIT:
-                    # no score reads a band its session holds: write at once
-                    rec = records[band.band_id]
-                    rec.sensed += 1
-                    rec.available += fits
+            if not session.running:
+                if session.status is _ACTIVE:
+                    handler = _SENSE
                 else:
-                    senses.append((band.band_id, 1, fits))
-                if action is _TRANSMIT:
-                    transmitters.append(session)
-                    break
-                if action is _NEGOTIATE:
-                    handler = self._handle(session, t, self._begin_negotiation)
-                else:  # START_HANDOVER (Failure: no negotiation phase)
-                    session.status = _HANDING_OVER
-                    handler = self._handle(session, t, self._start_handover)
-            if left:
-                left.clear()
+                    session.wait -= 1
+                    if session.wait > 0:
+                        continue
+                    handler = self._resolve_negotiation if session.status is _NEGOTIATING else self._arrive
+                    handler = self._handle(session, t, handler)
+                while handler is _SENSE:
+                    # sense the own band, classify the mode and act on it
+                    position, modes = session.place
+                    band = bands[position]
+                    mode_name, action, fits = modes[band.pu_used]
+                    if action is _TRANSMIT:
+                        # Normal mode, which only a rise in (1) can end: this
+                        # turn and the next ones settle as running
+                        session.running = True
+                        session.record = records[band.band_id]
+                        break
+                    mode_histogram[mode_name] += 1
+                    if scan:
+                        demand = session.demand
+                        scans[demand] = scans.get(demand, 0) + 1
+                    else:
+                        senses.append((band.band_id, 1, fits))
+                    if action is _NEGOTIATE:
+                        handler = self._handle(session, t, self._begin_negotiation)
+                    else:  # START_HANDOVER (Failure: no negotiation phase)
+                        session.status = _HANDING_OVER
+                        handler = self._handle(session, t, self._start_handover)
+                if left:
+                    left.clear()
+                if handler is not _SENSE:  # the turn ended without a transmitting sense
+                    continue
+            # a running session: one Normal sense, counted as a scan or written
+            # at once, and a transmit
+            normal += 1
+            if scan:
+                demand = session.demand
+                scans[demand] = scans.get(demand, 0) + 1
+            else:
+                # no score reads a band its session holds: write at once
+                rec = session.record
+                rec.sensed += 1
+                rec.available += 1
+            transmitters.append(session)
+        mode_histogram[_NORMAL_NAME] += normal
 
         # (7) completion draws, ascending session id
         if transmitters:
@@ -579,6 +625,10 @@ class Engine:
                 moved = sum(n for demand, n in scans.items() if free - outcome.channels < demand <= free)
                 self._scan_moved[band.band_id] = self._scan_moved.get(band.band_id, 0) + moved
             self.trace.add(t, EventKind.NEGOTIATION_GRANTED, session.session_id, band.band_id, outcome.channels)
+            # a grant can leave the band past Normal: the mode row decides
+            if session.place[1][band.pu_used][1] is _TRANSMIT:
+                session.running = True
+                session.record = self.kb.records[band.band_id]
             self._transmitters.append(session)
             return None
         m.refusals += 1

@@ -18,7 +18,7 @@ from enum import Enum, IntEnum
 from typing import Iterable, Sequence, TypeVar
 
 from .handover import select_target
-from .learning import KnowledgeBase
+from .learning import BandRecord, KnowledgeBase
 from .negotiation import NegotiationOutcome
 from .qos import priority
 from .spectrum_env import SpectrumBand
@@ -112,6 +112,11 @@ class SuSession:
     # of that band); the engine writes it wherever it writes ``band_id`` and
     # reads both through it
     place: tuple | None = field(default=None, repr=False)
+    # True from a turn that ends in transmitting until (1) raises the band past
+    # this demand's Normal rows: (4-6) then settles the session without sensing
+    running: bool = False
+    # the knowledge-base record of the band while running, written in place
+    record: BandRecord | None = field(default=None, repr=False)
 
 
 def decide(session: SuSession, mode: Mode) -> Action:

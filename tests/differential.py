@@ -10,7 +10,12 @@ every step, so bands stand vacant, with no negotiation latency and scan
 intervals of 10-30: a refused session leaves its band in the step it
 sensed it, and a later handover of that step may rank that band.  Unlike
 the ``mixed`` family's, its digest changes when such a ranking reads the
-leaving session's sense, which belongs to the step's end.  A scenario's digest covers
+leaving session's sense, which belongs to the step's end.  The ``resident``
+family holds 2-8 bands whose births push transmitting sessions past their
+Normal boundary, mostly cooperative licensed users, negotiation latencies
+of 1-3, scan intervals of 1-5 and long-lived sessions (completion
+0.005-0.05): sessions stay on their bands for tens of steps, and a grant
+after a wait often leaves a band still past Normal.  A scenario's digest covers
 everything a run reports: the trace hash, the knowledge base, the metrics,
 the band histograms, the time series and the NDJSON trace.
 
@@ -18,6 +23,7 @@ Two engines agree on a family when their manifests are equal:
 
     PYTHONPATH=src python tests/differential.py --count 2000 --seed 1 > a.txt
     PYTHONPATH=src python tests/differential.py --family vacant --count 2000 --seed 3 > b.txt
+    PYTHONPATH=src python tests/differential.py --family resident --count 2000 --seed 9 > c.txt
 
 prints one line per scenario (index, scenario hash prefix, digest) and a
 last line ``combined <digest>`` over all of them.
@@ -165,7 +171,57 @@ def vacant_scenario(seed: int, index: int) -> tuple[Scenario, dict | None]:
     return Scenario.from_dict(doc), _warm_start(rng, band_ids)
 
 
-FAMILIES = {"mixed": scenario, "vacant": vacant_scenario}
+def resident_scenario(seed: int, index: int) -> tuple[Scenario, dict | None]:
+    """The ``resident`` scenario of ``(seed, index)`` and its warm-start snapshot, as ``scenario`` gives."""
+    rng = random.Random(seed * 1_000_003 + index)
+    horizon = rng.randint(60, 200)
+    n_bands = rng.randint(2, 8)
+    band_ids = sorted(rng.sample(range(3 * n_bands + 2), n_bands))
+    bands = []
+    for band_id in band_ids:
+        # births that push a transmitting session over its Normal boundary,
+        # and licensed users that mostly cooperate
+        capacity = rng.randint(2, 12)
+        bands.append({
+            "id": band_id,
+            "capacity": capacity,
+            "p": round(rng.uniform(0.15, 0.45), 3),
+            "q": round(rng.uniform(0.05, 0.35), 3),
+            "initial_occupancy": rng.randint(0, capacity),
+            "disposition": {
+                "state": "cooperative" if rng.random() < 0.8 else "noncooperative",
+                "alpha": round(rng.uniform(0.0, 0.1), 3),
+                "beta": round(rng.uniform(0.1, 0.5), 3),
+            },
+        })
+    rng.shuffle(bands)
+    sessions = []
+    for _ in range(rng.randint(1, 3)):
+        # long-lived sessions that stay resident for tens of steps
+        session = {"traffic": rng.choice(TRAFFIC), "c": round(rng.uniform(0.005, 0.05), 3)}
+        if rng.random() < 0.2:
+            session["arrival"] = rng.randint(0, horizon - 1)
+        else:
+            session["every"] = rng.randint(1, 5)
+            session["start"] = rng.randint(0, 3)
+        sessions.append(session)
+    doc = {
+        "name": f"resident-{seed}-{index}",
+        "bands": bands,
+        "sessions": sessions,
+        "negotiation": {"grant_request": rng.randint(1, 3), "latency": rng.randint(1, 3)},
+        "handover": {
+            "latency": rng.randint(0, 2),
+            "max_replans": rng.randint(0, 3),
+            "scan_interval": rng.randint(1, 5),
+        },
+        "horizon": horizon,
+        "seed": rng.randint(0, 2**31 - 1),
+    }
+    return Scenario.from_dict(doc), _warm_start(rng, band_ids)
+
+
+FAMILIES = {"mixed": scenario, "vacant": vacant_scenario, "resident": resident_scenario}
 
 
 def outputs(scenario: Scenario, kb: dict | None) -> dict:

@@ -6,7 +6,9 @@ band over every demand; the ``ci`` digest, over 2,000 scenarios, with one
 that settled a band's pending scans right before each grant.  The
 ``vacant_tier1`` and ``vacant_ci`` digests of the ``vacant`` family were
 recorded with an engine that scanned every arrival pattern each step and
-ran each transmitting session through its handler loop.  The ``tier1``
+ran each transmitting session through its handler loop, and the
+``resident_tier1`` and ``resident_ci`` digests of the ``resident`` family
+with one that sensed every active session in every step.  The ``tier1``
 keys are checked here; CI checks the larger ``ci`` keys with
 ``python tests/differential.py``.
 """
@@ -30,6 +32,12 @@ def test_the_family_digest_is_unchanged():
 
 def test_the_vacant_family_digest_is_unchanged():
     family = PINNED["vacant_tier1"]
+    manifest = differential.manifest(family["count"], family["seed"], family["family"])
+    assert manifest[-1] == f"combined {family['combined']}"
+
+
+def test_the_resident_family_digest_is_unchanged():
+    family = PINNED["resident_tier1"]
     manifest = differential.manifest(family["count"], family["seed"], family["family"])
     assert manifest[-1] == f"combined {family['combined']}"
 

@@ -1,8 +1,13 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import crsim
 from conftest import Draws
 from crsim.markov import OccupancyChain
 from crsim.negotiation import (
@@ -85,7 +90,17 @@ def test_idle_pu_with_cooperative_disposition_refuses(caplog):
         outcome = negotiate(band, 1)
     assert not outcome.granted
     assert band.pu_used == 0
-    assert any("idle PU" in message for message in caplog.messages)
+    assert [(r.name, r.levelname) for r in caplog.records] == [("crsim.negotiation", "WARNING")]
+    assert "idle PU" in caplog.messages[0]
+
+
+def test_importing_crsim_leaves_logging_unimported():
+    # only the idle-PU refusal logs, so it imports logging itself: set-up
+    # does not pay for the import
+    code = "import sys, numpy; before = set(sys.modules); import crsim; print('logging' in set(sys.modules) - before)"
+    src = str(Path(crsim.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, cwd=src)
+    assert out.stdout.split() == ["False"]
 
 
 def test_negotiate_never_raises_occupancy():

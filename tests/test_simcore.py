@@ -45,7 +45,7 @@ from crsim.simcore import (
     step_chains,
 )
 from crsim.spectrum_env import SpectrumBand, step_band
-from crsim.su_fsm import MODE_NAMES, SessionStatus, mode_table
+from crsim.su_fsm import MODE_NAMES, Action, SessionStatus, mode_table
 
 COOP = PuState.COOPERATIVE
 NONCOOP = PuState.NONCOOPERATIVE
@@ -479,6 +479,76 @@ def test_every_live_session_sits_in_the_place_of_its_band(scenario):
     assert landed
 
 
+def running_sessions(engine: Engine) -> int:
+    """Check the running flag of every live session after a step; the number of running sessions.
+
+    A session runs exactly when it is active and its mode row at its band's
+    occupancy says transmit; a running session is resident on its band and
+    holds that band's knowledge-base record.
+    """
+    running = 0
+    for session in engine.live:
+        position, modes = session.place
+        band = engine.bands[position]
+        transmits = session.status is SessionStatus.ACTIVE and modes[band.pu_used][1] is Action.CONTINUE_TRANSMIT
+        assert session.running == transmits
+        if session.running:
+            assert band.su is session
+            assert session.record is engine.kb.records[session.band_id]
+            running += 1
+    return running
+
+
+@pytest.mark.parametrize("scenario", [replan_exhaustion, multiband_latency])
+def test_a_session_runs_exactly_while_its_mode_row_says_transmit(scenario):
+    engine = Engine(scenario())
+    running = 0
+    for _ in range(engine.scenario.horizon):
+        engine.step()
+        running += running_sessions(engine)
+    assert running > 0
+
+
+def test_a_session_of_the_resident_family_runs_exactly_while_its_mode_row_says_transmit():
+    running = 0
+    for index in range(50):
+        scenario, kb = differential.resident_scenario(2, index)
+        engine = Engine(scenario, kb=None if kb is None else KnowledgeBase.from_json_dict(kb))
+        for _ in range(scenario.horizon):
+            engine.step()
+            running += running_sessions(engine)
+    assert running > 0
+
+
+def test_a_grant_that_leaves_the_band_past_normal_senses_again_on_the_next_step():
+    # demand 4 on an 8-channel cooperative band whose occupancy only rises:
+    # admitted at occupancy 4 (Warning), the session waits out a latency of 2
+    # while the band rises to 5, and the one-channel grant leaves it at 4,
+    # still Warning; the band does not rise in step 3, where the session
+    # must sense Warning mode again and negotiate once more
+    scenario = Scenario(
+        bands=(BandDecl(0, 8, 0.5, 0.0, 3, COOP, 0.0, 0.0),),
+        sessions=(SessionDecl(T.VIDEO_CONFERENCING, 0.01, arrival=0),),
+        horizon=4,
+        seed=18,
+        negotiation=NegotiationParams(grant_request=1, latency=2),
+        handover=HandoverParams(latency=0),
+    )
+    engine = Engine(scenario, keep_trace=True)
+    occupancy = []
+    for _ in range(scenario.horizon):
+        engine.step()
+        occupancy.append(engine.bands[0].pu_used)
+    assert occupancy == [4, 5, 4, 4]
+    assert [(t, kind, c) for t, kind, _, _, c in engine.trace.records] == [
+        (0, EventKind.ADMIT, 4),
+        (0, EventKind.NEGOTIATION_STARTED, 2),
+        (2, EventKind.NEGOTIATION_GRANTED, 1),
+        (3, EventKind.NEGOTIATION_STARTED, 2),
+    ]
+    assert engine.metrics.mode_histogram == {"Normal": 0, "Warning": 2, "Failure": 0}
+
+
 def test_arrivals_are_admitted_in_priority_order_singles_first_on_ties():
     # patterns declared lowest priority first, each tagged by its demand, and a
     # single arrival (ECommerce, priority 12 as Voice) on a pattern step
@@ -842,8 +912,9 @@ def test_step_chains_matches_step_band_and_step_disposition_draw_for_draw(params
     ]
     for k in range(steps):
         block = draws[2 * n * k:]
+        before = [b.pu_used for b in single]
         # a longer draw list leaves the extra draws unread
-        step_chains(rows, block + [0.0])
+        risen = step_chains(rows, block + [0.0])
         # every band's occupancy, then every disposition, one draw each
         occupancy, willingness = Draws(block[:n]), Draws(block[n:2 * n])
         for band in single:
@@ -852,6 +923,8 @@ def test_step_chains_matches_step_band_and_step_disposition_draw_for_draw(params
             step_disposition(band.disposition, willingness)
         assert [b.pu_used for b in batched] == [b.pu_used for b in single]
         assert [b.disposition.state for b in batched] == [b.disposition.state for b in single]
+        # the bands reported are exactly those whose occupancy rose, in order
+        assert [id(b) for b in risen] == [id(batched[i]) for i, b in enumerate(single) if b.pu_used > before[i]]
 
 
 BLOCK = RandomStream._BLOCK

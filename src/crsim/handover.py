@@ -33,8 +33,8 @@ def select_target(
     best: int | None = None
     best_score: float | None = None  # not read while ``best`` is unopposed
     for band in bands:
-        # most bands of a busy run hold a session: test that before the free property
-        if band.su is not None or band.band_id == current or band.free < demand:
+        # most bands of a busy run hold a session: test that before the free channels
+        if band.su is not None or band.band_id == current or band.chain.capacity - band.pu_used < demand:
             continue
         band_id = band.band_id
         if best is None:

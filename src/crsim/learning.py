@@ -27,7 +27,8 @@ class KnowledgeBase:
     def __init__(self) -> None:
         # band id -> that band's live counters.  A record is created by the
         # first write to its band (``records[band_id].sensed += 1`` is a
-        # write); reads use ``.get``.  The engine increments these inline.
+        # write); reads use ``.get``.  The engine adds a running session's
+        # senses here in bulk, before any score or caller can read them.
         self.records: defaultdict[int, BandRecord] = defaultdict(BandRecord)
 
     def record_negotiation(self, band_id: int, granted: bool) -> None:
@@ -73,7 +74,11 @@ class KnowledgeBase:
         return (rec.available + 1) / (rec.sensed + 2)
 
     def score(self, band_id: int) -> float:
-        return self.coop_estimate(band_id) * self.availability_estimate(band_id)
+        """``coop_estimate * availability_estimate``, the record read once: the same floats."""
+        rec = self.records.get(band_id)
+        if rec is None:
+            return 0.25
+        return (rec.grants + 1) / (rec.attempts + 2) * ((rec.available + 1) / (rec.sensed + 2))
 
     def counters(self, band_id: int) -> BandRecord:
         """A copy of the raw counters for a band (zeros if never touched)."""

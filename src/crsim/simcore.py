@@ -5,8 +5,11 @@ evolves, (2) every licensed-user disposition evolves, both in one pass over
 the bands (``step_chains``), (3) due arrivals are admitted in priority
 order, (4-6) each live session senses, classifies its mode and acts
 (transmit / negotiate / hand over), (7) transmitting sessions draw
-completion, (8) buffered knowledge-base updates apply, (9) metrics,
-histograms and invariant checks.
+completion, (8) buffered knowledge-base updates apply, (9) metrics and
+invariant checks.  Only (1) and negotiation grants write a band's
+occupancy (``pu_used``), so the occupancy histograms are counted in
+``step_chains``, each band at its occupancy after (1), and a grant moves
+its band's count to the granted occupancy.
 
 (3) reads a schedule built once per run, from step to the admission ranks
 of the arrivals due then: ``su_fsm.order_arrivals`` ranks every declaration
@@ -22,9 +25,10 @@ any other step.  An own-band sense reads the session's mode row, whose
 availability field is 1 when the demand fits the band's free channels
 (any mode but Failure).  On a step without a scan, a session that
 transmits writes that sense (sensed 1, available 1) into the knowledge
-base at once, and this is exact: admission and handover score only bands
-with no resident session, and a transmitting session holds its band until
-(7), after which no score is read in the step.  A session that goes on to
+base without buffering (a running session when it settles, see below),
+and this is exact: admission and handover score only bands with no
+resident session, and a transmitting session holds its band until (7),
+after which no score is read in the step.  A session that goes on to
 negotiate or hand over may leave its band vacant for a later ranking in
 the same step, so its sense is buffered as (band, 1, fits) and (8)
 applies it.  A scan is only counted by demand, and (8) senses every band
@@ -55,12 +59,11 @@ is dropped for want of a target.
 
 A session whose turn ends in transmitting is *running* until (1) raises
 its band past the Normal rows of its demand.  At its place in the
-session-id loop, (4-6) settles a running session without reading its band:
-one Normal sense, its scan counted on a scan step and otherwise (1, 1)
-added to the band's record, which the session holds, and a transmit.  This
-is exact.  A running session's band changes in (4-6) only through its own
-grant, and (3) admits only onto vacant bands, so between two of its turns
-only (1) moves the band's occupancy, by at most one.  The Normal
+session-id loop, (4-6) takes a running session's turn without reading its
+band: one Normal sense, its scan counted on a scan step, and a transmit.
+This is exact.  A running session's band changes in (4-6) only through its
+own grant, and (3) admits only onto vacant bands, so between two of its
+turns only (1) moves the band's occupancy, by at most one.  The Normal
 occupancies of a mode row run from 0 to a boundary (``su_fsm.mode_table``),
 so a band that did not rise keeps its running session in Normal mode;
 ``step_chains`` reports the bands that rose, and a running session on one
@@ -69,10 +72,19 @@ full turn.  A grant may leave the band past Normal (the licensed user can
 take channels during the wait), so it makes the session running only when
 the mode row at the granted occupancy says transmit.  Running sessions stay
 in session-id order in the loop because a grant takes off the scans
-counted before it.  Holding the record changes no score: on a step without
-a scan the transmitting turn writes it, and on a scan step taking it
-creates it in (4-6) instead of (8), which writes every band on such a
-step; an empty record scores as a missing one.
+counted before it.
+
+A running session holds its band's knowledge-base record and the step its
+unwritten senses start at (``SuSession.since``); each of its later steps
+without a scan is one (1, 1) sense, added to the record when the session
+*settles*.  No score reads a band its session holds, so a session settles
+before its band turns vacant and before any caller can read the record:
+when a rise in (1) ends its run at step t (through t - 1), when it
+completes in (7) (through t), and when ``step`` or ``run`` returns.  The
+turn that starts a run writes its own sense at once, so a session that
+completes in that step has nothing to settle.  On a scan step, taking the
+record creates it in (4-6) instead of (8), which writes every band on such
+a step; an empty record scores as a missing one.
 
 Determinism contract: a single uniform stream seeded from the scenario
 seed is consumed in a documented order — bands by ascending id, then
@@ -319,12 +331,13 @@ def step_chains(rows: Sequence[tuple], draws: Sequence[float]) -> list[SpectrumB
     """(1) and (2) in one pass, by the rules of ``spectrum_env.step_band`` and ``negotiation.step_disposition``.
 
     Of n rows, row i is (i, n + i, band, birth, birth + death, capacity,
-    disposition): its occupancy reads ``draws[i]`` and its disposition
-    ``draws[n + i]``, and draws past the first 2n go unread.  Returns the
-    bands whose occupancy rose, in row order.
+    disposition, histogram): its occupancy reads ``draws[i]`` and its
+    disposition ``draws[n + i]``, and draws past the first 2n go unread.
+    Each band's new occupancy is counted once in its histogram.  Returns
+    the bands whose occupancy rose, in row order.
     """
     risen = []
-    for i, j, band, birth, birth_death, capacity, disposition in rows:
+    for i, j, band, birth, birth_death, capacity, disposition, histogram in rows:
         u = draws[i]
         if u < birth:
             if band.pu_used < capacity:
@@ -333,6 +346,7 @@ def step_chains(rows: Sequence[tuple], draws: Sequence[float]) -> list[SpectrumB
         elif u < birth_death:
             if band.pu_used > 0:
                 band.pu_used -= 1
+        histogram[band.pu_used] += 1
         if disposition.state is _COOPERATIVE:
             if draws[j] < disposition.alpha:
                 disposition.state = _NONCOOPERATIVE
@@ -379,13 +393,14 @@ class Engine:
         self.step_index = 0
         self._horizon = scenario.horizon
         self._scan_interval = scenario.handover.scan_interval
-        # step_chains' rows, and the (band, occupancy histogram) pairs of (9)
+        # each band's occupancy histogram, in self.bands order, and step_chains'
+        # rows, which count every band's occupancy after (1) in its histogram
         n = len(self.bands)
+        self._hists = [[0] * (b.capacity + 1) for b in self.bands]
         self._chain_rows = [
-            (i, n + i, b, b.chain.birth, b.chain.birth + b.chain.death, b.chain.capacity, b.disposition)
+            (i, n + i, b, b.chain.birth, b.chain.birth + b.chain.death, b.chain.capacity, b.disposition, self._hists[i])
             for i, b in enumerate(self.bands)
         ]
-        self._hist_rows = [(b, [0] * (b.capacity + 1)) for b in self.bands]
         self._neg_events: list[tuple[int, bool]] = []
         # the (band id, sensed, available) records that (8) applies
         self._senses: list[tuple[int, int, int]] = []
@@ -441,7 +456,7 @@ class Engine:
     @property
     def band_histograms(self) -> dict[int, list[int]]:
         """Per band id, in ascending order, the steps (9) counted at each occupancy."""
-        return {b.band_id: row for b, row in self._hist_rows}
+        return {b.band_id: row for b, row in zip(self.bands, self._hists)}
 
     def timeseries_header(self) -> list[str]:
         """Column names of the ``timeseries`` rows that ``Engine.step`` appends."""
@@ -459,8 +474,11 @@ class Engine:
 
     # -- per-step machinery -------------------------------------------------
 
-    def step(self) -> None:
-        """Advance the world one step (sub-steps 1-9, fixed order)."""
+    def step(self, settle: bool = True) -> None:
+        """Advance the world one step (sub-steps 1-9, fixed order).
+
+        ``settle=False`` leaves running sessions' senses unwritten: ``run`` settles once, at the end.
+        """
         if self.step_index >= self._horizon:
             raise EngineError("stepping past the scenario horizon")
         t = self.step_index
@@ -469,11 +487,13 @@ class Engine:
         bands = self.bands
 
         # (1) occupancy chains and (2) disposition chains, ascending band id;
-        # a running session on a band that rose past its Normal rows senses again
+        # a running session on a band that rose past its Normal rows writes its
+        # senses up to this step and senses again
         for band in step_chains(self._chain_rows, stream.take(2 * len(bands))):
             session = band.su
             if session is not None and session.running and session.place[1][band.pu_used][1] is not _TRANSMIT:
                 session.running = False
+                self._settle(session, t)
 
         # (3) arrivals due now, in admission order
         schedule = self._schedule
@@ -508,7 +528,7 @@ class Engine:
         records = self.kb.records
         transmitters = self._transmitters
         left = self._left
-        normal = 0  # turns that sensed Normal mode and transmit
+        grants = m.grants
         for session in tuple(self.live):
             if not session.running:
                 if session.status is _ACTIVE:
@@ -525,10 +545,14 @@ class Engine:
                     band = bands[position]
                     mode_name, action, fits = modes[band.pu_used]
                     if action is _TRANSMIT:
-                        # Normal mode, which only a rise in (1) can end: this
-                        # turn and the next ones settle as running
+                        # Normal mode, which only a rise in (1) can end: this turn
+                        # writes its sense at once, and the next ones run
                         session.running = True
-                        session.record = records[band.band_id]
+                        session.record = rec = records[band.band_id]
+                        session.since = t + 1
+                        if not scan:
+                            rec.sensed += 1
+                            rec.available += 1
                         break
                     mode_histogram[mode_name] += 1
                     if scan:
@@ -545,22 +569,17 @@ class Engine:
                     left.clear()
                 if handler is not _SENSE:  # the turn ended without a transmitting sense
                     continue
-            # a running session: one Normal sense, counted as a scan or written
-            # at once, and a transmit
-            normal += 1
+            # a Normal sense, counted as a scan or written (a running session's
+            # when it settles), and a transmit
             if scan:
                 demand = session.demand
                 scans[demand] = scans.get(demand, 0) + 1
-            else:
-                # no score reads a band its session holds: write at once
-                rec = session.record
-                rec.sensed += 1
-                rec.available += 1
             transmitters.append(session)
-        mode_histogram[_NORMAL_NAME] += normal
 
-        # (7) completion draws, ascending session id
+        # (7) completion draws, ascending session id; every transmitter but
+        # the step's grants sensed Normal mode
         if transmitters:
+            mode_histogram[_NORMAL_NAME] += len(transmitters) - (m.grants - grants)
             draws = stream.take(len(transmitters))
             for i, session in enumerate(transmitters):
                 if draws[i] < session.completion:
@@ -578,9 +597,7 @@ class Engine:
             self.kb.record_senses(senses)
             senses.clear()
 
-        # (9) metrics, histograms, invariants
-        for band, row in self._hist_rows:
-            row[band.pu_used] += 1
+        # (9) metrics and invariants; step_chains and grants counted the histograms
         m.still_active = len(self.live)
         if m.admitted + m.blocked != m.arrivals:
             raise EngineError("conservation violated: admitted + blocked != arrivals")
@@ -593,6 +610,8 @@ class Engine:
                 (t, *(b.pu_used for b in bands), m.still_active, m.arrivals, m.blocked, m.completed, m.dropped)
             )
         self.step_index = t + 1
+        if settle:
+            self._settle_running()
 
     def _handle(self, session: SuSession, t: int, handler: _Handler) -> object | None:
         """Run ``handler`` and the handlers it hands on to: ``_SENSE`` when a
@@ -611,7 +630,9 @@ class Engine:
         return None
 
     def _resolve_negotiation(self, session: SuSession, t: int) -> _Handler | None:
-        band = self.bands[session.place[0]]
+        position = session.place[0]
+        band = self.bands[position]
+        used = band.pu_used
         outcome = negotiation.negotiate(band, self.scenario.negotiation.grant_request)
         m = self.metrics
         m.negotiations += 1
@@ -619,6 +640,10 @@ class Engine:
         su_fsm.apply_outcome(session, outcome)
         if outcome.granted:
             m.grants += 1
+            # the histogram counted the occupancy before the grant
+            histogram = self._hists[position]
+            histogram[used] -= 1
+            histogram[band.pu_used] += 1
             scans = self._scan_counts
             if scans:  # the scans so far whose demand fits only with the granted channels
                 free = band.free
@@ -629,6 +654,7 @@ class Engine:
             if session.place[1][band.pu_used][1] is _TRANSMIT:
                 session.running = True
                 session.record = self.kb.records[band.band_id]
+                session.since = t + 1
             self._transmitters.append(session)
             return None
         m.refusals += 1
@@ -708,6 +734,23 @@ class Engine:
         counts.clear()
         moved.clear()
 
+    def _settle(self, session: SuSession, end: int) -> None:
+        """Add a running session's senses, one per step without a scan in [since, end), to its record."""
+        since, interval = session.since, self._scan_interval
+        # the steps less the scan steps (multiples of the interval) among them
+        n = end - since - (-since // interval - -end // interval)
+        if n:
+            rec = session.record
+            rec.sensed += n
+            rec.available += n
+        session.since = end
+
+    def _settle_running(self) -> None:
+        """Settle every running session up to the current step."""
+        for session in self.live:
+            if session.running:
+                self._settle(session, self.step_index)
+
     def _vacate(self, session: SuSession) -> None:
         """Clear the session's band of it, if it is resident there; the band is then vacant."""
         band = self.bands[session.place[0]]
@@ -722,6 +765,8 @@ class Engine:
         self.live.remove(session)
 
     def _complete(self, session: SuSession, t: int) -> None:
+        if session.running and session.since <= t:  # before its band turns vacant and can be scored
+            self._settle(session, t + 1)
         self._vacate(session)
         self.metrics.completed += 1
         self.trace.add(t, EventKind.COMPLETED, session.session_id, session.band_id, 0)
@@ -730,7 +775,8 @@ class Engine:
     def run(self) -> Engine:
         """Step to the horizon and return this engine, which holds the run's results."""
         for _ in range(self._horizon - self.step_index):
-            self.step()
+            self.step(False)
+        self._settle_running()
         return self
 
 

@@ -115,8 +115,10 @@ class SuSession:
     # True from a turn that ends in transmitting until (1) raises the band past
     # this demand's Normal rows: (4-6) then settles the session without sensing
     running: bool = False
-    # the knowledge-base record of the band while running, written in place
+    # the knowledge-base record of the band while running, and the step its
+    # unwritten senses start at: the engine adds those to the record in bulk
     record: BandRecord | None = field(default=None, repr=False)
+    since: int = 0
 
 
 def decide(session: SuSession, mode: Mode) -> Action:
@@ -157,4 +159,4 @@ def admit(bands: Iterable[SpectrumBand], demand: int, kb: KnowledgeBase) -> int 
     highest knowledge-base score wins; ties break toward the lowest id.
     This is handover target selection with no current band.
     """
-    return select_target(bands, current=-1, demand=demand, kb=kb)
+    return select_target(bands, -1, demand, kb)

@@ -17,13 +17,18 @@ of 1-3, scan intervals of 1-5 and long-lived sessions (completion
 0.005-0.05): sessions stay on their bands for tens of steps, and a grant
 after a wait often leaves a band still past Normal.  A scenario's digest covers
 everything a run reports: the trace hash, the knowledge base, the metrics,
-the band histograms, the time series and the NDJSON trace.
+the band histograms, the time series and the NDJSON trace.  With
+``--stepped`` the harness drives each run one ``Engine.step()`` at a time
+and also folds the knowledge base and the band histograms after every step
+into the digest, so it sees a write that lands late between steps, which
+the end-of-run outputs cannot.
 
 Two engines agree on a family when their manifests are equal:
 
     PYTHONPATH=src python tests/differential.py --count 2000 --seed 1 > a.txt
     PYTHONPATH=src python tests/differential.py --family vacant --count 2000 --seed 3 > b.txt
     PYTHONPATH=src python tests/differential.py --family resident --count 2000 --seed 9 > c.txt
+    PYTHONPATH=src python tests/differential.py --family resident --stepped --count 2000 --seed 9 > d.txt
 
 prints one line per scenario (index, scenario hash prefix, digest) and a
 last line ``combined <digest>`` over all of them.
@@ -224,16 +229,25 @@ def resident_scenario(seed: int, index: int) -> tuple[Scenario, dict | None]:
 FAMILIES = {"mixed": scenario, "vacant": vacant_scenario, "resident": resident_scenario}
 
 
-def outputs(scenario: Scenario, kb: dict | None) -> dict:
-    """Everything one run reports, as plain JSON values."""
+def outputs(scenario: Scenario, kb: dict | None, stepped: bool = False) -> dict:
+    """Everything one run reports, as plain JSON values.
+
+    ``stepped`` runs the engine one ``step()`` at a time and adds ``steps``,
+    a digest of the knowledge base and the band histograms after each step.
+    """
     engine = Engine(
         scenario,
         keep_trace=True,
         collect_timeseries=True,
         kb=None if kb is None else KnowledgeBase.from_json_dict(kb),
     )
+    steps = hashlib.sha256()
+    if stepped:
+        for _ in range(scenario.horizon):
+            engine.step()
+            steps.update(json.dumps([engine.kb.to_json_dict(), engine.band_histograms], sort_keys=True).encode())
     result = engine.run()
-    return {
+    out = {
         "trace_hash": result.trace_hash,
         "kb": result.kb.to_json_dict(),
         "metrics": result.metrics.to_dict(),
@@ -241,18 +255,21 @@ def outputs(scenario: Scenario, kb: dict | None) -> dict:
         "timeseries": [result.timeseries_header(), *result.timeseries],
         "ndjson": list(result.trace.ndjson_lines()),
     }
+    if stepped:
+        out["steps"] = steps.hexdigest()
+    return out
 
 
-def digest(scenario: Scenario, kb: dict | None) -> str:
-    return hashlib.sha256(json.dumps(outputs(scenario, kb), sort_keys=True).encode()).hexdigest()
+def digest(scenario: Scenario, kb: dict | None, stepped: bool = False) -> str:
+    return hashlib.sha256(json.dumps(outputs(scenario, kb, stepped), sort_keys=True).encode()).hexdigest()
 
 
-def manifest(count: int, seed: int, family: str = "mixed") -> list[str]:
+def manifest(count: int, seed: int, family: str = "mixed", stepped: bool = False) -> list[str]:
     """One line per scenario of ``family``, then ``combined <sha256 of the lines before it>``."""
     lines = []
     for index in range(count):
         sc, kb = FAMILIES[family](seed, index)
-        lines.append(f"{index} {sc.sha256()[:12]} {digest(sc, kb)}")
+        lines.append(f"{index} {sc.sha256()[:12]} {digest(sc, kb, stepped)}")
     combined = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     return [*lines, f"combined {combined}"]
 
@@ -262,10 +279,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--count", type=int, required=True, help="number of scenarios")
     parser.add_argument("--seed", type=int, required=True, help="seed of the family")
     parser.add_argument("--family", choices=sorted(FAMILIES), default="mixed", help="family of scenarios")
+    parser.add_argument("--stepped", action="store_true", help="step singly; digest each step's KB and histograms")
     args = parser.parse_args(argv)
     # the engine logs a warning on each negotiation with an idle licensed user
     logging.basicConfig(level=logging.ERROR)
-    for line in manifest(args.count, args.seed, args.family):
+    for line in manifest(args.count, args.seed, args.family, args.stepped):
         print(line)
     return 0
 

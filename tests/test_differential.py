@@ -8,7 +8,12 @@ that settled a band's pending scans right before each grant.  The
 recorded with an engine that scanned every arrival pattern each step and
 ran each transmitting session through its handler loop, and the
 ``resident_tier1`` and ``resident_ci`` digests of the ``resident`` family
-with one that sensed every active session in every step.  The ``tier1``
+with one that sensed every active session in every step.  The
+``resident_stepped_tier1`` and ``resident_stepped_ci`` digests step the
+``resident`` family one ``step()`` at a time and fold the knowledge base and
+the band histograms after every step; they were recorded with an engine
+that wrote a running session's sense in every step and counted histograms
+in a pass of their own.  The ``tier1``
 keys are checked here; CI checks the larger ``ci`` keys with
 ``python tests/differential.py``.
 """
@@ -39,6 +44,12 @@ def test_the_vacant_family_digest_is_unchanged():
 def test_the_resident_family_digest_is_unchanged():
     family = PINNED["resident_tier1"]
     manifest = differential.manifest(family["count"], family["seed"], family["family"])
+    assert manifest[-1] == f"combined {family['combined']}"
+
+
+def test_the_stepped_resident_family_digest_is_unchanged():
+    family = PINNED["resident_stepped_tier1"]
+    manifest = differential.manifest(family["count"], family["seed"], family["family"], family["stepped"])
     assert manifest[-1] == f"combined {family['combined']}"
 
 

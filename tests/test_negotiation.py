@@ -191,7 +191,9 @@ def test_step_dispositions_matches_step_disposition_draw_for_draw(chains, steps,
     draws = data.draw(st.lists(st.sampled_from(boundaries) | st.floats(0.0, 0.999), min_size=size, max_size=size))
     batched, single = build(), build()
     # frozen bands (birth = death = 0): their occupancy draws move nothing
-    rows = [(i, n + i, band_with(d), 0.0, 0.0, 8, d) for i, d in enumerate(batched)]
+    bands = [band_with(d) for d in batched]
+    hists = [[0] * 9 for _ in batched]
+    rows = [(i, n + i, band, 0.0, 0.0, 8, band.disposition, hists[i]) for i, band in enumerate(bands)]
     for k in range(steps):
         willingness = draws[k * n:(k + 1) * n]
         # n occupancy draws, then the dispositions' draws, then an extra draw left unread
@@ -200,3 +202,5 @@ def test_step_dispositions_matches_step_disposition_draw_for_draw(chains, steps,
         for disp in single:
             step_disposition(disp, rng)
         assert [d.state for d in batched] == [d.state for d in single]
+        # each frozen band's histogram counted its unmoved occupancy once a step
+        assert hists == [[k + 1 if used == band.pu_used else 0 for used in range(9)] for band in bands]

@@ -520,6 +520,69 @@ def test_a_session_of_the_resident_family_runs_exactly_while_its_mode_row_says_t
     assert running > 0
 
 
+def one_band(band: BandDecl, completion: float, horizon: int, seed: int) -> Scenario:
+    """One VideoConferencing session (demand 4) arriving at step 0, zero latencies, a scan every third step."""
+    return Scenario(
+        bands=(band,),
+        sessions=(SessionDecl(T.VIDEO_CONFERENCING, completion, arrival=0),),
+        horizon=horizon,
+        seed=seed,
+        negotiation=NegotiationParams(latency=0),
+        handover=HandoverParams(latency=0, scan_interval=3),
+    )
+
+
+@pytest.mark.parametrize("seed, done", [(3, 6), (4, 7)])  # completes on a scan step, on a step without one
+def test_a_running_session_that_completes_settles_every_step_it_sensed(seed, done):
+    # a static band the session fills with slack: it runs from step 0 until
+    # it completes, one own-band sense a step (a scan's record on steps 0, 3
+    # and 6), and no sense after it leaves
+    engine = run(one_band(BandDecl(0, 8, 0.0, 0.0, 0, COOP, 0.0, 0.0), 0.2, 12, seed), keep_trace=True)
+    assert [(t, kind) for t, kind, *_ in engine.trace.records] == [(0, EventKind.ADMIT), (done, EventKind.COMPLETED)]
+    assert engine.kb.to_json_dict() == {"0": {"attempts": 0, "grants": 0, "sensed": done + 1, "available": done + 1}}
+    assert engine.metrics.mode_histogram == {"Normal": done + 1, "Warning": 0, "Failure": 0}
+
+
+def test_a_run_ended_by_a_rise_settles_the_steps_before_it():
+    # occupancy 3 of 8 and births only: the session runs from step 0 over the
+    # scan step 3 until the rise of step 4 leaves it in Warning mode; that turn
+    # senses once more (4 channels free fit its demand), is refused and drops
+    engine = run(one_band(BandDecl(0, 8, 0.3, 0.0, 3, NONCOOP, 0.0, 0.0), 0.001, 12, 8), keep_trace=True)
+    assert [(t, kind) for t, kind, *_ in engine.trace.records] == [
+        (0, EventKind.ADMIT),
+        (4, EventKind.NEGOTIATION_REFUSED),
+        (4, EventKind.HANDOVER_STARTED),
+        (4, EventKind.DROPPED),
+    ]
+    assert engine.kb.to_json_dict() == {"0": {"attempts": 1, "grants": 0, "sensed": 5, "available": 5}}
+    assert engine.metrics.mode_histogram == {"Normal": 4, "Warning": 1, "Failure": 0}
+
+
+def test_a_grant_moves_its_band_histogram_count_and_is_not_a_normal_turn():
+    # occupancy 4 of 8, demand 4: Warning at step 0, and the one-channel
+    # grant leaves the static band at 3, where the session runs to the horizon
+    engine = run(one_band(BandDecl(0, 8, 0.0, 0.0, 4, COOP, 0.0, 0.0), 0.01, 6, 1), keep_trace=True)
+    assert [(t, kind, c) for t, kind, _, _, c in engine.trace.records] == [
+        (0, EventKind.ADMIT, 4),
+        (0, EventKind.NEGOTIATION_GRANTED, 1),
+    ]
+    assert engine.band_histograms == {0: [0, 0, 0, 6, 0, 0, 0, 0, 0]}
+    assert engine.metrics.mode_histogram == {"Normal": 5, "Warning": 1, "Failure": 0}
+    assert engine.kb.to_json_dict() == {"0": {"attempts": 1, "grants": 1, "sensed": 6, "available": 6}}
+
+
+def test_a_caller_held_knowledge_base_is_current_after_every_step():
+    # the completing run of seed 3 (step 6) on a warm-started band 0: each
+    # step() returns with that step's own-band sense written
+    kb = KnowledgeBase.from_json_dict({"0": {"attempts": 2, "grants": 1, "sensed": 10, "available": 7}})
+    engine = Engine(one_band(BandDecl(0, 8, 0.0, 0.0, 0, COOP, 0.0, 0.0), 0.2, 12, 3), kb=kb)
+    seen = []
+    for _ in range(12):
+        engine.step()
+        seen.append((kb.counters(0).sensed, kb.counters(0).available))
+    assert seen == [(11 + min(t, 6), 8 + min(t, 6)) for t in range(12)]
+
+
 def test_a_grant_that_leaves_the_band_past_normal_senses_again_on_the_next_step():
     # demand 4 on an 8-channel cooperative band whose occupancy only rises:
     # admitted at occupancy 4 (Warning), the session waits out a latency of 2
@@ -906,10 +969,12 @@ def test_step_chains_matches_step_band_and_step_disposition_draw_for_draw(params
         st.lists(st.sampled_from(boundaries) | st.floats(0.0, 0.999), min_size=2 * n * steps, max_size=2 * n * steps)
     )
     batched, single = build(), build()
+    hists = [[0] * (b.capacity + 1) for b in batched]
     rows = [
-        (i, n + i, b, b.chain.birth, b.chain.birth + b.chain.death, b.chain.capacity, b.disposition)
+        (i, n + i, b, b.chain.birth, b.chain.birth + b.chain.death, b.chain.capacity, b.disposition, hists[i])
         for i, b in enumerate(batched)
     ]
+    counted = [[0] * (b.capacity + 1) for b in single]
     for k in range(steps):
         block = draws[2 * n * k:]
         before = [b.pu_used for b in single]
@@ -925,6 +990,10 @@ def test_step_chains_matches_step_band_and_step_disposition_draw_for_draw(params
         assert [b.disposition.state for b in batched] == [b.disposition.state for b in single]
         # the bands reported are exactly those whose occupancy rose, in order
         assert [id(b) for b in risen] == [id(batched[i]) for i, b in enumerate(single) if b.pu_used > before[i]]
+        # each band's histogram counted its new occupancy once
+        for band, row in zip(single, counted):
+            row[band.pu_used] += 1
+        assert hists == counted
 
 
 BLOCK = RandomStream._BLOCK

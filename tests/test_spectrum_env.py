@@ -149,15 +149,20 @@ def test_step_bands_matches_step_band_draw_for_draw(bands, steps, data):
     size = n * steps
     draws = data.draw(st.lists(st.sampled_from(boundaries) | st.floats(0.0, 0.999), min_size=size, max_size=size))
     batched, single = build(), build()
+    hists = [[0] * (b.capacity + 1) for b in batched]
     rows = [
-        (i, n + i, b, b.chain.birth, b.chain.birth + b.chain.death, b.chain.capacity, b.disposition)
+        (i, n + i, b, b.chain.birth, b.chain.birth + b.chain.death, b.chain.capacity, b.disposition, hists[i])
         for i, b in enumerate(batched)
     ]
+    counted = [[0] * (b.capacity + 1) for b in single]
     for k in range(steps):
         occupancy = draws[k * n:(k + 1) * n]
         # n disposition draws (alpha = 0: never a switch), then an extra draw left unread
         step_chains(rows, occupancy + [0.0] * n + [0.0])
         rng = Draws(occupancy)
-        for band in single:
+        for band, row in zip(single, counted):
             step_band(band, rng)
+            row[band.pu_used] += 1
         assert [b.pu_used for b in batched] == [b.pu_used for b in single]
+        # each band's histogram counted its new occupancy once
+        assert hists == counted

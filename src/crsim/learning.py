@@ -25,10 +25,9 @@ class KnowledgeBase:
     """Monotone per-band event counters with smoothed estimates."""
 
     def __init__(self) -> None:
-        # band id -> that band's live counters.  A record is created by the
-        # first write to its band (``records[band_id].sensed += 1`` is a
-        # write); reads use ``.get``.  The engine adds a running session's
-        # senses here in bulk, before any score or caller can read them.
+        # band id -> that band's live counters, created by the first write to
+        # the band; reads use ``.get``.  The engine settles a running
+        # session's senses here in bulk, before any score or caller reads them.
         self.records: defaultdict[int, BandRecord] = defaultdict(BandRecord)
 
     def record_negotiation(self, band_id: int, granted: bool) -> None:
@@ -61,20 +60,12 @@ class KnowledgeBase:
                 rec.sensed += sensed
                 rec.available += available
 
-    def coop_estimate(self, band_id: int) -> float:
-        rec = self.records.get(band_id)
-        if rec is None:
-            return 0.5
-        return (rec.grants + 1) / (rec.attempts + 2)
-
-    def availability_estimate(self, band_id: int) -> float:
-        rec = self.records.get(band_id)
-        if rec is None:
-            return 0.5
-        return (rec.available + 1) / (rec.sensed + 2)
-
     def score(self, band_id: int) -> float:
-        """``coop_estimate * availability_estimate``, the record read once: the same floats."""
+        """The band's grant-rate estimate times its availability estimate, the record read once.
+
+        That is ``(grants + 1) / (attempts + 2) * ((available + 1) / (sensed + 2))``;
+        a band with no record scores 0.25, both estimates at the 0.5 prior.
+        """
         rec = self.records.get(band_id)
         if rec is None:
             return 0.25

@@ -23,12 +23,11 @@ it observes every band once on a scan step (step index a multiple of the
 handover scan interval), its own band included, and only its own band on
 any other step.  An own-band sense reads the session's mode row, whose
 availability field is 1 when the demand fits the band's free channels
-(any mode but Failure).  On a step without a scan, a session that
-transmits writes that sense (sensed 1, available 1) into the knowledge
-base without buffering (a running session when it settles, see below),
-and this is exact: admission and handover score only bands with no
-resident session, and a transmitting session holds its band until (7),
-after which no score is read in the step.  A session that goes on to
+(any mode but Failure).  On a step without a scan, a Normal sense
+(sensed 1, available 1) starts or continues a run and is not buffered but
+written when its session settles (see below), and this is exact:
+admission and handover score only bands with no resident session, and a
+session settles before it leaves its band.  A session that goes on to
 negotiate or hand over may leave its band vacant for a later ranking in
 the same step, so its sense is buffered as (band, 1, fits) and (8)
 applies it.  A scan is only counted by demand, and (8) senses every band
@@ -74,17 +73,16 @@ the mode row at the granted occupancy says transmit.  Running sessions stay
 in session-id order in the loop because a grant takes off the scans
 counted before it.
 
-A running session holds its band's knowledge-base record and the step its
-unwritten senses start at (``SuSession.since``); each of its later steps
-without a scan is one (1, 1) sense, added to the record when the session
-*settles*.  No score reads a band its session holds, so a session settles
-before its band turns vacant and before any caller can read the record:
-when a rise in (1) ends its run at step t (through t - 1), when it
-completes in (7) (through t), and when ``step`` or ``run`` returns.  The
-turn that starts a run writes its own sense at once, so a session that
-completes in that step has nothing to settle.  On a scan step, taking the
-record creates it in (4-6) instead of (8), which writes every band on such
-a step; an empty record scores as a missing one.
+A running session's senses have one writer.  The session keeps the step
+its unwritten senses start at (``SuSession.since``): the step of the turn
+that sensed Normal mode and started its run, or the step after a grant,
+whose own sense (8) applies.  Each step without a scan from there on is
+one (1, 1) sense, added to the record of the session's band, which a
+running session never leaves, when the session *settles*.  No score reads
+a band its session holds, so a session settles before its band turns
+vacant and before any caller can read the record: when a rise in (1) ends
+its run at step t (through t - 1), when it completes in (7) (through t),
+and when ``step`` or ``run`` returns.
 
 Determinism contract: a single uniform stream seeded from the scenario
 seed is consumed in a documented order — bands by ascending id, then
@@ -525,7 +523,6 @@ class Engine:
         scan = t % self._scan_interval == 0
         scans = self._scan_counts
         senses = self._senses
-        records = self.kb.records
         transmitters = self._transmitters
         left = self._left
         grants = m.grants
@@ -545,14 +542,10 @@ class Engine:
                     band = bands[position]
                     mode_name, action, fits = modes[band.pu_used]
                     if action is _TRANSMIT:
-                        # Normal mode, which only a rise in (1) can end: this turn
-                        # writes its sense at once, and the next ones run
+                        # Normal mode, which only a rise in (1) can end: the run
+                        # and its unwritten senses start with this turn
                         session.running = True
-                        session.record = rec = records[band.band_id]
-                        session.since = t + 1
-                        if not scan:
-                            rec.sensed += 1
-                            rec.available += 1
+                        session.since = t
                         break
                     mode_histogram[mode_name] += 1
                     if scan:
@@ -569,8 +562,8 @@ class Engine:
                     left.clear()
                 if handler is not _SENSE:  # the turn ended without a transmitting sense
                     continue
-            # a Normal sense, counted as a scan or written (a running session's
-            # when it settles), and a transmit
+            # a Normal sense, counted as a scan or written when the session
+            # settles, and a transmit
             if scan:
                 demand = session.demand
                 scans[demand] = scans.get(demand, 0) + 1
@@ -583,7 +576,12 @@ class Engine:
             draws = stream.take(len(transmitters))
             for i, session in enumerate(transmitters):
                 if draws[i] < session.completion:
-                    self._complete(session, t)
+                    if session.running:  # before its band turns vacant and can be scored
+                        self._settle(session, t + 1)
+                    self._vacate(session)
+                    m.completed += 1
+                    self.trace.add(t, EventKind.COMPLETED, session.session_id, session.band_id, 0)
+                    self.live.remove(session)
             transmitters.clear()
 
         # (8) knowledge-base updates buffered during this step
@@ -653,8 +651,7 @@ class Engine:
             # a grant can leave the band past Normal: the mode row decides
             if session.place[1][band.pu_used][1] is _TRANSMIT:
                 session.running = True
-                session.record = self.kb.records[band.band_id]
-                session.since = t + 1
+                session.since = t + 1  # (8) applies this step's sense
             self._transmitters.append(session)
             return None
         m.refusals += 1
@@ -735,12 +732,12 @@ class Engine:
         moved.clear()
 
     def _settle(self, session: SuSession, end: int) -> None:
-        """Add a running session's senses, one per step without a scan in [since, end), to its record."""
+        """Add a running session's senses, one per step without a scan in [since, end), to its band's record."""
         since, interval = session.since, self._scan_interval
         # the steps less the scan steps (multiples of the interval) among them
         n = end - since - (-since // interval - -end // interval)
         if n:
-            rec = session.record
+            rec = self.kb.records[session.band_id]  # a running session never leaves its band
             rec.sensed += n
             rec.available += n
         session.since = end
@@ -762,14 +759,6 @@ class Engine:
         # a session is dropped only while handing over, when no band holds it
         self.metrics.dropped += 1
         self.trace.add(t, EventKind.DROPPED, session.session_id, session.band_id, reason)
-        self.live.remove(session)
-
-    def _complete(self, session: SuSession, t: int) -> None:
-        if session.running and session.since <= t:  # before its band turns vacant and can be scored
-            self._settle(session, t + 1)
-        self._vacate(session)
-        self.metrics.completed += 1
-        self.trace.add(t, EventKind.COMPLETED, session.session_id, session.band_id, 0)
         self.live.remove(session)
 
     def run(self) -> Engine:

@@ -18,7 +18,7 @@ from enum import Enum, IntEnum
 from typing import Iterable, Sequence, TypeVar
 
 from .handover import select_target
-from .learning import BandRecord, KnowledgeBase
+from .learning import KnowledgeBase
 from .negotiation import NegotiationOutcome
 from .qos import priority
 from .spectrum_env import SpectrumBand
@@ -115,9 +115,8 @@ class SuSession:
     # True from a turn that ends in transmitting until (1) raises the band past
     # this demand's Normal rows: (4-6) then settles the session without sensing
     running: bool = False
-    # the knowledge-base record of the band while running, and the step its
-    # unwritten senses start at: the engine adds those to the record in bulk
-    record: BandRecord | None = field(default=None, repr=False)
+    # while running, the step its unwritten senses start at: the engine
+    # settles them, adding them to its band's knowledge-base record in bulk
     since: int = 0
 
 

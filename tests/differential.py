@@ -25,13 +25,19 @@ the end-of-run outputs cannot.
 
 Two engines agree on a family when their manifests are equal:
 
-    PYTHONPATH=src python tests/differential.py --count 2000 --seed 1 > a.txt
-    PYTHONPATH=src python tests/differential.py --family vacant --count 2000 --seed 3 > b.txt
+    PYTHONPATH=src python tests/differential.py --count 2000 --seed 7 > a.txt
+    PYTHONPATH=src python tests/differential.py --family vacant --count 2000 --seed 5 > b.txt
     PYTHONPATH=src python tests/differential.py --family resident --count 2000 --seed 9 > c.txt
     PYTHONPATH=src python tests/differential.py --family resident --stepped --count 2000 --seed 9 > d.txt
 
 prints one line per scenario (index, scenario hash prefix, digest) and a
 last line ``combined <digest>`` over all of them.
+
+``tests/data/differential.json`` lists the pinned runs: per key its family
+(``mixed`` when absent), count, seed, whether it is stepped, and the
+combined digest.  Tier-1 checks every ``tier1`` key (50 scenarios each,
+``tests/test_differential.py``) and CI every ``ci`` key (2,000 each, the
+runs above).
 """
 
 from __future__ import annotations

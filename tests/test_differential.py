@@ -13,9 +13,9 @@ with one that sensed every active session in every step.  The
 ``resident`` family one ``step()`` at a time and fold the knowledge base and
 the band histograms after every step; they were recorded with an engine
 that wrote a running session's sense in every step and counted histograms
-in a pass of their own.  The ``tier1``
-keys are checked here; CI checks the larger ``ci`` keys with
-``python tests/differential.py``.
+in a pass of their own.  Every ``tier1`` key (``tier1`` or ending in
+``_tier1``) is checked here; CI checks every larger ``ci`` key the same way
+with ``python tests/differential.py``.
 """
 
 from __future__ import annotations
@@ -24,33 +24,18 @@ import json
 from pathlib import Path
 
 import differential
+import pytest
 
 from crsim.simcore import _DROP_REASONS, _KINDS
 
 PINNED = json.loads((Path(__file__).parent / "data" / "differential.json").read_text(encoding="utf-8"))
 
 
-def test_the_family_digest_is_unchanged():
-    family = PINNED["tier1"]
-    assert differential.manifest(family["count"], family["seed"])[-1] == f"combined {family['combined']}"
-
-
-def test_the_vacant_family_digest_is_unchanged():
-    family = PINNED["vacant_tier1"]
-    manifest = differential.manifest(family["count"], family["seed"], family["family"])
-    assert manifest[-1] == f"combined {family['combined']}"
-
-
-def test_the_resident_family_digest_is_unchanged():
-    family = PINNED["resident_tier1"]
-    manifest = differential.manifest(family["count"], family["seed"], family["family"])
-    assert manifest[-1] == f"combined {family['combined']}"
-
-
-def test_the_stepped_resident_family_digest_is_unchanged():
-    family = PINNED["resident_stepped_tier1"]
-    manifest = differential.manifest(family["count"], family["seed"], family["family"], family["stepped"])
-    assert manifest[-1] == f"combined {family['combined']}"
+@pytest.mark.parametrize("key", [key for key in PINNED if key.split("_")[-1] == "tier1"])
+def test_the_pinned_digest_is_unchanged(key):
+    run = PINNED[key]
+    manifest = differential.manifest(run["count"], run["seed"], run.get("family", "mixed"), run.get("stepped", False))
+    assert manifest[-1] == f"combined {run['combined']}"
 
 
 def test_the_family_reaches_every_event_kind_and_both_drop_reasons():

@@ -52,11 +52,17 @@ def test_counters_never_decrease():
         last = now
 
 
+def laplace(kb: KnowledgeBase, band_id: int) -> tuple[float, float]:
+    """The band's grant-rate and availability estimates, from its counters."""
+    rec = kb.counters(band_id)
+    return (rec.grants + 1) / (rec.attempts + 2), (rec.available + 1) / (rec.sensed + 2)
+
+
 def test_smoothed_estimates_on_fresh_band():
     kb = KnowledgeBase()
-    assert kb.coop_estimate(3) == 0.5
-    assert kb.availability_estimate(3) == 0.5
+    assert laplace(kb, 3) == (0.5, 0.5)
     assert kb.score(3) == 0.25
+    assert kb.records == {}  # neither read creates a record
 
 
 def test_score_example_values():
@@ -68,7 +74,8 @@ def test_score_example_values():
     kb2 = KnowledgeBase()
     for _ in range(8):
         kb2.record_negotiation(0, granted=False)
-    assert kb2.coop_estimate(0) == pytest.approx(0.1)
+    # a grant rate of 1/10 and no senses: availability at the 0.5 prior
+    assert kb2.score(0) == pytest.approx(0.05)
 
 
 def test_estimates_stay_strictly_inside_unit_interval():
@@ -76,23 +83,27 @@ def test_estimates_stay_strictly_inside_unit_interval():
     for _ in range(1000):
         kb.record_negotiation(0, granted=False)
         sense(kb, 0, free=0)
-    assert 0.0 < kb.coop_estimate(0) < 1.0
-    assert 0.0 < kb.availability_estimate(0) < 1.0
-    assert 0.0 < kb.score(0) < 1.0
+        kb.record_negotiation(1, granted=True)
+        sense(kb, 1, free=8)
+    for band_id in (0, 1):
+        assert all(0.0 < estimate < 1.0 for estimate in laplace(kb, band_id))
+        assert 0.0 < kb.score(band_id) < 1.0
 
 
 def test_score_monotone_in_grants_and_availability():
-    coops = []
-    avails = []
+    # band 0 gains grants over eight negotiations, band 1 available senses
+    # over eight senses, the other counters held fixed
+    by_grants = []
+    by_available = []
     for hits in range(0, 9):
         kb = KnowledgeBase()
         for i in range(8):
             kb.record_negotiation(0, granted=i < hits)
-            sense(kb, 0, free=8 if i < hits else 0)
-        coops.append(kb.coop_estimate(0))
-        avails.append(kb.availability_estimate(0))
-    assert all(a < b for a, b in zip(coops, coops[1:]))
-    assert all(a < b for a, b in zip(avails, avails[1:]))
+            sense(kb, 1, free=8 if i < hits else 0)
+        by_grants.append(kb.score(0))
+        by_available.append(kb.score(1))
+    assert all(a < b for a, b in zip(by_grants, by_grants[1:]))
+    assert all(a < b for a, b in zip(by_available, by_available[1:]))
 
 
 def test_two_band_ordering_after_fifty_negotiations():
@@ -225,7 +236,7 @@ record_ops = st.one_of(
 def test_score_is_the_product_of_both_estimates_after_any_writes(ops):
     """After any mix of negotiation and sense writes, and of score reads in
     between, each band scores its grant-rate estimate times its availability
-    estimate."""
+    estimate, both from its counters, float for float."""
     kb = KnowledgeBase()
     for op, band_id, arg in ops:
         if op == "negotiation":
@@ -235,4 +246,5 @@ def test_score_is_the_product_of_both_estimates_after_any_writes(ops):
         else:
             kb.score(band_id)
         for b in range(4):
-            assert kb.score(b) == kb.coop_estimate(b) * kb.availability_estimate(b)
+            coop, availability = laplace(kb, b)
+            assert kb.score(b) == coop * availability

@@ -483,8 +483,7 @@ def running_sessions(engine: Engine) -> int:
     """Check the running flag of every live session after a step; the number of running sessions.
 
     A session runs exactly when it is active and its mode row at its band's
-    occupancy says transmit; a running session is resident on its band and
-    holds that band's knowledge-base record.
+    occupancy says transmit; a running session is resident on its band.
     """
     running = 0
     for session in engine.live:
@@ -494,7 +493,6 @@ def running_sessions(engine: Engine) -> int:
         assert session.running == transmits
         if session.running:
             assert band.su is session
-            assert session.record is engine.kb.records[session.band_id]
             running += 1
     return running
 
@@ -520,11 +518,11 @@ def test_a_session_of_the_resident_family_runs_exactly_while_its_mode_row_says_t
     assert running > 0
 
 
-def one_band(band: BandDecl, completion: float, horizon: int, seed: int) -> Scenario:
-    """One VideoConferencing session (demand 4) arriving at step 0, zero latencies, a scan every third step."""
+def one_band(band: BandDecl, completion: float, horizon: int, seed: int, arrival: int = 0) -> Scenario:
+    """One VideoConferencing session (demand 4) arriving at ``arrival``, zero latencies, a scan every third step."""
     return Scenario(
         bands=(band,),
-        sessions=(SessionDecl(T.VIDEO_CONFERENCING, completion, arrival=0),),
+        sessions=(SessionDecl(T.VIDEO_CONFERENCING, completion, arrival=arrival),),
         horizon=horizon,
         seed=seed,
         negotiation=NegotiationParams(latency=0),
@@ -532,15 +530,25 @@ def one_band(band: BandDecl, completion: float, horizon: int, seed: int) -> Scen
     )
 
 
-@pytest.mark.parametrize("seed, done", [(3, 6), (4, 7)])  # completes on a scan step, on a step without one
-def test_a_running_session_that_completes_settles_every_step_it_sensed(seed, done):
-    # a static band the session fills with slack: it runs from step 0 until
-    # it completes, one own-band sense a step (a scan's record on steps 0, 3
-    # and 6), and no sense after it leaves
-    engine = run(one_band(BandDecl(0, 8, 0.0, 0.0, 0, COOP, 0.0, 0.0), 0.2, 12, seed), keep_trace=True)
-    assert [(t, kind) for t, kind, *_ in engine.trace.records] == [(0, EventKind.ADMIT), (done, EventKind.COMPLETED)]
-    assert engine.kb.to_json_dict() == {"0": {"attempts": 0, "grants": 0, "sensed": done + 1, "available": done + 1}}
-    assert engine.metrics.mode_histogram == {"Normal": done + 1, "Warning": 0, "Failure": 0}
+# (seed, arrival, completion step), with ids seed-completion step: completes
+# on a scan step, on a step without one, and in the step its run starts, on
+# a scan step and off one
+SETTLE_CASES = [(3, 0, 6), (4, 0, 7), (5, 3, 3), (6, 4, 4)]
+
+
+@pytest.mark.parametrize("seed, arrival, done", SETTLE_CASES, ids=[f"{seed}-{done}" for seed, _, done in SETTLE_CASES])
+def test_a_running_session_that_completes_settles_every_step_it_sensed(seed, arrival, done):
+    # a static band the session fills with slack: it runs from its arrival
+    # until it completes, one own-band sense a step (a scan's record on
+    # multiples of 3), and no sense after it leaves
+    engine = run(one_band(BandDecl(0, 8, 0.0, 0.0, 0, COOP, 0.0, 0.0), 0.2, 12, seed, arrival), keep_trace=True)
+    assert [(t, kind) for t, kind, *_ in engine.trace.records] == [
+        (arrival, EventKind.ADMIT),
+        (done, EventKind.COMPLETED),
+    ]
+    steps = done - arrival + 1
+    assert engine.kb.to_json_dict() == {"0": {"attempts": 0, "grants": 0, "sensed": steps, "available": steps}}
+    assert engine.metrics.mode_histogram == {"Normal": steps, "Warning": 0, "Failure": 0}
 
 
 def test_a_run_ended_by_a_rise_settles_the_steps_before_it():

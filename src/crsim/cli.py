@@ -80,7 +80,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     kb_template = _read_json(args.kb_in, "knowledge-base", ValueError) if args.kb_in else None
     seeds = [seed + i for i in range(replications)]
-    runs = [
+    # one run at a time: the runs are not kept, only what the output needs of each
+    runs = (
         run(
             scenario,
             seed=s,
@@ -89,7 +90,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             kb=KnowledgeBase.from_json_dict(kb_template) if args.kb_in else None,
         )
         for s in seeds
-    ]
+    )
     if replications == 1:
         (result,) = runs
         payload = {
@@ -115,8 +116,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 json.dump(result.kb.to_json_dict(), fh, indent=2, sort_keys=True)
                 fh.write("\n")
     else:
+        metric_dicts, trace_hashes = zip(*((r.metrics.to_dict(), r.trace_hash) for r in runs))
         # every scalar figure, over the runs that define it (null where none does)
-        metric_dicts = [r.metrics.to_dict() for r in runs]
         defined = {
             key: [d[key] for d in metric_dicts if d[key] is not None]
             for key in metric_dicts[0]
@@ -132,7 +133,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                     key: (stdev(values) if len(values) > 1 else 0.0) if values else None
                     for key, values in defined.items()
                 },
-                "trace_hashes": [r.trace_hash for r in runs],
+                "trace_hashes": trace_hashes,
             },
         }
     _emit(json.dumps(payload, indent=2), args.out)

@@ -33,7 +33,8 @@ def select_target(
     best: int | None = None
     best_score: float | None = None  # not read while ``best`` is unopposed
     for band in bands:
-        # most bands of a busy run hold a session: test that before the free channels
+        # most bands of a busy run hold a session: test that before the free
+        # channels, which is ``spectrum_env.sense`` inlined on this hot path
         if band.su is not None or band.band_id == current or band.chain.capacity - band.pu_used < demand:
             continue
         band_id = band.band_id

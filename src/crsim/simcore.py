@@ -21,15 +21,16 @@ Every score read during a step sees the knowledge-base counters as of the
 step's start.  Each time an active session senses and classifies its mode
 it observes every band once on a scan step (step index a multiple of the
 handover scan interval), its own band included, and only its own band on
-any other step.  An own-band sense reads the session's mode row, whose
-availability field is 1 when the demand fits the band's free channels
-(any mode but Failure).  On a step without a scan, a Normal sense
+any other step.  An own-band sense reads the session's mode row
+(``su_fsm.mode_table``), and the demand fits the band's free channels in
+every mode but Failure.  On a step without a scan, a Normal sense
 (sensed 1, available 1) starts or continues a run and is not buffered but
 written when its session settles (see below), and this is exact:
 admission and handover score only bands with no resident session, and a
 session settles before it leaves its band.  A session that goes on to
 negotiate or hand over may leave its band vacant for a later ranking in
-the same step, so its sense is buffered as (band, 1, fits) and (8)
+the same step, so its sense is buffered as (band, 1, 1) in Warning mode,
+where the demand fits exactly, or (band, 1, 0) in Failure mode, and (8)
 applies it.  A scan is only counted by demand, and (8) senses every band
 (``spectrum_env.sense``) and writes one record per band for all of the
 step's scans, available being those whose demand fits the band's free
@@ -66,10 +67,10 @@ turns only (1) moves the band's occupancy, by at most one.  The Normal
 occupancies of a mode row run from 0 to a boundary (``su_fsm.mode_table``),
 so a band that did not rise keeps its running session in Normal mode;
 ``step_chains`` reports the bands that rose, and a running session on one
-of them whose mode row no longer says transmit stops running and takes a
+of them whose mode row no longer says Normal stops running and takes a
 full turn.  A grant may leave the band past Normal (the licensed user can
 take channels during the wait), so it makes the session running only when
-the mode row at the granted occupancy says transmit.  Running sessions stay
+the mode row at the granted occupancy says Normal.  Running sessions stay
 in session-id order in the loop because a grant takes off the scans
 counted before it.
 
@@ -113,7 +114,7 @@ from .negotiation import PuState
 from .qos import TrafficType
 from .scenario import Scenario  # also reached as simcore.Scenario by the benchmark
 from .spectrum_env import SpectrumBand
-from .su_fsm import MODE_NAMES, Action, Mode, SessionStatus, SuSession
+from .su_fsm import MODE_NAMES, Mode, SessionStatus, SuSession
 
 __all__ = [
     "EngineError",
@@ -317,8 +318,8 @@ _SENSE = object()
 _ACTIVE = SessionStatus.ACTIVE
 _NEGOTIATING = SessionStatus.NEGOTIATING
 _HANDING_OVER = SessionStatus.HANDING_OVER
-_TRANSMIT = Action.CONTINUE_TRANSMIT
-_NEGOTIATE = Action.START_NEGOTIATION
+_NORMAL = Mode.NORMAL
+_WARNING = Mode.WARNING
 _COOPERATIVE = PuState.COOPERATIVE
 _NONCOOPERATIVE = PuState.NONCOOPERATIVE
 # the mode-histogram key that a running session's turn counts
@@ -424,19 +425,13 @@ class Engine:
                 self._schedule.setdefault(arrival.start, []).append(rank)
         # per band id and demand the band can hold: the ``place`` of a session
         # of that demand on that band, the band's position in self.bands and
-        # the (mode name, action, demand fits: 1 or 0) at each occupancy.  A
-        # position, not the band: the band holds the session, and a cycle
+        # its ``su_fsm.mode_table`` row, built once per band width and demand.
+        # A position, not the band: the band holds the session, and a cycle
         # between them would leave each run's last bands and sessions to the
         # cyclic garbage collector
         demands = {decl.effective_demand() for decl in scenario.sessions}
         capacities = {b.capacity for b in self.bands}
-        entries = [(MODE_NAMES[mode], su_fsm.MODE_ACTIONS[mode], int(mode is not Mode.FAILURE)) for mode in Mode]
-        tables = {
-            (c, d): tuple(map(entries.__getitem__, su_fsm.mode_table(c, d)))
-            for c in capacities
-            for d in demands
-            if d <= c
-        }
+        tables = {(c, d): su_fsm.mode_table(c, d) for c in capacities for d in demands if d <= c}
         self._places = {
             b.band_id: {d: (position, tables[b.capacity, d]) for d in demands if d <= b.capacity}
             for position, b in enumerate(self.bands)
@@ -489,7 +484,7 @@ class Engine:
         # senses up to this step and senses again
         for band in step_chains(self._chain_rows, stream.take(2 * len(bands))):
             session = band.su
-            if session is not None and session.running and session.place[1][band.pu_used][1] is not _TRANSMIT:
+            if session is not None and session.running and session.place[1][band.pu_used] is not _NORMAL:
                 session.running = False
                 self._settle(session, t)
 
@@ -540,22 +535,22 @@ class Engine:
                     # sense the own band, classify the mode and act on it
                     position, modes = session.place
                     band = bands[position]
-                    mode_name, action, fits = modes[band.pu_used]
-                    if action is _TRANSMIT:
+                    mode = modes[band.pu_used]
+                    if mode is _NORMAL:
                         # Normal mode, which only a rise in (1) can end: the run
                         # and its unwritten senses start with this turn
                         session.running = True
                         session.since = t
                         break
-                    mode_histogram[mode_name] += 1
+                    mode_histogram[MODE_NAMES[mode]] += 1
                     if scan:
                         demand = session.demand
                         scans[demand] = scans.get(demand, 0) + 1
-                    else:
-                        senses.append((band.band_id, 1, fits))
-                    if action is _NEGOTIATE:
+                    else:  # a Warning demand fits exactly, a Failure one does not
+                        senses.append((band.band_id, 1, 1 if mode is _WARNING else 0))
+                    if mode is _WARNING:
                         handler = self._handle(session, t, self._begin_negotiation)
-                    else:  # START_HANDOVER (Failure: no negotiation phase)
+                    else:  # Failure: hand over, no negotiation phase
                         session.status = _HANDING_OVER
                         handler = self._handle(session, t, self._start_handover)
                 if left:
@@ -644,12 +639,12 @@ class Engine:
             histogram[band.pu_used] += 1
             scans = self._scan_counts
             if scans:  # the scans so far whose demand fits only with the granted channels
-                free = band.free
+                free = spectrum_env.sense(band)
                 moved = sum(n for demand, n in scans.items() if free - outcome.channels < demand <= free)
                 self._scan_moved[band.band_id] = self._scan_moved.get(band.band_id, 0) + moved
             self.trace.add(t, EventKind.NEGOTIATION_GRANTED, session.session_id, band.band_id, outcome.channels)
             # a grant can leave the band past Normal: the mode row decides
-            if session.place[1][band.pu_used][1] is _TRANSMIT:
+            if session.place[1][band.pu_used] is _NORMAL:
                 session.running = True
                 session.since = t + 1  # (8) applies this step's sense
             self._transmitters.append(session)
@@ -686,7 +681,7 @@ class Engine:
     def _arrive(self, session: SuSession, t: int) -> _Handler | object | None:
         place = self._places[session.handover_target][session.demand]
         target = self.bands[place[0]]
-        if target.su is None and target.free >= session.demand:
+        if target.su is None and spectrum_env.sense(target) >= session.demand:
             replans_taken = session.replans
             session.band_id = target.band_id
             session.place = place

@@ -27,7 +27,8 @@ class SpectrumBand:
     """One spectrum band: occupancy chain parameters plus current state.
 
     Admission and handover rank these live bands directly: a band holding a
-    session (``su``) never qualifies, any other one needs ``free`` channels.
+    session (``su``) never qualifies, any other one needs enough channels
+    free (``sense``).
     """
 
     band_id: int
@@ -39,10 +40,6 @@ class SpectrumBand:
     @property
     def capacity(self) -> int:
         return self.chain.capacity
-
-    @property
-    def free(self) -> int:
-        return self.chain.capacity - self.pu_used
 
     def __post_init__(self) -> None:
         if self.band_id < 0:

@@ -108,9 +108,8 @@ class SuSession:
     handover_target: int | None = None
     replans: int = 0
     # (the position of the band ``band_id`` names among the engine's bands,
-    # the (mode name, action, demand fits) of this demand at each occupancy
-    # of that band); the engine writes it wherever it writes ``band_id`` and
-    # reads both through it
+    # the ``mode_table`` row of this demand on that band); the engine writes
+    # it wherever it writes ``band_id`` and reads both through it
     place: tuple | None = field(default=None, repr=False)
     # True from a turn that ends in transmitting until (1) raises the band past
     # this demand's Normal rows: (4-6) then settles the session without sensing

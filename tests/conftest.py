@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from crsim.markov import OccupancyChain, transition_matrix
 from crsim.negotiation import PuDisposition, PuState
-from crsim.spectrum_env import SpectrumBand
+from crsim.spectrum_env import SpectrumBand, sense
 from crsim.su_fsm import SuSession
 
 
@@ -40,7 +40,7 @@ def select_target_by_scoring_every_candidate(bands, current: int, demand: int, k
     best = None
     best_score = -1.0
     for b in bands:
-        if b.su is not None or b.band_id == current or b.free < demand:
+        if b.su is not None or b.band_id == current or sense(b) < demand:
             continue
         score = kb.score(b.band_id)
         if score > best_score or (score == best_score and (best is None or b.band_id < best)):

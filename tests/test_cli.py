@@ -20,6 +20,7 @@ import hashlib
 import io
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -482,6 +483,26 @@ def test_replications_report_every_figure_whatever_the_first_run(tmp_path, capsy
     report = json.loads(out)["replications"]
     assert code == 0 and list(report["metrics_mean"]) == keys
     assert report["metrics_mean"]["empirical_blocking"] is report["metrics_stddev"]["empirical_blocking"] is None
+
+
+def test_replications_take_memory_of_one_run_not_of_every_run(tmp_path, capsys):
+    """Each run's figures are taken as it finishes, so the peak traced memory
+    of 40 replications stays near that of 2.  Runs on the widest band hold
+    their occupancy histogram and mode rows, about 1 MiB each: keeping every
+    run once made 40 of them peak near 50 MiB."""
+    widest = [{"id": 0, "capacity": 65_536, "p": 0.2, "q": 0.2}]
+    voice = {"traffic": "Voice", "c": 0.05, "every": 1}
+    path = write_json(tmp_path / "wide.json", scenario([voice], bands=widest, horizon=10))
+    peaks = []
+    for replications in ("2", "40"):
+        tracemalloc.start()
+        try:
+            code, _, err = run_cli(capsys, ["simulate", "--scenario", path, "--replications", replications])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert (code, err) == (0, "")
+    assert peaks[1] < peaks[0] + 3 * 2**20
 
 
 @pytest.mark.parametrize(

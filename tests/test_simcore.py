@@ -45,7 +45,7 @@ from crsim.simcore import (
     step_chains,
 )
 from crsim.spectrum_env import SpectrumBand, step_band
-from crsim.su_fsm import MODE_NAMES, Action, SessionStatus, mode_table
+from crsim.su_fsm import Mode, SessionStatus, mode_table
 
 COOP = PuState.COOPERATIVE
 NONCOOP = PuState.NONCOOPERATIVE
@@ -465,11 +465,7 @@ def test_every_live_session_sits_in_the_place_of_its_band(scenario):
             position, modes = session.place
             band = engine.bands[position]
             assert band.band_id == session.band_id
-            assert [name for name, *_ in modes] == [MODE_NAMES[m] for m in mode_table(band.capacity, session.demand)]
-            # the availability field: the demand fits the channels left free
-            assert [fits for *_, fits in modes] == [
-                int(band.capacity - occupancy >= session.demand) for occupancy in range(band.capacity + 1)
-            ]
+            assert modes == mode_table(band.capacity, session.demand)
             if band.su is not session:  # it has left the band to hand over
                 assert session.status is not SessionStatus.ACTIVE
         # the vacant-band index holds exactly the bands with no resident session
@@ -483,13 +479,13 @@ def running_sessions(engine: Engine) -> int:
     """Check the running flag of every live session after a step; the number of running sessions.
 
     A session runs exactly when it is active and its mode row at its band's
-    occupancy says transmit; a running session is resident on its band.
+    occupancy says Normal; a running session is resident on its band.
     """
     running = 0
     for session in engine.live:
         position, modes = session.place
         band = engine.bands[position]
-        transmits = session.status is SessionStatus.ACTIVE and modes[band.pu_used][1] is Action.CONTINUE_TRANSMIT
+        transmits = session.status is SessionStatus.ACTIVE and modes[band.pu_used] is Mode.NORMAL
         assert session.running == transmits
         if session.running:
             assert band.su is session
@@ -920,7 +916,8 @@ def test_engine_set_up_classifies_once_per_band_width_and_demand(monkeypatch):
     engine = Engine(scenario)
     assert sorted(calls) == [(8, 1), (8, 4), (MAX_CAPACITY, 1), (MAX_CAPACITY, 4)]
     _, modes = engine._places[0][4]
-    assert [name for name, *_ in modes[MAX_CAPACITY - 5 : MAX_CAPACITY - 2]] == ["Normal", "Warning", "Failure"]
+    assert modes == mode_table(MAX_CAPACITY, 4)
+    assert modes[MAX_CAPACITY - 5 : MAX_CAPACITY - 2] == (Mode.NORMAL, Mode.WARNING, Mode.FAILURE)
 
 
 def test_analytic_figures_refuse_two_completion_probabilities():

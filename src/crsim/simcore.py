@@ -35,10 +35,10 @@ applies it.  A scan is only counted by demand, and (8) senses every band
 (``spectrum_env.sense``) and writes one record per band for all of the
 step's scans, available being those whose demand fits the band's free
 channels.  Within (4-6) only a negotiation grant changes a band's
-occupancy, and it frees channels, so a grant notes the scans counted
-before it whose demand fits only with the granted channels, and (8) takes
-them off that band's available count.  The knowledge base's counters are
-sums, so (8) applies all of the step's buffered records in one call.
+occupancy, so a negotiation first writes the records of the scans counted
+before it, each band as those scans saw it; (8) writes the rest.  The
+knowledge base's counters are sums, so (8) applies all of the step's
+buffered records in one call.
 
 Sessions admitted in (3) take part in (4-6) and (7) of the same step: they
 sense the occupancy that (1) has just produced and act on it at once.  A
@@ -49,13 +49,15 @@ Normal mode may complete in that step.
 In (4-6) an active session goes straight to the turn loop's one sense
 block: it reads its band and its mode row for its demand through its
 ``place``, which the engine writes wherever it writes ``band_id``, and acts
-on the mode.  ``_handle`` runs the handlers (negotiate, hand over, arrive)
-one after another, each returning what is due next in this step: another
-handler, ``_SENSE`` (a handover landed: sense the new band), or None (the
-turn is over).  Within one step a session is never handed back to a band
-it has already left in that step, so a turn visits each band at most once
-and ends by itself; a session that every band it can still reach refuses
-is dropped for want of a target.
+on the mode.  A handler (negotiate, hand over, arrive) calls the one due
+next in this step itself and returns True when a handover landed, so that
+the loop senses the new band, or False when the turn is over.  A landing
+returns to the loop, and at handover latency 0 a planned handover lands at
+once (its target was just seen vacant and fitting), so the calls nest at
+most four deep: negotiate, resolve, hand over, arrive.  Within one step a
+session is never handed back to a band it has already left in that step,
+so a turn visits each band at most once and ends by itself; a session that
+every band it can still reach refuses is dropped for want of a target.
 
 A session whose turn ends in transmitting is *running* until (1) raises
 its band past the Normal rows of its demand.  At its place in the
@@ -70,9 +72,9 @@ so a band that did not rise keeps its running session in Normal mode;
 of them whose mode row no longer says Normal stops running and takes a
 full turn.  A grant may leave the band past Normal (the licensed user can
 take channels during the wait), so it makes the session running only when
-the mode row at the granted occupancy says Normal.  Running sessions stay
-in session-id order in the loop because a grant takes off the scans
-counted before it.
+the mode row at the granted occupancy says Normal.  Running sessions keep
+their session-id place in the loop, so a running session's scan is
+written against the bands as they are at that place.
 
 A running session's senses have one writer.  The session keeps the step
 its unwritten senses start at (``SuSession.since``): the step of the turn
@@ -103,7 +105,7 @@ import json
 import struct
 from dataclasses import dataclass, field, fields
 from bisect import bisect_right
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -307,12 +309,6 @@ class RandomStream:
         return out
 
 
-# one step of a session's turn in (4-6): it returns the next handler due in
-# this step, _SENSE when the session senses and acts on its band next, or
-# None when the turn is over
-_Handler = Callable[[SuSession, int], "_Handler | object | None"]
-_SENSE = object()
-
 # Enum members read in every step, bound once: before Python 3.12 reading a
 # member off its class costs a descriptor call
 _ACTIVE = SessionStatus.ACTIVE
@@ -403,9 +399,8 @@ class Engine:
         self._neg_events: list[tuple[int, bool]] = []
         # the (band id, sensed, available) records that (8) applies
         self._senses: list[tuple[int, int, int]] = []
-        # scans of this step by demand, and per band the scans a grant let fit
+        # scans by demand not yet written to self._senses
         self._scan_counts: dict[int, int] = {}
-        self._scan_moved: dict[int, int] = {}
         # sessions that transmit in this step, in ascending session id
         self._transmitters: list[SuSession] = []
         arrivals = []
@@ -453,7 +448,7 @@ class Engine:
 
     def timeseries_header(self) -> list[str]:
         """Column names of the ``timeseries`` rows that ``Engine.step`` appends."""
-        bands = [f"band{band_id}_pu_used" for band_id in sorted(b.band_id for b in self.scenario.bands)]
+        bands = [f"band{b.band_id}_pu_used" for b in self.bands]
         return ["step", *bands, "active_sessions", "arrivals", "blocked", "completed", "dropped"]
 
     def band_views(self) -> list[SpectrumBand]:
@@ -524,14 +519,16 @@ class Engine:
         for session in tuple(self.live):
             if not session.running:
                 if session.status is _ACTIVE:
-                    handler = _SENSE
+                    landed = True
                 else:
                     session.wait -= 1
                     if session.wait > 0:
                         continue
-                    handler = self._resolve_negotiation if session.status is _NEGOTIATING else self._arrive
-                    handler = self._handle(session, t, handler)
-                while handler is _SENSE:
+                    if session.status is _NEGOTIATING:
+                        landed = self._resolve_negotiation(session, t)
+                    else:
+                        landed = self._arrive(session, t)
+                while landed:
                     # sense the own band, classify the mode and act on it
                     position, modes = session.place
                     band = bands[position]
@@ -549,13 +546,12 @@ class Engine:
                     else:  # a Warning demand fits exactly, a Failure one does not
                         senses.append((band.band_id, 1, 1 if mode is _WARNING else 0))
                     if mode is _WARNING:
-                        handler = self._handle(session, t, self._begin_negotiation)
+                        landed = self._begin_negotiation(session, t)
                     else:  # Failure: hand over, no negotiation phase
-                        session.status = _HANDING_OVER
-                        handler = self._handle(session, t, self._start_handover)
+                        landed = self._start_handover(session, t)
                 if left:
                     left.clear()
-                if handler is not _SENSE:  # the turn ended without a transmitting sense
+                if not landed:  # the turn ended without a transmitting sense
                     continue
             # a Normal sense, counted as a scan or written when the session
             # settles, and a transmit
@@ -606,23 +602,20 @@ class Engine:
         if settle:
             self._settle_running()
 
-    def _handle(self, session: SuSession, t: int, handler: _Handler) -> object | None:
-        """Run ``handler`` and the handlers it hands on to: ``_SENSE`` when a
-        handover lands, None when the session's turn is over."""
-        while handler is not None and handler is not _SENSE:
-            handler = handler(session, t)
-        return handler
+    # a turn's handlers: True when a handover landed, False when the turn is over
 
-    def _begin_negotiation(self, session: SuSession, t: int) -> _Handler | None:
+    def _begin_negotiation(self, session: SuSession, t: int) -> bool:
         session.status = _NEGOTIATING
         latency = self.scenario.negotiation.latency
         if latency == 0:
-            return self._resolve_negotiation
+            return self._resolve_negotiation(session, t)
         session.wait = latency
         self.trace.add(t, EventKind.NEGOTIATION_STARTED, session.session_id, session.band_id, latency)
-        return None
+        return False
 
-    def _resolve_negotiation(self, session: SuSession, t: int) -> _Handler | None:
+    def _resolve_negotiation(self, session: SuSession, t: int) -> bool:
+        if self._scan_counts:  # written against the band before a grant changes it
+            self._settle_scans()
         position = session.place[0]
         band = self.bands[position]
         used = band.pu_used
@@ -637,23 +630,19 @@ class Engine:
             histogram = self._hists[position]
             histogram[used] -= 1
             histogram[band.pu_used] += 1
-            scans = self._scan_counts
-            if scans:  # the scans so far whose demand fits only with the granted channels
-                free = spectrum_env.sense(band)
-                moved = sum(n for demand, n in scans.items() if free - outcome.channels < demand <= free)
-                self._scan_moved[band.band_id] = self._scan_moved.get(band.band_id, 0) + moved
             self.trace.add(t, EventKind.NEGOTIATION_GRANTED, session.session_id, band.band_id, outcome.channels)
             # a grant can leave the band past Normal: the mode row decides
             if session.place[1][band.pu_used] is _NORMAL:
                 session.running = True
                 session.since = t + 1  # (8) applies this step's sense
             self._transmitters.append(session)
-            return None
+            return False
         m.refusals += 1
         self.trace.add(t, EventKind.NEGOTIATION_REFUSED, session.session_id, band.band_id, 0)
-        return self._start_handover
+        return self._start_handover(session, t)
 
-    def _start_handover(self, session: SuSession, t: int) -> _Handler | None:
+    def _start_handover(self, session: SuSession, t: int) -> bool:
+        session.status = _HANDING_OVER
         source = session.band_id
         self._vacate(session)
         # never hand the session back to a band it has left in this step
@@ -672,13 +661,13 @@ class Engine:
         if plan.target is None:
             self.metrics.failed_handovers += 1
             self._drop(session, t, DROP_NO_TARGET)
-            return None
+            return False
         latency = self.scenario.handover.latency
         session.handover_target = plan.target
         session.wait = latency
-        return self._arrive if latency == 0 else None
+        return latency == 0 and self._arrive(session, t)
 
-    def _arrive(self, session: SuSession, t: int) -> _Handler | object | None:
+    def _arrive(self, session: SuSession, t: int) -> bool:
         place = self._places[session.handover_target][session.demand]
         target = self.bands[place[0]]
         if target.su is None and spectrum_env.sense(target) >= session.demand:
@@ -691,24 +680,23 @@ class Engine:
             del self._vacant[target.band_id]
             self.metrics.handovers += 1
             self.trace.add(t, EventKind.HANDOVER_COMPLETED, session.session_id, target.band_id, replans_taken)
-            return _SENSE  # fresh sensing, mode, action
+            return True  # fresh sensing, mode, action
         # target filled up during the latency window: plan again
         session.replans += 1
         self.metrics.failed_handovers += 1
         self.trace.add(t, EventKind.HANDOVER_REPLANNED, session.session_id, target.band_id, session.replans)
         if session.replans >= self.scenario.handover.max_replans:
             self._drop(session, t, DROP_REPLANS_EXHAUSTED)
-            return None
-        return self._start_handover
+            return False
+        return self._start_handover(session, t)
 
     def _settle_scans(self) -> None:
-        """Write each band's record of this step's scans and clear the counts.
+        """Write each band's record of the scans counted so far and clear the counts.
 
         ``demands`` holds the scanned demands in ascending order and
         ``fits[i]`` the scans of the first ``i`` of them, so the scans that
         fit in ``free`` channels are ``fits[bisect_right(demands, free)]``:
-        all of them once ``free`` reaches the top demand.  A band's available
-        count leaves out the scans that a grant on it let fit.
+        all of them once ``free`` reaches the top demand.
         """
         counts = self._scan_counts
         demands = sorted(counts)
@@ -716,15 +704,13 @@ class Engine:
         for demand in demands:
             fits.append(fits[-1] + counts[demand])
         total, top = fits[-1], demands[-1]
-        moved = self._scan_moved
         senses = self._senses
         sense = spectrum_env.sense
         for band in self.bands:
             free = sense(band)
             available = total if free >= top else fits[bisect_right(demands, free)]
-            senses.append((band.band_id, total, available - moved.get(band.band_id, 0)))
+            senses.append((band.band_id, total, available))
         counts.clear()
-        moved.clear()
 
     def _settle(self, session: SuSession, end: int) -> None:
         """Add a running session's senses, one per step without a scan in [since, end), to its band's record."""

@@ -19,6 +19,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -28,6 +31,7 @@ from conftest import mutate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import crsim
 from crsim import __version__, qos
 from crsim.cli import main
 from crsim.scenario import INT_MAX
@@ -503,6 +507,29 @@ def test_replications_take_memory_of_one_run_not_of_every_run(tmp_path, capsys):
             tracemalloc.stop()
         assert (code, err) == (0, "")
     assert peaks[1] < peaks[0] + 3 * 2**20
+
+
+@pytest.mark.parametrize("argv", [["analyze", "--scenario", "{s}"], ["qos", "list"]], ids=["analyze", "qos"])
+def test_a_closed_pipe_ends_quietly_with_status_141(argv, tmp_path):
+    """``crsim analyze | head -c 1`` once ended in ``error: [Errno 32] Broken
+    pipe`` and exit 1.  The widest band's analysis is over 1 MB, far more than
+    a pipe holds, so its write meets the closed pipe; the QoS table fits in
+    the output buffer, so only the flush before ``main`` returns meets it.
+    The child runs with Python's default buffered stdout."""
+    widest = [{"id": 0, "capacity": 65_536, "p": 0.2, "q": 0.2}]
+    voice = {"traffic": "Voice", "c": 0.05, "every": 1}
+    path = write_json(tmp_path / "wide.json", scenario([voice], bands=widest, horizon=10))
+    src = str(Path(crsim.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "crsim.cli", *(arg.format(s=path) for arg in argv)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert (child.wait(timeout=60), err) == (141, b"")
 
 
 @pytest.mark.parametrize(

@@ -414,9 +414,9 @@ def settle_table() -> Scenario:
     Scans are settled from a table of this step's scans by demand: band 2
     (16 free at its emptiest) has more free channels than the top demand,
     band 3 at times none (only the probe's scans fit), and grants on bands
-    0, 1 and 5 free channels in the middle of a step, so that band's
-    settlement at the end of the step takes off the scans counted before
-    the grant that fit only with the granted channels.
+    0, 1 and 5 free channels in the middle of a step, so the scans counted
+    before a grant are settled against the band as they saw it, before the
+    grant, and the rest at the end of the step.
     """
     return Scenario(
         name="settle-table",

@@ -137,7 +137,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 "trace_hashes": trace_hashes,
             },
         }
-    _emit(json.dumps(payload, indent=2), args.out)
+    _emit(json.dumps(payload, indent=2, allow_nan=False), args.out)
     return 0
 
 
@@ -148,7 +148,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     skipped = payload.pop("skipped", None)
     if skipped:
         payload["notes"] = [f"non-completion skipped: {skipped}"]
-    _emit(json.dumps(payload, indent=2), args.out)
+    _emit(json.dumps(payload, indent=2, allow_nan=False), args.out)
     return 0
 
 
@@ -158,7 +158,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     report = compare(scenario, seed=seed)
     if args.json:
         payload = {"provenance": _provenance(scenario, seed), **report.to_dict()}
-        _emit(json.dumps(payload, indent=2), args.out)
+        _emit(json.dumps(payload, indent=2, allow_nan=False), args.out)
     else:
         _emit(report.format_table() + "\n", args.out)
     return 0
@@ -196,7 +196,7 @@ def _cmd_tdma(args: argparse.Namespace) -> int:
         "candidates": {str(i): sorted(c) for i, c in result.candidates.items()},
         "global_common": sorted(result.global_common) if result.global_common is not None else None,
     }
-    _emit(json.dumps(payload, indent=2), args.out)
+    _emit(json.dumps(payload, indent=2, allow_nan=False), args.out)
     return 0
 
 

@@ -9,7 +9,7 @@ spectrum stays eligible.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Iterable
 
 
@@ -19,6 +19,9 @@ class BandRecord:
     grants: int = 0
     sensed: int = 0
     available: int = 0
+
+
+_COUNTERS = tuple(f.name for f in fields(BandRecord))  # the snapshot's keys, in this order
 
 
 class KnowledgeBase:
@@ -76,15 +79,8 @@ class KnowledgeBase:
         return replace(self.records.get(band_id, BandRecord()))
 
     def to_json_dict(self) -> dict[str, dict[str, int]]:
-        return {
-            str(band_id): {
-                "attempts": rec.attempts,
-                "grants": rec.grants,
-                "sensed": rec.sensed,
-                "available": rec.available,
-            }
-            for band_id, rec in sorted(self.records.items())
-        }
+        records = sorted(self.records.items())
+        return {str(band_id): {key: getattr(rec, key) for key in _COUNTERS} for band_id, rec in records}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "KnowledgeBase":
@@ -96,7 +92,7 @@ class KnowledgeBase:
             digits = isinstance(band_id, str) and band_id.isascii() and band_id.isdigit()
             if not (digits and str(int(band_id)) == band_id):
                 raise ValueError(f"band id must be a nonnegative integer without leading zeros, got {band_id!r}")
-            values = {key: counters.get(key, 0) for key in ("attempts", "grants", "sensed", "available")}
+            values = {key: counters.get(key, 0) for key in _COUNTERS}
             for key in counters:
                 if key not in values:
                     raise ValueError(f"band {band_id}: unknown key {key!r}")

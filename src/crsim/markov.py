@@ -71,7 +71,7 @@ class Distribution:
             raise ChainError("distribution must be a 1-d probability vector")
         if np.any(p < -1e-15):
             raise ChainError("distribution entries must be nonnegative")
-        if abs(float(p.sum()) - 1.0) > 1e-12:
+        if not abs(float(p.sum()) - 1.0) <= 1e-12:  # written so that a NaN or infinite entry fails it
             raise ChainError(f"distribution entries must sum to 1, got {p.sum()!r}")
 
 
@@ -98,19 +98,22 @@ def stationary(chain: OccupancyChain) -> Distribution:
     """Stationary distribution of the occupancy chain.
 
     Detailed balance gives pi_k proportional to (birth/death)^k whenever
-    death > 0; a pure-birth chain concentrates at capacity.  A frozen chain
-    (birth == death == 0) has no unique stationary law and raises.
+    death > 0; a pure-birth chain concentrates at capacity, and so does a
+    chain whose ratio birth/death overflows to infinity (death a subnormal
+    float), where every weight below capacity is zero in double precision.
+    A frozen chain (birth == death == 0) has no unique stationary law and
+    raises.
     """
     c, p, q = chain.capacity, chain.birth, chain.death
     if p == 0.0 and q == 0.0:
         raise ChainError("frozen chain (birth = death = 0): no unique stationary distribution")
     pi = np.zeros(c + 1, dtype=float)
-    if q == 0.0:
+    ratio = p / q if q else np.inf
+    if ratio == np.inf:
         pi[c] = 1.0
     elif p == 0.0:
         pi[0] = 1.0
     else:
-        ratio = p / q
         # log-space geometric weights keep large capacities stable
         logs = np.arange(c + 1, dtype=float) * np.log(ratio)
         logs -= logs.max()
@@ -192,7 +195,9 @@ def noncompletion_by_state(
             factor = s * down * (1.0 / pivot[k - 1])
             diag -= factor * upper[k - 1]
             rhs += factor * y[k - 1]
-        if diag == 0.0:  # a completion lost in rounding (1 - completion == 1) can leave the rows singular
+        # a completion lost in rounding (1 - completion == 1) can leave the rows
+        # singular: a pivot of zero, one rounded below it, or NaN past its inverse
+        if not diag > 0.0:
             raise ChainError(f"absorption equations are singular in double precision (completion {completion!r})")
         pivot[k], upper[k], y[k] = diag, up, rhs
     x = 0.0  # back-substitution down the rows; row B has no x_{B+1} term

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .spectrum_env import SpectrumBand, grant_channels
+from .spectrum_env import SpectrumBand
 
 
 class PuState(Enum):
@@ -98,5 +98,5 @@ def negotiate(band: SpectrumBand, channels: int) -> NegotiationOutcome:
         log.warning("negotiation on band %d with idle PU: nothing to yield, refusing", band.band_id)
         return REFUSED
     yielded = min(channels, band.pu_used)
-    grant_channels(band, yielded)
+    band.pu_used -= yielded
     return NegotiationOutcome(granted=True, channels=yielded)

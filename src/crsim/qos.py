@@ -14,7 +14,7 @@ from enum import Enum
 
 
 class TrafficType(Enum):
-    """The ten supported transmission types, with stable textual names."""
+    """The ten supported transmission types; ``TrafficType(name)`` looks one up by its stable textual name."""
 
     VOICE = "Voice"
     ECOMMERCE = "ECommerce"
@@ -26,18 +26,6 @@ class TrafficType(Enum):
     FILE_TRANSFERS = "FileTransfers"
     VIDEO_CONFERENCING = "VideoConferencing"
     MULTICASTING = "Multicasting"
-
-    @classmethod
-    def from_name(cls, name: str) -> "TrafficType":
-        """Look up a traffic type by its textual name (raises KeyError)."""
-        try:
-            return _BY_NAME[name]
-        except KeyError:
-            known = ", ".join(t.value for t in cls)
-            raise KeyError(f"unknown traffic type {name!r} (expected one of: {known})") from None
-
-
-_BY_NAME = {t.value: t for t in TrafficType}
 
 
 @dataclass(frozen=True, slots=True)

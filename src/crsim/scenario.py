@@ -90,17 +90,6 @@ def _name(enum: type[Enum]):
     return read
 
 
-def _traffic(value, path: str, problems: list[str]):
-    if not isinstance(value, str):
-        problems.append(f"{path}: must be a traffic type name")
-        return None
-    try:
-        return TrafficType.from_name(value)
-    except KeyError as exc:
-        problems.append(f"{path}: {exc.args[0]}")
-        return None
-
-
 def _record(cls):
     def read(value, path: str, problems: list[str]):
         if isinstance(value, dict):
@@ -280,7 +269,7 @@ class BandDecl(_Decl):
 class SessionDecl(_Decl):
     """One arrival ("arrival": step) or a repeating pattern ("every": k)."""
 
-    traffic: TrafficType = _field("traffic", _traffic)
+    traffic: TrafficType = _field("traffic", _name(TrafficType))
     completion: float = _field("c", _unit(open_low=True))
     arrival: int | None = _field("arrival", _integer(0), None, "arrival")
     every: int | None = _field("every", _integer(1), None, "every")

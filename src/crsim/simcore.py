@@ -103,7 +103,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from bisect import bisect_right
 from typing import Iterable, NamedTuple, Sequence
 
@@ -456,7 +456,7 @@ class Engine:
 
         The engine ranks its vacant bands itself and never calls this; it stays
         while the benchmark's tracer wraps it, and goes with the benchmark
-        change of ROADMAP item 3.
+        change of ROADMAP item 18.
         """
         return list(self.bands)
 
@@ -750,21 +750,9 @@ class Engine:
         return self
 
 
-def run(
-    scenario: Scenario,
-    seed: int | None = None,
-    keep_trace: bool = False,
-    collect_timeseries: bool = False,
-    kb: KnowledgeBase | None = None,
-) -> Engine:
-    """Execute a scenario to its horizon and return the engine that ran it."""
-    return Engine(
-        scenario,
-        seed=seed,
-        keep_trace=keep_trace,
-        collect_timeseries=collect_timeseries,
-        kb=kb,
-    ).run()
+def run(scenario: Scenario, seed: int | None = None, **options) -> Engine:
+    """Execute a scenario to its horizon and return the engine that ran it; ``options`` go to ``Engine``."""
+    return Engine(scenario, seed, **options).run()
 
 
 # ---------------------------------------------------------------------------
@@ -782,12 +770,7 @@ class CompareRow:
         return abs(self.analytic - self.simulated)
 
     def to_dict(self) -> dict:
-        return {
-            "metric": self.metric,
-            "analytic": self.analytic,
-            "simulated": self.simulated,
-            "abs_diff": self.abs_diff,
-        }
+        return {**asdict(self), "abs_diff": self.abs_diff}
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Live spectrum-band state: licensed-user occupancy and sensing.
 
 Bands are owned and mutated by the simulation engine (single writer per
-run); the functions here change band state in place and consume exactly
-one uniform draw per band stepped.  Sensing is noise-free and reads one
-number, the band's free channels.
+run).  Of the functions here only ``step_band`` changes band state, in
+place, with exactly one uniform draw per band stepped; a negotiation grant
+(``negotiation.negotiate``) is the other writer of a band's occupancy.
+Sensing is noise-free and reads one number, the band's free channels.
 """
 
 from __future__ import annotations
@@ -16,10 +17,6 @@ from .markov import OccupancyChain
 if TYPE_CHECKING:
     from .negotiation import PuDisposition
     from .su_fsm import SuSession
-
-
-class GrantError(ValueError):
-    """Raised when the licensed user is asked to yield more than it occupies."""
 
 
 @dataclass(slots=True)
@@ -68,14 +65,3 @@ def step_band(band: SpectrumBand, rng) -> None:
 def sense(band: SpectrumBand) -> int:
     """Sense the band without noise: the channels its licensed user leaves free."""
     return band.chain.capacity - band.pu_used
-
-
-def grant_channels(band: SpectrumBand, channels: int) -> None:
-    """The licensed user defers ``channels`` of its current usage (in place)."""
-    if channels < 1:
-        raise GrantError(f"grant must yield at least one channel, got {channels}")
-    if channels > band.pu_used:
-        raise GrantError(
-            f"PU cannot yield more than it uses ({channels} > {band.pu_used} on band {band.band_id})"
-        )
-    band.pu_used -= channels

@@ -557,6 +557,35 @@ def test_a_band_wider_than_the_capacity_bound_exits_1_with_one_error_line(tmp_pa
     assert err == f"error: invalid scenario: bands[0].capacity: must be <= 65536, got {2**40}\n"
 
 
+# legal chains that double precision cannot solve: analyze and compare --json
+# once printed NaN, which is not JSON, and exited 0
+UNSOLVABLE = {
+    # p / q overflows to infinity: the stationary law rests at capacity
+    "tiny-q": ([band(capacity=8, p=0.9, q=5e-324)], 0.05, "admission has probability zero"),
+    # a subnormal completion against an always cooperative user leaves a pivot below zero
+    "tiny-c": ([band(capacity=2, p=5e-324, q=5e-324, alpha=0.0, beta=0.0)], 5e-324, "singular in double precision"),
+}
+
+
+@pytest.mark.parametrize("argv", [["analyze"], ["compare", "--json"]], ids=["analyze", "compare-json"])
+@pytest.mark.parametrize("case", sorted(UNSOLVABLE))
+def test_a_chain_double_precision_cannot_solve_exits_1_with_one_error_line(case, argv, tmp_path, capsys):
+    bands, c, message = UNSOLVABLE[case]
+    path = write_json(tmp_path / "s.json", scenario([{"traffic": "Voice", "c": c, "every": 1}], bands=bands))
+    code, out, err = run_cli(capsys, [*argv, "--scenario", path])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+def test_a_stray_nan_figure_exits_1_with_one_error_line(monkeypatch, tmp_path, capsys):
+    # NaN is not JSON: the output must never carry it
+    monkeypatch.setattr(crsim.cli, "analytic_figures", lambda _: {"blocking": float("nan")})
+    path = write_json(tmp_path / "s.json", scenario([VIDEO_HOLDING], horizon=10))
+    code, out, err = run_cli(capsys, ["analyze", "--scenario", path])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_the_checked_in_malformed_scenario_exits_1_with_one_error_line(capsys):
     path = Path(__file__).parent / "data" / "bad_scenario.json"
     code, out, err = run_cli(capsys, ["simulate", "--scenario", str(path)])

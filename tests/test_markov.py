@@ -103,8 +103,8 @@ def test_stationary_matches_linear_solve_on_random_chains():
 
 @pytest.mark.parametrize(
     "vector, message",
-    [([[0.5, 0.5]], "1-d"), ([1.5, -0.5], "nonnegative"), ([0.5, 0.4], "sum to 1")],
-    ids=["two-d", "negative", "short-sum"],
+    [([[0.5, 0.5]], "1-d"), ([np.nan, 1.0], "sum to 1"), ([1.5, -0.5], "nonnegative"), ([0.5, 0.4], "sum to 1")],
+    ids=["two-d", "nan", "negative", "short-sum"],
 )
 def test_distribution_rejects_what_is_not_a_probability_vector(vector, message):
     with pytest.raises(ChainError, match=message):

@@ -59,12 +59,7 @@ def test_video_conferencing_outranks_email():
 def test_exactly_ten_types_with_stable_names():
     assert len(list(TrafficType)) == 10
     for traffic in TrafficType:
-        assert TrafficType.from_name(traffic.value) is traffic
-
-
-def test_unknown_name_raises():
-    with pytest.raises(KeyError, match="unknown traffic type"):
-        TrafficType.from_name("Fax")
+        assert TrafficType(traffic.value) is traffic
 
 
 def test_sensitivities_within_scale():

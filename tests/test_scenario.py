@@ -107,11 +107,12 @@ BROKEN_SCENARIOS = [
             "bands[3].disposition: must be an object",
             "bands[3].id: duplicate band id 3",
             "sessions[0]: must be an object",
-            "sessions[1].traffic: unknown traffic type 'Telepathy' (expected one of: Voice, ECommerce, "
-            "Transactions, Email, Telnet, CasualBrowsing, SeriousBrowsing, FileTransfers, VideoConferencing, "
-            "Multicasting)",
+            "sessions[1].traffic: must be one of ['CasualBrowsing', 'ECommerce', 'Email', 'FileTransfers', "
+            "'Multicasting', 'SeriousBrowsing', 'Telnet', 'Transactions', 'VideoConferencing', 'Voice'], "
+            "got 'Telepathy'",
             "sessions[1].c: must be within (0.0, 1.0], got 0",
-            "sessions[2].traffic: must be a traffic type name",
+            "sessions[2].traffic: must be one of ['CasualBrowsing', 'ECommerce', 'Email', 'FileTransfers', "
+            "'Multicasting', 'SeriousBrowsing', 'Telnet', 'Transactions', 'VideoConferencing', 'Voice'], got 3",
             "sessions[2]: exactly one of 'arrival' or 'every' is required",
             "sessions[3]: exactly one of 'arrival' or 'every' is required",
             "sessions[4].demand: must be >= 0, got -2",

@@ -11,6 +11,7 @@ engine must reproduce them exactly.
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import differential
 import pytest
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 from crsim import su_fsm
 from crsim.learning import BandRecord, KnowledgeBase
-from crsim.markov import OccupancyChain
+from crsim.markov import ChainError, OccupancyChain
 from crsim.negotiation import PuDisposition, PuState, step_disposition
 from crsim.qos import TrafficType
 from crsim.scenario import (
@@ -930,6 +931,31 @@ def test_analytic_figures_refuse_two_completion_probabilities():
     )
     with pytest.raises(ComparisonError, match="single completion probability"):
         analytic_figures(scenario)
+
+
+EXTREME = (0.0, 5e-324, 1e-310, 0.1, 0.9, 1.0)
+
+
+@pytest.mark.parametrize("capacity", [2, 8])
+@pytest.mark.parametrize("c", [5e-324, 0.05, 1.0])
+@pytest.mark.parametrize("p, q", [(p, q) for p in EXTREME for q in EXTREME if p + q <= 1.0])
+def test_analytic_figures_are_json_numbers_or_a_chain_error(p, q, c, capacity):
+    """A legal chain once gave NaN figures: p / q overflowing to infinity (p 0.9,
+    q 5e-324) made the stationary law NaN, and a subnormal p, q and c left a
+    negative pivot that the singularity check missed."""
+    scenario = Scenario.from_dict(
+        {
+            "horizon": 1,
+            "seed": 0,
+            "bands": [{"id": 0, "capacity": capacity, "p": p, "q": q}],
+            "sessions": [{"traffic": "Voice", "c": c, "every": 1}],
+        }
+    )
+    try:
+        figures = analytic_figures(scenario)
+    except ChainError:
+        return
+    json.dumps(figures, allow_nan=False)
 
 
 def test_stepping_past_the_horizon_raises():

@@ -7,7 +7,7 @@ from conftest import Draws, tv_distance
 from crsim.markov import OccupancyChain, stationary
 from crsim.negotiation import PuDisposition, PuState
 from crsim.simcore import step_chains
-from crsim.spectrum_env import GrantError, SpectrumBand, grant_channels, sense, step_band
+from crsim.spectrum_env import SpectrumBand, sense, step_band
 
 
 def make_band(capacity=8, p=0.2, q=0.2, used=4) -> SpectrumBand:
@@ -86,25 +86,6 @@ def test_sense_reports_free_channels():
 
 def test_sense_full_band():
     assert sense(make_band(used=8)) == 0
-
-
-def test_grant_reduces_occupancy():
-    band = make_band(used=4)
-    grant_channels(band, 1)
-    assert band.pu_used == 3
-    grant_channels(band, 3)
-    assert band.pu_used == 0
-
-
-def test_grant_cannot_exceed_usage():
-    band = make_band(used=0)
-    with pytest.raises(GrantError, match="cannot yield more"):
-        grant_channels(band, 1)
-    band = make_band(used=2)
-    with pytest.raises(GrantError):
-        grant_channels(band, 3)
-    with pytest.raises(GrantError):
-        grant_channels(band, 0)
 
 
 def test_band_state_validation():

@@ -1,13 +1,15 @@
 """The declared world: bands, licensed-user dispositions and session traffic.
 
 Each declaration field states once, in ``_field``, its JSON key, value kind,
-default and group, if any: a nested object (a band's ``disposition``) or a
-record kind (a session arrives once, ``arrival``, or repeats, ``every``).
+default and record kind, if any: a session arrives once (``arrival``) or
+repeats (``every``).  A nested object (a band's ``disposition``, a
+scenario's ``negotiation``) is a declaration of its own, read by ``_record``.
 ``_read`` and ``_write`` follow those fields for every record.  An absent
 field takes its default; a present one is checked, ``null`` included.  Keys
 no field declares are reported, as are the other kind's keys.  All problems
-go into one ``ScenarioError``, per record in this order: unknown keys,
-ungrouped fields, the rules between them, nested objects, then the kind.
+go into one ``ScenarioError``, per record in this order: unknown keys, the
+fields without a kind (a nested record's problems among them), the rules
+between those fields, then the kind.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ def _unit(open_low: bool = False):
         elif value < 0 or value > 1 or (open_low and value == 0):
             problems.append(f"{path}: must be within {'(0.0' if open_low else '[0.0'}, 1.0], got {value}")
         else:
-            return float(value)
+            return float(value) + 0.0  # -0.0 as 0.0, which it equals: both write and hash alike
         return None
 
     return read
@@ -140,13 +142,12 @@ def _at(path: str, key: str) -> str:
 def _layout(cls) -> tuple:
     """What ``_read`` and ``_write`` need of ``cls``, worked out once per class.
 
-    (every field in declaration order; per group, None for the ungrouped
-    fields, its fields as (name, key, ".key", kind, default, required); the
-    field that names each kind; the nested objects; per kind given, None when
-    not exactly one, and per nested object, the keys allowed there).
+    (every field in declaration order; per record kind, and None for the
+    fields without one, its fields as (name, key, ".key", kind, default,
+    required); per kind given, None when not exactly one, the keys allowed).
 
-    A kind is a group named after one of its fields: a record is of that kind
-    when it gives that field.  Any other group is an object under its name.
+    A kind is named after one of its fields, whose name and key it is: a
+    record is of that kind when it gives that field.
     """
     decls = fields(cls)
     groups: dict = {None: []}
@@ -154,16 +155,12 @@ def _layout(cls) -> tuple:
         key = f.metadata["key"]
         slot = (f.name, key, f".{key}", f.metadata["kind"], f.default, f.default is MISSING)
         groups.setdefault(f.metadata["group"], []).append(slot)
-    kinds = {f.metadata["key"]: f for f in decls if f.metadata["group"] == f.metadata["key"]}
-    nests = [group for group in groups if group is not None and group not in kinds]
 
     def keys(*names) -> frozenset:
         return frozenset(slot[1] for name in names for slot in groups[name])
 
-    known = {nest: keys(nest) for nest in nests}
-    for kind in (None, *kinds):
-        known[kind] = keys(None, *([kind] if kind else kinds)) | set(nests)
-    return decls, groups, kinds, nests, known
+    known = {kind: keys(None, kind) if kind else keys(*groups) for kind in groups}
+    return decls, groups, known
 
 
 def _report_unknown(source: dict, known: frozenset, base: str, problems: list[str]) -> None:
@@ -180,8 +177,8 @@ def _take(group: list, source: dict, base: str, values: dict, problems: list[str
 
 def _read(cls, raw: dict, path: str, problems: list[str]):
     """A ``cls`` read from ``raw``, usable only if no problem was appended: a field that fails holds None."""
-    _, groups, kinds, nests, known = _layout(cls)
-    given = [kind for kind in kinds if kind in raw]
+    _, groups, known = _layout(cls)
+    given = [kind for kind in groups if kind is not None and kind in raw]
     chosen = given[0] if len(given) == 1 else None
     values: dict = {}
     plain = groups[None]
@@ -189,32 +186,22 @@ def _read(cls, raw: dict, path: str, problems: list[str]):
     _take(plain, raw, path, values, problems)
     for name, problem in cls._rules({name: values.get(name, default) for name, _, _, _, default, _ in plain}):
         problems.append(f"{_at(path, _key(cls, name)) if name else path}: {problem}")
-    for nest in nests:
-        base = _at(path, nest)
-        source = raw.get(nest, {})
-        if not isinstance(source, dict):
-            problems.append(f"{base}: must be an object")
-            source = {}
-        _report_unknown(source, known[nest], base, problems)
-        _take(groups[nest], source, base, values, problems)
     if chosen is not None:
         _take(groups[chosen], raw, path, values, problems)
-    elif kinds:
-        problems.append(f"{path}: exactly one of {' or '.join(map(repr, kinds))} is required")
+    elif len(groups) > 1:
+        problems.append(f"{path}: exactly one of {' or '.join(repr(kind) for kind in groups if kind)} is required")
     return cls(**values)
 
 
 def _write(decl) -> dict:
     """The JSON object of a declaration, leaving out unset fields (None or "") and fields of other kinds."""
-    decls, _, kinds, nests, _ = _layout(type(decl))
-    chosen = [kind for kind, f in kinds.items() if getattr(decl, f.name) is not None]
+    decls, _, _ = _layout(type(decl))
     out: dict = {}
     for f in decls:
         value, group = getattr(decl, f.name), f.metadata["group"]
-        if value is None or value == "" or (group in kinds and group not in chosen):
+        if value is None or value == "" or (group is not None and getattr(decl, group) is None):
             continue
-        target = out.setdefault(group, {}) if group in nests else out
-        target[f.metadata["key"]] = _json(value)
+        out[f.metadata["key"]] = _json(value)
     return out
 
 
@@ -229,7 +216,7 @@ def _json(value):
 
 class _Decl:
     @staticmethod
-    def _rules(values: dict):  # (field name or None, problem) of each broken rule between ungrouped fields
+    def _rules(values: dict):  # (field name or None, problem) of each broken rule between fields without a kind
         return ()
 
     def to_dict(self) -> dict:
@@ -241,15 +228,20 @@ _TRACED = _integer(0, INT_MAX)  # the event trace packs these as signed 64-bit i
 
 
 @dataclass(frozen=True)
+class DispositionDecl(_Decl):
+    state: PuState = _field("state", _name(PuState), PuState.COOPERATIVE)
+    alpha: float = _field("alpha", _UNIT, 0.0)
+    beta: float = _field("beta", _UNIT, 0.0)
+
+
+@dataclass(frozen=True)
 class BandDecl(_Decl):
     band_id: int = _field("id", _TRACED)
     capacity: int = _field("capacity", _integer(1, MAX_CAPACITY))
     p: float = _field("p", _UNIT)
     q: float = _field("q", _UNIT)
     initial_occupancy: int = _field("initial_occupancy", _integer(0), 0)
-    disposition_state: PuState = _field("state", _name(PuState), PuState.COOPERATIVE, "disposition")
-    alpha: float = _field("alpha", _UNIT, 0.0, "disposition")
-    beta: float = _field("beta", _UNIT, 0.0, "disposition")
+    disposition: DispositionDecl = _field("disposition", _record(DispositionDecl), DispositionDecl())
 
     @staticmethod
     def _rules(v: dict):
@@ -261,8 +253,8 @@ class BandDecl(_Decl):
 
     def build(self) -> SpectrumBand:
         chain = OccupancyChain(self.capacity, self.p, self.q)
-        disposition = PuDisposition(self.disposition_state, self.alpha, self.beta)
-        return SpectrumBand(self.band_id, chain, self.initial_occupancy, disposition)
+        d = self.disposition
+        return SpectrumBand(self.band_id, chain, self.initial_occupancy, PuDisposition(d.state, d.alpha, d.beta))
 
 
 @dataclass(frozen=True)
@@ -336,7 +328,7 @@ def canonical_preset() -> Scenario:
     """
     return Scenario(
         name="canonical",
-        bands=(BandDecl(0, capacity=8, p=0.2, q=0.2, initial_occupancy=4, disposition_state=PuState.NONCOOPERATIVE),),
+        bands=(BandDecl(0, 8, p=0.2, q=0.2, initial_occupancy=4, disposition=DispositionDecl(PuState.NONCOOPERATIVE)),),
         sessions=(SessionDecl(TrafficType.VIDEO_CONFERENCING, completion=1.0, every=1),),
         horizon=400_000,
         seed=42,

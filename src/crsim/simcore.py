@@ -105,7 +105,7 @@ import json
 import struct
 from dataclasses import asdict, dataclass, field, fields
 from bisect import bisect_right
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -113,7 +113,6 @@ from . import handover as ho
 from . import markov, negotiation, spectrum_env, su_fsm
 from .learning import KnowledgeBase
 from .negotiation import PuState
-from .qos import TrafficType
 from .scenario import Scenario  # also reached as simcore.Scenario by the benchmark
 from .spectrum_env import SpectrumBand
 from .su_fsm import MODE_NAMES, Mode, SessionStatus, SuSession
@@ -350,17 +349,6 @@ def step_chains(rows: Sequence[tuple], draws: Sequence[float]) -> list[SpectrumB
     return risen
 
 
-class _Arrival(NamedTuple):
-    """A declaration's arrivals, demand resolved once: due at start, start + every, ... before stop."""
-
-    traffic: TrafficType
-    demand: int
-    completion: float
-    start: int
-    stop: int
-    every: int
-
-
 class Engine:
     """Owns all mutable world state for one run."""
 
@@ -403,28 +391,30 @@ class Engine:
         self._scan_counts: dict[int, int] = {}
         # sessions that transmit in this step, in ascending session id
         self._transmitters: list[SuSession] = []
-        arrivals = []
-        for decl in sorted(scenario.sessions, key=lambda decl: decl.arrival is None):  # singles first
+        # per declaration, in admission order (see the module docstring), so a
+        # record's index is its rank: (demand, completion, stop, every), the
+        # demand resolved once and its arrivals due every ``every`` steps from
+        # its start until before ``stop``
+        self._arrivals: list[tuple[int, float, int, int]] = []
+        # step -> ranks of the arrivals due then; a due pattern files its next step
+        self._schedule: dict[int, list[int]] = {}
+        singles_first = sorted(scenario.sessions, key=lambda decl: decl.arrival is None)
+        for rank, decl in enumerate(su_fsm.order_arrivals(singles_first)):
             if decl.arrival is not None:
                 start, stop, every = decl.arrival, decl.arrival + 1, 1
             else:
                 start, every = decl.start, decl.every
                 stop = scenario.horizon if decl.until is None else min(decl.until, scenario.horizon)
-            arrivals.append(_Arrival(decl.traffic, decl.effective_demand(), decl.completion, start, stop, every))
-        # in admission order (see the module docstring); an arrival's rank is its index
-        self._arrivals = su_fsm.order_arrivals(arrivals)
-        # step -> ranks of the arrivals due then; a due pattern files its next step
-        self._schedule: dict[int, list[int]] = {}
-        for rank, arrival in enumerate(self._arrivals):
-            if arrival.start < arrival.stop:
-                self._schedule.setdefault(arrival.start, []).append(rank)
+            self._arrivals.append((decl.effective_demand(), decl.completion, stop, every))
+            if start < stop:
+                self._schedule.setdefault(start, []).append(rank)
         # per band id and demand the band can hold: the ``place`` of a session
         # of that demand on that band, the band's position in self.bands and
         # its ``su_fsm.mode_table`` row, built once per band width and demand.
         # A position, not the band: the band holds the session, and a cycle
         # between them would leave each run's last bands and sessions to the
         # cyclic garbage collector
-        demands = {decl.effective_demand() for decl in scenario.sessions}
+        demands = {demand for demand, _, _, _ in self._arrivals}
         capacities = {b.capacity for b in self.bands}
         tables = {(c, d): su_fsm.mode_table(c, d) for c in capacities for d in demands if d <= c}
         self._places = {
@@ -492,7 +482,7 @@ class Engine:
             vacant = self._vacant
             places = self._places
             for rank in ranks:
-                _, demand, completion, _, stop, every = self._arrivals[rank]
+                demand, completion, stop, every = self._arrivals[rank]
                 if t + every < stop:
                     schedule.setdefault(t + every, []).append(rank)
                 sid = m.arrivals

@@ -8,7 +8,7 @@ from crsim.handover import HandoverPlan, plan_handover, select_target
 from crsim.learning import KnowledgeBase
 from crsim.negotiation import PuState
 from crsim.qos import TrafficType
-from crsim.scenario import BandDecl, HandoverParams, NegotiationParams, Scenario, SessionDecl
+from crsim.scenario import BandDecl, DispositionDecl, HandoverParams, NegotiationParams, Scenario, SessionDecl
 from crsim.simcore import DROP_NO_TARGET, Engine, EventKind
 from crsim.su_fsm import SessionStatus
 
@@ -118,9 +118,9 @@ def test_target_filled_during_latency_triggers_replan():
     # also rises (p=1) so it no longer fits on arrival; band 2 is stable
     scenario = Scenario(
         bands=(
-            BandDecl(0, 8, 1.0, 0.0, 2, PuState.NONCOOPERATIVE, 0.0, 0.0),
-            BandDecl(1, 8, 1.0, 0.0, 1, PuState.COOPERATIVE, 0.0, 0.0),
-            BandDecl(2, 8, 0.0, 0.0, 0, PuState.COOPERATIVE, 0.0, 0.0),
+            BandDecl(0, 8, 1.0, 0.0, 2, DispositionDecl(PuState.NONCOOPERATIVE)),
+            BandDecl(1, 8, 1.0, 0.0, 1),
+            BandDecl(2, 8, 0.0, 0.0, 0),
         ),
         sessions=(SessionDecl(TrafficType.VIDEO_CONFERENCING, 0.001, arrival=0),),
         horizon=8,
@@ -140,7 +140,7 @@ def test_target_filled_during_latency_triggers_replan():
 
 def refusing_bands(count: int) -> tuple[BandDecl, ...]:
     """Static bands exactly at the Warning boundary for demand 4, all refusing."""
-    return tuple(BandDecl(i, 8, 0.0, 0.0, 4, PuState.NONCOOPERATIVE, 0.0, 0.0) for i in range(count))
+    return tuple(BandDecl(i, 8, 0.0, 0.0, 4, DispositionDecl(PuState.NONCOOPERATIVE)) for i in range(count))
 
 
 def one_session_step(bands: tuple[BandDecl, ...]) -> Engine:
@@ -205,7 +205,7 @@ band_decls = st.tuples(
 def test_no_session_starts_two_handovers_from_one_band_in_a_step(bands, demands, horizon, seed):
     scenario = Scenario(
         bands=tuple(
-            BandDecl(i, c, p, q, min(occ, c), state, alpha, beta)
+            BandDecl(i, c, p, q, min(occ, c), DispositionDecl(state, alpha, beta))
             for i, (c, p, q, occ, state, alpha, beta) in enumerate(bands)
         ),
         sessions=tuple(
@@ -230,8 +230,8 @@ def test_handover_sessions_do_not_transmit_during_latency():
     # step, the noncooperative user refuses, and it hands over to band 1.
     scenario = Scenario(
         bands=(
-            BandDecl(0, 8, 1.0, 0.0, 3, PuState.NONCOOPERATIVE, 0.0, 0.0),
-            BandDecl(1, 8, 0.0, 0.0, 0, PuState.COOPERATIVE, 0.0, 0.0),
+            BandDecl(0, 8, 1.0, 0.0, 3, DispositionDecl(PuState.NONCOOPERATIVE)),
+            BandDecl(1, 8, 0.0, 0.0, 0),
         ),
         sessions=(SessionDecl(TrafficType.VIDEO_CONFERENCING, 1.0, arrival=0),),
         horizon=6,

@@ -15,6 +15,7 @@ from test_simcore import multiband_latency
 
 from crsim.qos import TrafficType
 from crsim.scenario import INT_MAX, MAX_CAPACITY, BandDecl, Scenario, ScenarioError, SessionDecl, canonical_preset
+from crsim.simcore import Engine
 
 T = TrafficType
 
@@ -35,6 +36,22 @@ def test_the_memoised_digest_is_the_digest_of_the_canonical_json():
     assert twin.sha256() == fresh
     shorter = dataclasses.replace(scenario, horizon=scenario.horizon - 1)
     assert shorter.sha256() == hashlib.sha256(shorter.canonical_json().encode()).hexdigest() != fresh
+
+
+def test_a_negative_zero_probability_reads_as_zero():
+    """-0.0 == 0.0, so a scenario giving it hashes and traces as one giving 0.0."""
+
+    def with_zero(zero: float) -> Scenario:
+        data = multiband_latency().to_dict()
+        data["bands"][0].update(p=zero, q=zero)
+        data["bands"][0]["disposition"].update(alpha=zero, beta=zero)
+        return Scenario.from_dict(data)
+
+    plus, minus = with_zero(0.0), with_zero(-0.0)
+    decl = minus.bands[0]
+    assert all(math.copysign(1.0, x) == 1.0 for x in (decl.p, decl.q, decl.disposition.alpha, decl.disposition.beta))
+    assert minus == plus and minus.sha256() == plus.sha256()
+    assert Engine(minus).run().trace_hash == Engine(plus).run().trace_hash
 
 
 def test_from_dict_reports_every_non_finite_number():
@@ -100,10 +117,10 @@ BROKEN_SCENARIOS = [
             "bands[1].capacity: must be >= 1, got 0",
             "bands[1].p: must be a number, got 'a'",
             "bands[1].q: must be within [0.0, 1.0], got 2.0",
-            "bands[2]: p + q must not exceed 1, got 0.7 + 0.6",
-            "bands[2].initial_occupancy: exceeds capacity 4",
             "bands[2].disposition.state: must be one of ['cooperative', 'noncooperative'], got 'grumpy'",
             "bands[2].disposition.alpha: must be within [0.0, 1.0], got 1.5",
+            "bands[2]: p + q must not exceed 1, got 0.7 + 0.6",
+            "bands[2].initial_occupancy: exceeds capacity 4",
             "bands[3].disposition: must be an object",
             "bands[3].id: duplicate band id 3",
             "sessions[0]: must be an object",

@@ -27,6 +27,7 @@ from crsim.qos import TrafficType
 from crsim.scenario import (
     MAX_CAPACITY,
     BandDecl,
+    DispositionDecl,
     HandoverParams,
     NegotiationParams,
     Scenario,
@@ -62,14 +63,14 @@ def multiband_latency() -> Scenario:
     return Scenario(
         name="multiband-latency",
         bands=(
-            BandDecl(0, 8, 0.10, 0.30, 2, COOP, 0.05, 0.05),
-            BandDecl(1, 6, 0.20, 0.20, 3, NONCOOP, 0.10, 0.20),
-            BandDecl(2, 12, 0.05, 0.25, 0, COOP, 0.02, 0.10),
-            BandDecl(3, 8, 0.30, 0.30, 4, COOP, 0.30, 0.30),
-            BandDecl(4, 10, 0.15, 0.35, 5, NONCOOP, 0.05, 0.05),
-            BandDecl(5, 7, 0.20, 0.30, 1, COOP, 0.00, 0.00),
-            BandDecl(6, 9, 0.25, 0.25, 4, COOP, 0.10, 0.10),
-            BandDecl(7, 5, 0.10, 0.20, 0, NONCOOP, 0.20, 0.20),
+            BandDecl(0, 8, 0.10, 0.30, 2, DispositionDecl(COOP, 0.05, 0.05)),
+            BandDecl(1, 6, 0.20, 0.20, 3, DispositionDecl(NONCOOP, 0.10, 0.20)),
+            BandDecl(2, 12, 0.05, 0.25, 0, DispositionDecl(COOP, 0.02, 0.10)),
+            BandDecl(3, 8, 0.30, 0.30, 4, DispositionDecl(COOP, 0.30, 0.30)),
+            BandDecl(4, 10, 0.15, 0.35, 5, DispositionDecl(NONCOOP, 0.05, 0.05)),
+            BandDecl(5, 7, 0.20, 0.30, 1),
+            BandDecl(6, 9, 0.25, 0.25, 4, DispositionDecl(COOP, 0.10, 0.10)),
+            BandDecl(7, 5, 0.10, 0.20, 0, DispositionDecl(NONCOOP, 0.20, 0.20)),
         ),
         sessions=(
             SessionDecl(T.VIDEO_CONFERENCING, 0.15, every=3),
@@ -91,7 +92,7 @@ def replan_exhaustion() -> Scenario:
     return Scenario(
         name="replan-exhaustion",
         bands=tuple(
-            BandDecl(i, 8, 0.40, 0.40, 2 * i, COOP if i % 2 else NONCOOP, 0.30, 0.30) for i in range(4)
+            BandDecl(i, 8, 0.40, 0.40, 2 * i, DispositionDecl(COOP if i % 2 else NONCOOP, 0.30, 0.30)) for i in range(4)
         ),
         sessions=(
             SessionDecl(T.VIDEO_CONFERENCING, 0.10, every=2),
@@ -125,8 +126,8 @@ def grant_after_scan() -> Scenario:
     return Scenario(
         name="grant-after-scan",
         bands=(
-            BandDecl(0, 8, 0.0, 0.0, 0, COOP, 0.0, 0.0),
-            BandDecl(1, 8, 0.0, 0.0, 6, COOP, 0.0, 0.0),
+            BandDecl(0, 8, 0.0, 0.0, 0),
+            BandDecl(1, 8, 0.0, 0.0, 6),
         ),
         sessions=(
             SessionDecl(T.SERIOUS_BROWSING, 0.001, arrival=0),
@@ -155,9 +156,11 @@ def wide_mixed() -> Scenario:
                 round(0.04 + 0.03 * (i % 6), 2),
                 round(0.12 + 0.04 * (i % 5), 2),
                 (i * 3) % (capacity // 2 + 1),
-                COOP if i % 3 else NONCOOP,
-                0.0 if i % 7 == 0 else round(0.02 * (i % 4 + 1), 2),
-                0.0 if i % 7 == 0 else round(0.03 * (i % 3 + 1), 2),
+                DispositionDecl(
+                    COOP if i % 3 else NONCOOP,
+                    0.0 if i % 7 == 0 else round(0.02 * (i % 4 + 1), 2),
+                    0.0 if i % 7 == 0 else round(0.03 * (i % 3 + 1), 2),
+                ),
             )
         )
     return Scenario(
@@ -422,11 +425,11 @@ def settle_table() -> Scenario:
     return Scenario(
         name="settle-table",
         bands=(
-            BandDecl(0, 8, 0.30, 0.30, 5, COOP, 0.0, 0.0),
-            BandDecl(1, 6, 0.25, 0.25, 2, COOP, 0.0, 0.0),
-            BandDecl(2, 16, 0.05, 0.40, 0, COOP, 0.0, 0.0),
-            BandDecl(3, 4, 0.30, 0.30, 4, NONCOOP, 0.2, 0.2),
-            BandDecl(5, 5, 0.20, 0.20, 1, COOP, 0.1, 0.3),
+            BandDecl(0, 8, 0.30, 0.30, 5),
+            BandDecl(1, 6, 0.25, 0.25, 2),
+            BandDecl(2, 16, 0.05, 0.40, 0),
+            BandDecl(3, 4, 0.30, 0.30, 4, DispositionDecl(NONCOOP, 0.2, 0.2)),
+            BandDecl(5, 5, 0.20, 0.20, 1, DispositionDecl(COOP, 0.1, 0.3)),
         ),
         sessions=(
             SessionDecl(T.VIDEO_CONFERENCING, 0.05, every=2),
@@ -538,7 +541,7 @@ def test_a_running_session_that_completes_settles_every_step_it_sensed(seed, arr
     # a static band the session fills with slack: it runs from its arrival
     # until it completes, one own-band sense a step (a scan's record on
     # multiples of 3), and no sense after it leaves
-    engine = run(one_band(BandDecl(0, 8, 0.0, 0.0, 0, COOP, 0.0, 0.0), 0.2, 12, seed, arrival), keep_trace=True)
+    engine = run(one_band(BandDecl(0, 8, 0.0, 0.0, 0), 0.2, 12, seed, arrival), keep_trace=True)
     assert [(t, kind) for t, kind, *_ in engine.trace.records] == [
         (arrival, EventKind.ADMIT),
         (done, EventKind.COMPLETED),
@@ -552,7 +555,7 @@ def test_a_run_ended_by_a_rise_settles_the_steps_before_it():
     # occupancy 3 of 8 and births only: the session runs from step 0 over the
     # scan step 3 until the rise of step 4 leaves it in Warning mode; that turn
     # senses once more (4 channels free fit its demand), is refused and drops
-    engine = run(one_band(BandDecl(0, 8, 0.3, 0.0, 3, NONCOOP, 0.0, 0.0), 0.001, 12, 8), keep_trace=True)
+    engine = run(one_band(BandDecl(0, 8, 0.3, 0.0, 3, DispositionDecl(NONCOOP)), 0.001, 12, 8), keep_trace=True)
     assert [(t, kind) for t, kind, *_ in engine.trace.records] == [
         (0, EventKind.ADMIT),
         (4, EventKind.NEGOTIATION_REFUSED),
@@ -566,7 +569,7 @@ def test_a_run_ended_by_a_rise_settles_the_steps_before_it():
 def test_a_grant_moves_its_band_histogram_count_and_is_not_a_normal_turn():
     # occupancy 4 of 8, demand 4: Warning at step 0, and the one-channel
     # grant leaves the static band at 3, where the session runs to the horizon
-    engine = run(one_band(BandDecl(0, 8, 0.0, 0.0, 4, COOP, 0.0, 0.0), 0.01, 6, 1), keep_trace=True)
+    engine = run(one_band(BandDecl(0, 8, 0.0, 0.0, 4), 0.01, 6, 1), keep_trace=True)
     assert [(t, kind, c) for t, kind, _, _, c in engine.trace.records] == [
         (0, EventKind.ADMIT, 4),
         (0, EventKind.NEGOTIATION_GRANTED, 1),
@@ -580,7 +583,7 @@ def test_a_caller_held_knowledge_base_is_current_after_every_step():
     # the completing run of seed 3 (step 6) on a warm-started band 0: each
     # step() returns with that step's own-band sense written
     kb = KnowledgeBase.from_json_dict({"0": {"attempts": 2, "grants": 1, "sensed": 10, "available": 7}})
-    engine = Engine(one_band(BandDecl(0, 8, 0.0, 0.0, 0, COOP, 0.0, 0.0), 0.2, 12, 3), kb=kb)
+    engine = Engine(one_band(BandDecl(0, 8, 0.0, 0.0, 0), 0.2, 12, 3), kb=kb)
     seen = []
     for _ in range(12):
         engine.step()
@@ -595,7 +598,7 @@ def test_a_grant_that_leaves_the_band_past_normal_senses_again_on_the_next_step(
     # still Warning; the band does not rise in step 3, where the session
     # must sense Warning mode again and negotiate once more
     scenario = Scenario(
-        bands=(BandDecl(0, 8, 0.5, 0.0, 3, COOP, 0.0, 0.0),),
+        bands=(BandDecl(0, 8, 0.5, 0.0, 3),),
         sessions=(SessionDecl(T.VIDEO_CONFERENCING, 0.01, arrival=0),),
         horizon=4,
         seed=18,
@@ -621,7 +624,7 @@ def test_arrivals_are_admitted_in_priority_order_singles_first_on_ties():
     # patterns declared lowest priority first, each tagged by its demand, and a
     # single arrival (ECommerce, priority 12 as Voice) on a pattern step
     scenario = Scenario(
-        bands=(BandDecl(0, 8, 0.0, 0.0, 0, COOP, 0.0, 0.0), BandDecl(1, 8, 0.0, 0.0, 0, COOP, 0.0, 0.0)),
+        bands=(BandDecl(0, 8, 0.0, 0.0, 0), BandDecl(1, 8, 0.0, 0.0, 0)),
         sessions=(
             SessionDecl(T.EMAIL, 1.0, every=1, demand=1),  # priority 10
             SessionDecl(T.VOICE, 1.0, every=1, demand=2),  # 12
@@ -670,7 +673,10 @@ def test_the_arrival_schedule_admits_as_the_per_step_rule(decls, horizon, cut):
         for i, d in enumerate(decls)
     )
     scenario = Scenario(
-        bands=(BandDecl(0, 8, 0.2, 0.2, 2, COOP, 0.1, 0.1), BandDecl(3, 8, 0.3, 0.1, 5, NONCOOP, 0.2, 0.1)),
+        bands=(
+            BandDecl(0, 8, 0.2, 0.2, 2, DispositionDecl(COOP, 0.1, 0.1)),
+            BandDecl(3, 8, 0.3, 0.1, 5, DispositionDecl(NONCOOP, 0.2, 0.1)),
+        ),
         sessions=sessions,
         horizon=horizon,
         seed=9,
@@ -714,8 +720,8 @@ def fast_wide() -> Scenario:
     benchmark; occupancy rises fast enough that sessions in Failure leave
     their bands while other sessions hand over in the same step."""
     bands = tuple(
-        BandDecl(i, 6 + (i * 5) % 11, round(0.2 + 0.02 * (i % 7), 2), round(0.1 + 0.05 * (i % 5), 2),
-                 i % 4, COOP if i % 2 else NONCOOP, round(0.01 * (i % 10), 2), round(0.01 * (i % 9), 2))
+        BandDecl(i, 6 + (i * 5) % 11, round(0.2 + 0.02 * (i % 7), 2), round(0.1 + 0.05 * (i % 5), 2), i % 4,
+                 DispositionDecl(COOP if i % 2 else NONCOOP, round(0.01 * (i % 10), 2), round(0.01 * (i % 9), 2)))
         for i in range(24)
     )
     sessions = tuple(
@@ -733,8 +739,8 @@ def churning() -> Scenario:
     benchmark, with twelve bands and no negotiation latency: a refused session
     leaves its band in the step it sensed it, for later sessions to rank."""
     bands = tuple(
-        BandDecl(i, 8, round(0.35 + 0.02 * i, 2), round(0.45 - 0.02 * i, 2), i % 9, NONCOOP if i % 2 == 0 else COOP,
-                 0.3, 0.3)
+        BandDecl(i, 8, round(0.35 + 0.02 * i, 2), round(0.45 - 0.02 * i, 2), i % 9,
+                 DispositionDecl(NONCOOP if i % 2 == 0 else COOP, 0.3, 0.3))
         for i in range(12)
     )
     sessions = tuple(
@@ -839,7 +845,7 @@ def test_a_session_filling_a_band_with_an_idle_licensed_user_transmits(caplog):
     # demand 4 on a static, idle, cooperative 4-channel band: the session
     # fills the band with nothing to negotiate for, so it transmits
     scenario = Scenario(
-        bands=(BandDecl(0, 4, 0.0, 0.0, 0, COOP, 0.0, 0.0),),
+        bands=(BandDecl(0, 4, 0.0, 0.0, 0),),
         sessions=(SessionDecl(T.VIDEO_CONFERENCING, 0.5, every=1),),
         horizon=100,
         seed=1,
@@ -859,7 +865,7 @@ def test_compare_skips_the_row_of_a_figure_the_run_leaves_undefined():
     # blocking is 1/1, but no session was admitted, so the simulated
     # non-completion is undefined
     scenario = Scenario(
-        bands=(BandDecl(0, 8, 0.0, 0.2, 8, PuState.COOPERATIVE, 0.3, 0.3),),
+        bands=(BandDecl(0, 8, 0.0, 0.2, 8, DispositionDecl(PuState.COOPERATIVE, 0.3, 0.3)),),
         sessions=(SessionDecl(T.VIDEO_CONFERENCING, 0.05, arrival=0),),
         horizon=5,
         seed=1,
@@ -873,7 +879,10 @@ def test_compare_skips_the_row_of_a_figure_the_run_leaves_undefined():
 
 def test_a_two_band_compare_table_ends_in_the_note_of_its_missing_row():
     scenario = Scenario(
-        bands=(BandDecl(0, 8, 0.2, 0.2, 2, COOP, 0.3, 0.3), BandDecl(1, 6, 0.1, 0.3, 2, NONCOOP, 0.3, 0.3)),
+        bands=(
+            BandDecl(0, 8, 0.2, 0.2, 2, DispositionDecl(COOP, 0.3, 0.3)),
+            BandDecl(1, 6, 0.1, 0.3, 2, DispositionDecl(NONCOOP, 0.3, 0.3)),
+        ),
         sessions=(SessionDecl(T.VIDEO_CONFERENCING, 0.1, every=2),),
         horizon=200,
         seed=7,
@@ -903,9 +912,9 @@ def test_engine_set_up_classifies_once_per_band_width_and_demand(monkeypatch):
     monkeypatch.setattr(su_fsm, "classify_mode", counting)
     scenario = Scenario(
         bands=(
-            BandDecl(0, MAX_CAPACITY, 0.2, 0.2, 0, COOP, 0.1, 0.1),
-            BandDecl(1, 8, 0.2, 0.2, 0, COOP, 0.1, 0.1),
-            BandDecl(2, 8, 0.3, 0.1, 4, NONCOOP, 0.1, 0.1),
+            BandDecl(0, MAX_CAPACITY, 0.2, 0.2, 0, DispositionDecl(COOP, 0.1, 0.1)),
+            BandDecl(1, 8, 0.2, 0.2, 0, DispositionDecl(COOP, 0.1, 0.1)),
+            BandDecl(2, 8, 0.3, 0.1, 4, DispositionDecl(NONCOOP, 0.1, 0.1)),
         ),
         sessions=(
             SessionDecl(T.VIDEO_CONFERENCING, 0.1, every=1),

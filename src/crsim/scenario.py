@@ -67,7 +67,7 @@ def _unit(open_low: bool = False):
         elif value < 0 or value > 1 or (open_low and value == 0):
             problems.append(f"{path}: must be within {'(0.0' if open_low else '[0.0'}, 1.0], got {value}")
         else:
-            return float(value) + 0.0  # -0.0 as 0.0, which it equals: both write and hash alike
+            return float(value)
         return None
 
     return read
@@ -165,7 +165,8 @@ def _layout(cls) -> tuple:
 
 def _report_unknown(source: dict, known: frozenset, base: str, problems: list[str]) -> None:
     for key in sorted(set(source) - known, key=str):
-        shown = key if key.isprintable() else repr(key)  # a line break in a key must not split the report
+        # a line break in a key must not split the report, and a key built in Python need not be a string
+        shown = key if isinstance(key, str) and key.isprintable() else repr(key)
         problems.append(f"{_at(base, shown)}: unknown {'key' if base else 'top-level key'}")
 
 
@@ -206,11 +207,17 @@ def _write(decl) -> dict:
 
 
 def _json(value):
-    """A declared value as JSON: enum members by value, declarations as objects, tuples as lists."""
+    """A declared value as JSON: enum members by value, declarations as objects, tuples as lists.
+
+    A float is written with the sign of zero dropped: -0.0 equals 0.0, so
+    both write and hash alike.
+    """
     if isinstance(value, Enum):
         return value.value
     if isinstance(value, tuple):
         return [_json(item) for item in value]
+    if isinstance(value, float):
+        return value + 0.0
     return _write(value) if isinstance(value, _Decl) else value
 
 

@@ -2,14 +2,17 @@
 
 Each step applies a fixed sub-step order: (1) every band's occupancy
 evolves, (2) every licensed-user disposition evolves, both in one pass over
-the bands (``step_chains``), (3) due arrivals are admitted in priority
-order, (4-6) each live session senses, classifies its mode and acts
-(transmit / negotiate / hand over), (7) transmitting sessions draw
-completion, (8) buffered knowledge-base updates apply, (9) metrics and
-invariant checks.  Only (1) and negotiation grants write a band's
-occupancy (``pu_used``), so the occupancy histograms are counted in
-``step_chains``, each band at its occupancy after (1), and a grant moves
-its band's count to the granted occupancy.
+the bands (``step_chains``, or ``step_chains_wide`` from ``WIDE_BANDS``
+bands on), (3) due arrivals are admitted in priority order, (4-6) each live
+session senses, classifies its mode and acts (transmit / negotiate / hand
+over), (7) transmitting sessions draw completion, (8) buffered
+knowledge-base updates apply, (9) metrics and invariant checks.  Only (1)
+and negotiation grants write a band's occupancy (``pu_used``), so a band's
+occupancy histogram is counted when its occupancy moves: each band keeps
+the step it has held its occupancy since, and a move in step t, by (1) or
+by a grant, adds the steps from then to t to the old occupancy's count.
+The occupancy after step t's moves holds step t.  ``band_histograms`` adds
+each band's current run when it is read.
 
 (3) reads a schedule built once per run, from step to the admission ranks
 of the arrivals due then: ``su_fsm.order_arrivals`` ranks every declaration
@@ -68,7 +71,7 @@ own grant, and (3) admits only onto vacant bands, so between two of its
 turns only (1) moves the band's occupancy, by at most one.  The Normal
 occupancies of a mode row run from 0 to a boundary (``su_fsm.mode_table``),
 so a band that did not rise keeps its running session in Normal mode;
-``step_chains`` reports the bands that rose, and a running session on one
+the pass of (1) reports the bands that rose, and a running session on one
 of them whose mode row no longer says Normal stops running and takes a
 full turn.  A grant may leave the band past Normal (the licensed user can
 take channels during the wait), so it makes the session running only when
@@ -95,7 +98,11 @@ extra randomness, so identical (scenario, seed) pairs reproduce the event
 trace bit for bit.  The chain draws of (1) and (2) are taken as one block
 per step, and the completion draws of (7) as another, one per session that
 transmits in the step; a block holds exactly the values that one draw at a
-time would give, in the same order.
+time would give, in the same order.  A narrow engine reads its blocks as
+Python floats (``RandomStream.take``).  A wide one compares its chain block
+as an array (``RandomStream.block``) with one numpy comparison, and turns
+only its completion draws into floats, so most of its draws never become
+Python objects.
 """
 
 from __future__ import annotations
@@ -270,42 +277,60 @@ class EventTrace:
 class RandomStream:
     """Buffered uniform stream over one numpy Generator.
 
-    Block draws produce the same values as repeated scalar draws, so this
-    only amortizes call overhead; consumption order is unchanged.
+    The Generator fills one block of ``_BLOCK`` uniforms at a time, and every
+    read takes the next values of the current block in order, whatever its
+    form: ``random`` one float, ``take`` a list of floats, ``block`` an
+    ndarray.  So any mix of reads gives the values that one ``random`` call
+    at a time would.  A block becomes Python floats (``_floats``) only on the
+    first ``random`` or ``take`` from it: draws that only numpy reads never
+    become floats.
     """
 
-    __slots__ = ("_rng", "_buf", "_idx")
+    __slots__ = ("_rng", "_block", "_floats", "_listed", "_idx")
     _BLOCK = 8192
 
     def __init__(self, seed: int):
         self._rng = np.random.default_rng(seed)
-        self._buf = self._rng.random(self._BLOCK).tolist()
+        self._refill()
+        self._floats: list[float] = []
         self._idx = 0
 
+    def _refill(self) -> None:
+        self._block = self._rng.random(self._BLOCK)
+        # how far ``_floats`` lists the block: all of it, or none yet
+        self._listed = 0
+
     def random(self) -> float:
-        i = self._idx
-        if i >= self._BLOCK:
-            self._buf = self._rng.random(self._BLOCK).tolist()
-            i = 0
-        self._idx = i + 1
-        return self._buf[i]
+        return self.take(1)[0]
 
     def take(self, n: int) -> list[float]:
-        """The next ``n`` uniforms: exactly what ``n`` calls of ``random`` would return."""
+        """The next ``n`` uniforms as Python floats."""
+        i = self._idx
+        j = i + n
+        if j > self._listed:
+            if j > self._BLOCK:
+                return self.block(n).tolist()
+            self._floats = self._block.tolist()
+            self._listed = self._BLOCK
+        self._idx = j
+        return self._floats[i:j]
+
+    def block(self, n: int) -> np.ndarray:
+        """The next ``n`` uniforms as an array: a view of the block that holds them all, or else a new array."""
         i = self._idx
         j = i + n
         if j <= self._BLOCK:
             self._idx = j
-            return self._buf[i:j]
-        out = self._buf[i:]
-        n -= len(out)
+            return self._block[i:j]
+        out = [self._block[i:]]
+        n -= self._BLOCK - i
         while n > 0:
-            self._buf = self._rng.random(self._BLOCK).tolist()
+            self._refill()
             k = min(n, self._BLOCK)
-            out += self._buf[:k]
+            out.append(self._block[:k])
             self._idx = k
             n -= k
-        return out
+        return np.concatenate(out)
 
 
 # Enum members read in every step, bound once: before Python 3.12 reading a
@@ -319,33 +344,107 @@ _COOPERATIVE = PuState.COOPERATIVE
 _NONCOOPERATIVE = PuState.NONCOOPERATIVE
 # the mode-histogram key that a running session's turn counts
 _NORMAL_NAME = MODE_NAMES[Mode.NORMAL]
+# bands from which an engine steps (1) and (2) with ``step_chains_wide``:
+# on wide64's first n bands (CPython 3.11, 2-CPU Xeon) its run time was
+# 1.30× ``step_chains``' at n = 4, 1.05× at 16, 0.97× at 24, 0.91× at 32
+# and 0.86× at 64 (ROADMAP item 7)
+WIDE_BANDS = 32
 
 
-def step_chains(rows: Sequence[tuple], draws: Sequence[float]) -> list[SpectrumBand]:
-    """(1) and (2) in one pass, by the rules of ``spectrum_env.step_band`` and ``negotiation.step_disposition``.
+def chain_rows(bands: Sequence[SpectrumBand], histograms: Sequence[list[int]]) -> list[tuple]:
+    """The rows of ``step_chains`` for ``bands``, band i counting into ``histograms[i]``."""
+    n = len(bands)
+    return [
+        (i, n + i, b, b.chain.birth, b.chain.birth + b.chain.death, b.chain.capacity, b.disposition, histograms[i])
+        for i, b in enumerate(bands)
+    ]
 
-    Of n rows, row i is (i, n + i, band, birth, birth + death, capacity,
-    disposition, histogram): its occupancy reads ``draws[i]`` and its
-    disposition ``draws[n + i]``, and draws past the first 2n go unread.
-    Each band's new occupancy is counted once in its histogram.  Returns
-    the bands whose occupancy rose, in row order.
+
+def step_chains(rows: Sequence[tuple], draws: Sequence[float], t: int, since: list[int]) -> list[SpectrumBand]:
+    """(1) and (2) of step ``t`` in one pass, by the rules of ``spectrum_env.step_band`` and ``negotiation.step_disposition``.
+
+    Of n rows (``chain_rows``), row i is (i, n + i, band, birth, birth +
+    death, capacity, disposition, histogram): its occupancy reads
+    ``draws[i]`` and its disposition ``draws[n + i]``, and draws past the
+    first 2n go unread.  A band whose occupancy moves adds the steps it held
+    the old one, from ``since[i]`` to ``t``, to its histogram, and holds the
+    new one since ``t``.  Returns the bands whose occupancy rose, in row
+    order.
     """
     risen = []
     for i, j, band, birth, birth_death, capacity, disposition, histogram in rows:
         u = draws[i]
         if u < birth:
-            if band.pu_used < capacity:
-                band.pu_used += 1
+            used = band.pu_used
+            if used < capacity:
+                histogram[used] += t - since[i]
+                since[i] = t
+                band.pu_used = used + 1
                 risen.append(band)
         elif u < birth_death:
-            if band.pu_used > 0:
-                band.pu_used -= 1
-        histogram[band.pu_used] += 1
+            used = band.pu_used
+            if used > 0:
+                histogram[used] += t - since[i]
+                since[i] = t
+                band.pu_used = used - 1
         if disposition.state is _COOPERATIVE:
             if draws[j] < disposition.alpha:
                 disposition.state = _NONCOOPERATIVE
         elif draws[j] < disposition.beta:
             disposition.state = _COOPERATIVE
+    return risen
+
+
+def wide_rows(bands: Sequence[SpectrumBand], histograms: Sequence[list[int]]) -> tuple[np.ndarray, list]:
+    """The threshold row and the rows of ``step_chains_wide`` for ``bands``, band i counting into ``histograms[i]``.
+
+    Of n bands, entry i of both is band i's occupancy: birth + death, and
+    (band, birth, capacity, histogram).  Entry n + i is its disposition:
+    the switch probability of its current state, and the disposition.
+    """
+    dispositions = [b.disposition for b in bands]
+    thresholds = [b.chain.birth + b.chain.death for b in bands]
+    thresholds += [d.alpha if d.state is _COOPERATIVE else d.beta for d in dispositions]
+    rows = [(b, b.chain.birth, b.chain.capacity, histograms[i]) for i, b in enumerate(bands)]
+    return np.array(thresholds), rows + dispositions
+
+
+def step_chains_wide(chains: tuple[np.ndarray, list], draws: np.ndarray, t: int, since: list[int]) -> list[SpectrumBand]:
+    """``step_chains`` for the ``wide_rows`` of n bands and exactly 2n draws: one comparison, then only the entries that move.
+
+    Entry k moves when ``draws[k]`` falls under its threshold, and the moving
+    entries are visited in ascending order, so the bands that rose come in
+    row order.  A disposition that switches writes the other state's switch
+    probability into its threshold, which therefore holds only while this is
+    the one writer of the disposition's state, as it is in a wide engine.
+    """
+    thresholds, rows = chains
+    n = len(rows) >> 1
+    risen = []
+    moving = (draws < thresholds).nonzero()[0]
+    for k, u in zip(moving.tolist(), draws[moving].tolist()):
+        if k < n:
+            band, birth, capacity, histogram = rows[k]
+            used = band.pu_used
+            if u < birth:
+                if used == capacity:
+                    continue
+                band.pu_used = used + 1
+                risen.append(band)
+            elif used:
+                band.pu_used = used - 1
+            else:
+                continue
+            histogram[used] += t - since[k]
+            since[k] = t
+        else:
+            disposition = rows[k]
+            if disposition.state is _COOPERATIVE:
+                disposition.state = _NONCOOPERATIVE
+                thresholds[k] = disposition.beta
+            else:
+                disposition.state = _COOPERATIVE
+                thresholds[k] = disposition.alpha
     return risen
 
 
@@ -376,14 +475,20 @@ class Engine:
         self.step_index = 0
         self._horizon = scenario.horizon
         self._scan_interval = scenario.handover.scan_interval
-        # each band's occupancy histogram, in self.bands order, and step_chains'
-        # rows, which count every band's occupancy after (1) in its histogram
-        n = len(self.bands)
+        # each band's occupancy histogram, in self.bands order, without the
+        # steps from since[i] on, which band i has spent at its occupancy
         self._hists = [[0] * (b.capacity + 1) for b in self.bands]
-        self._chain_rows = [
-            (i, n + i, b, b.chain.birth, b.chain.birth + b.chain.death, b.chain.capacity, b.disposition, self._hists[i])
-            for i, b in enumerate(self.bands)
-        ]
+        self._since = [0] * len(self.bands)
+        # (1) and (2), which read two draws a band, and (7)'s draws: a Python
+        # pass over every band, or for a wide band set one numpy comparison
+        self._chain_size = 2 * len(self.bands)
+        if len(self.bands) < WIDE_BANDS:
+            self._step_chains, self._chains = step_chains, chain_rows(self.bands, self._hists)
+            self._draw_chains = self._draw_completions = self.stream.take
+        else:
+            self._step_chains, self._chains = step_chains_wide, wide_rows(self.bands, self._hists)
+            self._draw_chains = block = self.stream.block
+            self._draw_completions = lambda k: block(k).tolist()
         self._neg_events: list[tuple[int, bool]] = []
         # the (band id, sensed, available) records that (8) applies
         self._senses: list[tuple[int, int, int]] = []
@@ -433,8 +538,13 @@ class Engine:
 
     @property
     def band_histograms(self) -> dict[int, list[int]]:
-        """Per band id, in ascending order, the steps (9) counted at each occupancy."""
-        return {b.band_id: row for b, row in zip(self.bands, self._hists)}
+        """Per band id, in ascending order, the steps before ``step_index`` spent at each occupancy, in new lists."""
+        out = {}
+        for band, row, since in zip(self.bands, self._hists, self._since):
+            row = row.copy()
+            row[band.pu_used] += self.step_index - since
+            out[band.band_id] = row
+        return out
 
     def timeseries_header(self) -> list[str]:
         """Column names of the ``timeseries`` rows that ``Engine.step`` appends."""
@@ -460,14 +570,13 @@ class Engine:
         if self.step_index >= self._horizon:
             raise EngineError("stepping past the scenario horizon")
         t = self.step_index
-        stream = self.stream
         m = self.metrics
         bands = self.bands
 
         # (1) occupancy chains and (2) disposition chains, ascending band id;
         # a running session on a band that rose past its Normal rows writes its
         # senses up to this step and senses again
-        for band in step_chains(self._chain_rows, stream.take(2 * len(bands))):
+        for band in self._step_chains(self._chains, self._draw_chains(self._chain_size), t, self._since):
             session = band.su
             if session is not None and session.running and session.place[1][band.pu_used] is not _NORMAL:
                 session.running = False
@@ -554,7 +663,7 @@ class Engine:
         # the step's grants sensed Normal mode
         if transmitters:
             mode_histogram[_NORMAL_NAME] += len(transmitters) - (m.grants - grants)
-            draws = stream.take(len(transmitters))
+            draws = self._draw_completions(len(transmitters))
             for i, session in enumerate(transmitters):
                 if draws[i] < session.completion:
                     if session.running:  # before its band turns vacant and can be scored
@@ -576,7 +685,7 @@ class Engine:
             self.kb.record_senses(senses)
             senses.clear()
 
-        # (9) metrics and invariants; step_chains and grants counted the histograms
+        # (9) metrics and invariants; the occupancy moves counted the histograms
         m.still_active = len(self.live)
         if m.admitted + m.blocked != m.arrivals:
             raise EngineError("conservation violated: admitted + blocked != arrivals")
@@ -616,10 +725,10 @@ class Engine:
         su_fsm.apply_outcome(session, outcome)
         if outcome.granted:
             m.grants += 1
-            # the histogram counted the occupancy before the grant
-            histogram = self._hists[position]
-            histogram[used] -= 1
-            histogram[band.pu_used] += 1
+            # the band holds the granted occupancy from this step on
+            since = self._since
+            self._hists[position][used] += t - since[position]
+            since[position] = t
             self.trace.add(t, EventKind.NEGOTIATION_GRANTED, session.session_id, band.band_id, outcome.channels)
             # a grant can leave the band past Normal: the mode row decides
             if session.place[1][band.pu_used] is _NORMAL:

@@ -15,9 +15,14 @@ family holds 2-8 bands whose births push transmitting sessions past their
 Normal boundary, mostly cooperative licensed users, negotiation latencies
 of 1-3, scan intervals of 1-5 and long-lived sessions (completion
 0.005-0.05): sessions stay on their bands for tens of steps, and a grant
-after a wait often leaves a band still past Normal.  A scenario's digest covers
-everything a run reports: the trace hash, the knowledge base, the metrics,
-the band histograms, the time series and the NDJSON trace.  With
+after a wait often leaves a band still past Normal.  The ``wide`` family
+holds 16-96 bands, so its band sets fall on both sides of
+``simcore.WIDE_BANDS``, with slow chains, some static ones, dispositions
+that switch often or never, and 1-4 long-lived arrival patterns, so tens of
+bands hold a session that scans, negotiates after latencies of 0-2 and is
+granted channels.  A scenario's digest covers everything a run reports: the
+trace hash, the knowledge base, the metrics, the band histograms, the time
+series and the NDJSON trace.  With
 ``--stepped`` the harness drives each run one ``Engine.step()`` at a time
 and also folds the knowledge base and the band histograms after every step
 into the digest, so it sees a write that lands late between steps, which
@@ -29,6 +34,7 @@ Two engines agree on a family when their manifests are equal:
     PYTHONPATH=src python tests/differential.py --family vacant --count 2000 --seed 5 > b.txt
     PYTHONPATH=src python tests/differential.py --family resident --count 2000 --seed 9 > c.txt
     PYTHONPATH=src python tests/differential.py --family resident --stepped --count 2000 --seed 9 > d.txt
+    PYTHONPATH=src python tests/differential.py --family wide --count 2000 --seed 6 > e.txt
 
 prints one line per scenario (index, scenario hash prefix, digest) and a
 last line ``combined <digest>`` over all of them.
@@ -232,7 +238,59 @@ def resident_scenario(seed: int, index: int) -> tuple[Scenario, dict | None]:
     return Scenario.from_dict(doc), _warm_start(rng, band_ids)
 
 
-FAMILIES = {"mixed": scenario, "vacant": vacant_scenario, "resident": resident_scenario}
+def wide_scenario(seed: int, index: int) -> tuple[Scenario, dict | None]:
+    """The ``wide`` scenario of ``(seed, index)`` and its warm-start snapshot, as ``scenario`` gives."""
+    rng = random.Random(seed * 1_000_003 + index)
+    horizon = rng.randint(30, 100)
+    n_bands = rng.randint(16, 96)
+    band_ids = sorted(rng.sample(range(3 * n_bands + 2), n_bands))
+    bands = []
+    for band_id in band_ids:
+        # mostly slow chains under holding sessions, some static ones, and
+        # dispositions that flip every few steps or never
+        capacity = rng.randint(2, 16)
+        static = rng.random() < 0.1
+        still = rng.random() < 0.1
+        bands.append({
+            "id": band_id,
+            "capacity": capacity,
+            "p": 0.0 if static else round(rng.uniform(0.02, 0.3), 3),
+            "q": 0.0 if static else round(rng.uniform(0.05, 0.4), 3),
+            "initial_occupancy": rng.randint(0, capacity),
+            "disposition": {
+                "state": "cooperative" if rng.random() < 0.7 else "noncooperative",
+                "alpha": 0.0 if still else round(rng.uniform(0.0, 0.3), 3),
+                "beta": 0.0 if still else round(rng.uniform(0.0, 0.5), 3),
+            },
+        })
+    rng.shuffle(bands)
+    sessions = []
+    for _ in range(rng.randint(1, 4)):
+        # long-lived sessions, so tens of bands hold one
+        session = {"traffic": rng.choice(TRAFFIC), "c": round(rng.uniform(0.005, 0.1), 3)}
+        if rng.random() < 0.2:
+            session["arrival"] = rng.randint(0, horizon - 1)
+        else:
+            session["every"] = rng.randint(1, 4)
+            session["start"] = rng.randint(0, 3)
+        sessions.append(session)
+    doc = {
+        "name": f"wide-{seed}-{index}",
+        "bands": bands,
+        "sessions": sessions,
+        "negotiation": {"grant_request": rng.randint(1, 3), "latency": rng.randint(0, 2)},
+        "handover": {
+            "latency": rng.randint(0, 2),
+            "max_replans": rng.randint(0, 3),
+            "scan_interval": rng.randint(1, 10),
+        },
+        "horizon": horizon,
+        "seed": rng.randint(0, 2**31 - 1),
+    }
+    return Scenario.from_dict(doc), _warm_start(rng, band_ids)
+
+
+FAMILIES = {"mixed": scenario, "vacant": vacant_scenario, "resident": resident_scenario, "wide": wide_scenario}
 
 
 def outputs(scenario: Scenario, kb: dict | None, stepped: bool = False) -> dict:

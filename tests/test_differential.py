@@ -13,7 +13,10 @@ with one that sensed every active session in every step.  The
 ``resident`` family one ``step()`` at a time and fold the knowledge base and
 the band histograms after every step; they were recorded with an engine
 that wrote a running session's sense in every step and counted histograms
-in a pass of their own.  Every ``tier1`` key (``tier1`` or ending in
+in a pass of their own.  The ``wide_tier1``, ``wide_stepped_tier1`` and
+``wide_ci`` digests of the ``wide`` family were recorded with an engine that
+stepped every band's chains in one Python pass and counted every band's
+occupancy in its histogram in every step.  Every ``tier1`` key (``tier1`` or ending in
 ``_tier1``) is checked here; CI checks every larger ``ci`` key the same way
 with ``python tests/differential.py``.
 """

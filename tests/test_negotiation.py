@@ -18,7 +18,7 @@ from crsim.negotiation import (
     stationary_cooperative_probability,
     step_disposition,
 )
-from crsim.simcore import step_chains
+from crsim.simcore import chain_rows, step_chains
 from crsim.spectrum_env import SpectrumBand
 from crsim.su_fsm import Mode, classify_mode
 
@@ -193,14 +193,14 @@ def test_step_dispositions_matches_step_disposition_draw_for_draw(chains, steps,
     # frozen bands (birth = death = 0): their occupancy draws move nothing
     bands = [band_with(d) for d in batched]
     hists = [[0] * 9 for _ in batched]
-    rows = [(i, n + i, band, 0.0, 0.0, 8, band.disposition, hists[i]) for i, band in enumerate(bands)]
+    rows, since = chain_rows(bands, hists), [0] * n
     for k in range(steps):
         willingness = draws[k * n:(k + 1) * n]
         # n occupancy draws, then the dispositions' draws, then an extra draw left unread
-        step_chains(rows, [0.0] * n + willingness + [0.0])
+        step_chains(rows, [0.0] * n + willingness + [0.0], k, since)
         rng = Draws(willingness)
         for disp in single:
             step_disposition(disp, rng)
         assert [d.state for d in batched] == [d.state for d in single]
-        # each frozen band's histogram counted its unmoved occupancy once a step
-        assert hists == [[k + 1 if used == band.pu_used else 0 for used in range(9)] for band in bands]
+        # a frozen band's occupancy never moves, so nothing is added to its histogram
+        assert hists == [[0] * 9 for _ in bands] and since == [0] * n

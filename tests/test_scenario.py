@@ -13,8 +13,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_simcore import multiband_latency
 
+from crsim.negotiation import PuState
 from crsim.qos import TrafficType
-from crsim.scenario import INT_MAX, MAX_CAPACITY, BandDecl, Scenario, ScenarioError, SessionDecl, canonical_preset
+from crsim.scenario import (
+    INT_MAX,
+    MAX_CAPACITY,
+    BandDecl,
+    DispositionDecl,
+    Scenario,
+    ScenarioError,
+    SessionDecl,
+    canonical_preset,
+)
 from crsim.simcore import Engine
 
 T = TrafficType
@@ -48,9 +58,27 @@ def test_a_negative_zero_probability_reads_as_zero():
         return Scenario.from_dict(data)
 
     plus, minus = with_zero(0.0), with_zero(-0.0)
-    decl = minus.bands[0]
-    assert all(math.copysign(1.0, x) == 1.0 for x in (decl.p, decl.q, decl.disposition.alpha, decl.disposition.beta))
+    written = minus.to_dict()["bands"][0]
+    zeros = (written["p"], written["q"], written["disposition"]["alpha"], written["disposition"]["beta"])
+    assert all(math.copysign(1.0, x) == 1.0 for x in zeros)
     assert minus == plus and minus.sha256() == plus.sha256()
+    assert Engine(minus).run().trace_hash == Engine(plus).run().trace_hash
+
+
+def test_a_negative_zero_declared_in_python_hashes_as_zero():
+    """The writer drops the sign of zero, so a declaration built without the reader hashes as one giving 0.0."""
+
+    def with_zero(zero: float) -> Scenario:
+        scenario = multiband_latency()
+        band = dataclasses.replace(
+            scenario.bands[0], p=zero, disposition=DispositionDecl(PuState.COOPERATIVE, zero, zero)
+        )
+        return dataclasses.replace(scenario, bands=(band, *scenario.bands[1:]))
+
+    plus, minus = with_zero(0.0), with_zero(-0.0)
+    assert math.copysign(1.0, minus.bands[0].p) == -1.0  # no reader dropped the sign
+    assert minus == plus and minus.canonical_json() == plus.canonical_json()
+    assert minus.sha256() == plus.sha256()
     assert Engine(minus).run().trace_hash == Engine(plus).run().trace_hash
 
 
@@ -240,6 +268,16 @@ def test_from_dict_reports_unknown_keys_at_every_level():
         "negotiation.latncy: unknown key",
         "handover.scan: unknown key",
         "handover.'scan\\ninterval': unknown key",  # quoted, so that the report stays on one line
+    ]
+
+
+def test_a_key_that_is_not_a_string_is_reported_as_unknown():
+    data = minimal_document(bands=[{"id": 0, "capacity": 8, "p": 0.2, "q": 0.2, 7: 1, "disposition": {None: 0}}])
+    data[("a", 1)] = 2
+    assert problems_of(data) == [
+        "('a', 1): unknown top-level key",
+        "bands[0].7: unknown key",
+        "bands[0].disposition.None: unknown key",
     ]
 
 

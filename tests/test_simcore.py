@@ -14,6 +14,7 @@ import dataclasses
 import json
 
 import differential
+import numpy as np
 import pytest
 from conftest import Draws
 from hypothesis import given, settings
@@ -42,9 +43,12 @@ from crsim.simcore import (
     EventKind,
     RandomStream,
     analytic_figures,
+    chain_rows,
     compare,
     run,
     step_chains,
+    step_chains_wide,
+    wide_rows,
 )
 from crsim.spectrum_env import SpectrumBand, step_band
 from crsim.su_fsm import Mode, SessionStatus, mode_table
@@ -836,7 +840,10 @@ def test_a_run_returns_the_engine_that_ran_it():
     assert engine.run() is engine and engine.step_index == scenario.horizon
     other = run(scenario)
     assert isinstance(other, Engine) and other.trace_hash == engine.trace_hash == engine.trace.hash_hex()
-    assert list(engine.band_histograms) == sorted(b.band_id for b in scenario.bands)
+    histograms = engine.band_histograms
+    assert list(histograms) == sorted(b.band_id for b in scenario.bands)
+    for row in histograms.values():
+        row[0] += 1  # each reading is the caller's own copy
     assert all(sum(row) == scenario.horizon for row in engine.band_histograms.values())
     assert len(engine.timeseries_header()) == len(engine.timeseries[0])
 
@@ -1008,39 +1015,46 @@ def test_step_chains_matches_step_band_and_step_disposition_draw_for_draw(params
     draws = data.draw(
         st.lists(st.sampled_from(boundaries) | st.floats(0.0, 0.999), min_size=2 * n * steps, max_size=2 * n * steps)
     )
-    batched, single = build(), build()
-    hists = [[0] * (b.capacity + 1) for b in batched]
-    rows = [
-        (i, n + i, b, b.chain.birth, b.chain.birth + b.chain.death, b.chain.capacity, b.disposition, hists[i])
-        for i, b in enumerate(batched)
-    ]
+    single = build()
     counted = [[0] * (b.capacity + 1) for b in single]
+    # the Python pass and the numpy pass on the same drawn rows, each moving its own bands
+    passes = []
+    for rows, stepper in ((chain_rows, step_chains), (wide_rows, step_chains_wide)):
+        bands = build()
+        hists = [[0] * (b.capacity + 1) for b in bands]
+        passes.append((stepper, rows(bands, hists), bands, hists, [0] * n))
     for k in range(steps):
-        block = draws[2 * n * k:]
+        block = draws[2 * n * k:2 * n * (k + 1)]
         before = [b.pu_used for b in single]
-        # a longer draw list leaves the extra draws unread
-        risen = step_chains(rows, block + [0.0])
         # every band's occupancy, then every disposition, one draw each
-        occupancy, willingness = Draws(block[:n]), Draws(block[n:2 * n])
+        occupancy, willingness = Draws(block[:n]), Draws(block[n:])
         for band in single:
             step_band(band, occupancy)
         for band in single:
             step_disposition(band.disposition, willingness)
-        assert [b.pu_used for b in batched] == [b.pu_used for b in single]
-        assert [b.disposition.state for b in batched] == [b.disposition.state for b in single]
-        # the bands reported are exactly those whose occupancy rose, in order
-        assert [id(b) for b in risen] == [id(batched[i]) for i, b in enumerate(single) if b.pu_used > before[i]]
-        # each band's histogram counted its new occupancy once
         for band, row in zip(single, counted):
             row[band.pu_used] += 1
-        assert hists == counted
+        for stepper, chains, bands, hists, since in passes:
+            # step_chains leaves draws past the first 2n unread; step_chains_wide reads exactly 2n
+            risen = stepper(chains, block + [0.0] if stepper is step_chains else np.array(block), k, since)
+            assert [b.pu_used for b in bands] == [b.pu_used for b in single]
+            assert [b.disposition.state for b in bands] == [b.disposition.state for b in single]
+            # the bands reported are exactly those whose occupancy rose, in order
+            assert [id(b) for b in risen] == [id(bands[i]) for i, b in enumerate(single) if b.pu_used > before[i]]
+            # with the steps each band has held its occupancy since it last
+            # moved, its histogram has counted every occupancy once a step
+            through = [row.copy() for row in hists]
+            for band, row, start in zip(bands, through, since):
+                row[band.pu_used] += k + 1 - start
+            assert through == counted
 
 
 BLOCK = RandomStream._BLOCK
 # n = 0 and 1, sizes up to and across one block refill, and across several
 take_sizes = st.sampled_from([0, 1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5]) | st.integers(0, 2 * BLOCK)
 stream_ops = st.lists(
-    st.one_of(st.tuples(st.just("take"), take_sizes), st.tuples(st.just("random"), st.just(1))), max_size=8
+    st.one_of(st.tuples(st.sampled_from(["take", "block"]), take_sizes), st.tuples(st.just("random"), st.just(1))),
+    max_size=8,
 )
 
 
@@ -1048,8 +1062,19 @@ stream_ops = st.lists(
 @given(ops=stream_ops, seed=st.integers(0, 2**32 - 1))
 def test_take_returns_what_scalar_draws_would(ops, seed):
     blocks, scalar = RandomStream(seed), RandomStream(seed)
+    # the Generator's uniforms one at a time, as it fills the stream's blocks
+    generator = np.random.default_rng(seed)
+    drawn = sum(n for _, n in ops) + 3
+    uniforms = np.concatenate([generator.random(BLOCK) for _ in range(drawn // BLOCK + 1)]).tolist()
+    at = 0
     for op, n in ops:
-        got = blocks.take(n) if op == "take" else [blocks.random()]
-        assert got == [scalar.random() for _ in range(n)]
+        if op == "block":
+            got = blocks.block(n)
+            assert isinstance(got, np.ndarray)
+            got = got.tolist()
+        else:
+            got = blocks.take(n) if op == "take" else [blocks.random()]
+        assert got == [scalar.random() for _ in range(n)] == uniforms[at:at + n]
+        at += n
     # both streams stand at the same place afterwards
-    assert blocks.take(3) == [scalar.random() for _ in range(3)]
+    assert blocks.take(3) == [scalar.random() for _ in range(3)] == uniforms[at:at + 3]

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from conftest import Draws, tv_distance
 from crsim.markov import OccupancyChain, stationary
 from crsim.negotiation import PuDisposition, PuState
-from crsim.simcore import step_chains
+from crsim.simcore import chain_rows, step_chains
 from crsim.spectrum_env import SpectrumBand, sense, step_band
 
 
@@ -131,19 +131,20 @@ def test_step_bands_matches_step_band_draw_for_draw(bands, steps, data):
     draws = data.draw(st.lists(st.sampled_from(boundaries) | st.floats(0.0, 0.999), min_size=size, max_size=size))
     batched, single = build(), build()
     hists = [[0] * (b.capacity + 1) for b in batched]
-    rows = [
-        (i, n + i, b, b.chain.birth, b.chain.birth + b.chain.death, b.chain.capacity, b.disposition, hists[i])
-        for i, b in enumerate(batched)
-    ]
+    rows, since = chain_rows(batched, hists), [0] * n
     counted = [[0] * (b.capacity + 1) for b in single]
     for k in range(steps):
         occupancy = draws[k * n:(k + 1) * n]
         # n disposition draws (alpha = 0: never a switch), then an extra draw left unread
-        step_chains(rows, occupancy + [0.0] * n + [0.0])
+        step_chains(rows, occupancy + [0.0] * n + [0.0], k, since)
         rng = Draws(occupancy)
         for band, row in zip(single, counted):
             step_band(band, rng)
             row[band.pu_used] += 1
         assert [b.pu_used for b in batched] == [b.pu_used for b in single]
-        # each band's histogram counted its new occupancy once
-        assert hists == counted
+        # each band's histogram, with the steps at its occupancy since its
+        # last move, counted its occupancy once a step
+        through = [row.copy() for row in hists]
+        for band, row, start in zip(batched, through, since):
+            row[band.pu_used] += k + 1 - start
+        assert through == counted

@@ -103,6 +103,11 @@ Python floats (``RandomStream.take``).  A wide one compares its chain block
 as an array (``RandomStream.block``) with one numpy comparison, and turns
 only its completion draws into floats, so most of its draws never become
 Python objects.
+
+An engine binds, when it is built, the objects that its steps read: its
+metrics, bands, live sessions, knowledge base, trace, time series and, through
+the draw functions, its stream.  A caller mutates these in place and never
+rebinds them, since a step goes on reading the objects bound at construction.
 """
 
 from __future__ import annotations
@@ -342,6 +347,10 @@ _NORMAL = Mode.NORMAL
 _WARNING = Mode.WARNING
 _COOPERATIVE = PuState.COOPERATIVE
 _NONCOOPERATIVE = PuState.NONCOOPERATIVE
+# the event kinds that ``Engine.step`` writes itself
+_ADMIT = EventKind.ADMIT
+_BLOCK = EventKind.BLOCK
+_COMPLETED = EventKind.COMPLETED
 # the mode-histogram key that a running session's turn counts
 _NORMAL_NAME = MODE_NAMES[Mode.NORMAL]
 # bands from which an engine steps (1) and (2) with ``step_chains_wide``:
@@ -449,7 +458,12 @@ def step_chains_wide(chains: tuple[np.ndarray, list], draws: np.ndarray, t: int,
 
 
 class Engine:
-    """Owns all mutable world state for one run."""
+    """Owns all mutable world state for one run.
+
+    ``step`` reads the objects bound at construction (``metrics``, ``bands``,
+    ``live``, ``kb``, ``trace``, ``timeseries`` and ``stream``), not the
+    attributes that name them: mutate these in place, never rebind them.
+    """
 
     def __init__(
         self,
@@ -481,14 +495,16 @@ class Engine:
         self._since = [0] * len(self.bands)
         # (1) and (2), which read two draws a band, and (7)'s draws: a Python
         # pass over every band, or for a wide band set one numpy comparison
-        self._chain_size = 2 * len(self.bands)
         if len(self.bands) < WIDE_BANDS:
-            self._step_chains, self._chains = step_chains, chain_rows(self.bands, self._hists)
-            self._draw_chains = self._draw_completions = self.stream.take
+            chain_pass, chains = step_chains, chain_rows(self.bands, self._hists)
+            draw_chains = draw_completions = self.stream.take
         else:
-            self._step_chains, self._chains = step_chains_wide, wide_rows(self.bands, self._hists)
-            self._draw_chains = block = self.stream.block
-            self._draw_completions = lambda k: block(k).tolist()
+            chain_pass, chains = step_chains_wide, wide_rows(self.bands, self._hists)
+            draw_chains = block = self.stream.block
+
+            def draw_completions(k: int) -> list[float]:
+                return block(k).tolist()
+
         self._neg_events: list[tuple[int, bool]] = []
         # the (band id, sensed, available) records that (8) applies
         self._senses: list[tuple[int, int, int]] = []
@@ -500,9 +516,9 @@ class Engine:
         # record's index is its rank: (demand, completion, stop, every), the
         # demand resolved once and its arrivals due every ``every`` steps from
         # its start until before ``stop``
-        self._arrivals: list[tuple[int, float, int, int]] = []
+        arrivals: list[tuple[int, float, int, int]] = []
         # step -> ranks of the arrivals due then; a due pattern files its next step
-        self._schedule: dict[int, list[int]] = {}
+        schedule: dict[int, list[int]] = {}
         singles_first = sorted(scenario.sessions, key=lambda decl: decl.arrival is None)
         for rank, decl in enumerate(su_fsm.order_arrivals(singles_first)):
             if decl.arrival is not None:
@@ -510,16 +526,16 @@ class Engine:
             else:
                 start, every = decl.start, decl.every
                 stop = scenario.horizon if decl.until is None else min(decl.until, scenario.horizon)
-            self._arrivals.append((decl.effective_demand(), decl.completion, stop, every))
+            arrivals.append((decl.effective_demand(), decl.completion, stop, every))
             if start < stop:
-                self._schedule.setdefault(start, []).append(rank)
+                schedule.setdefault(start, []).append(rank)
         # per band id and demand the band can hold: the ``place`` of a session
         # of that demand on that band, the band's position in self.bands and
         # its ``su_fsm.mode_table`` row, built once per band width and demand.
         # A position, not the band: the band holds the session, and a cycle
         # between them would leave each run's last bands and sessions to the
         # cyclic garbage collector
-        demands = {demand for demand, _, _, _ in self._arrivals}
+        demands = {demand for demand, _, _, _ in arrivals}
         capacities = {b.capacity for b in self.bands}
         tables = {(c, d): su_fsm.mode_table(c, d) for c in capacities for d in demands if d <= c}
         self._places = {
@@ -529,6 +545,20 @@ class Engine:
         # bands the acting session has left in its current turn of (4-6)
         self._left: set[int] = set()
         self.timeseries: list[tuple] | None = [] if collect_timeseries else None
+        # the scenario parameters the turn handlers read
+        self._negotiation_latency = scenario.negotiation.latency
+        self._grant_request = scenario.negotiation.grant_request
+        self._handover_latency = scenario.handover.latency
+        self._max_replans = scenario.handover.max_replans
+        # what ``step`` reads, bound once (see the class docstring).  Nothing
+        # here refers back to the engine, so reference counting frees it
+        self._per_step = (
+            self._horizon, self.metrics, self.bands,
+            chain_pass, chains, draw_chains, 2 * len(self.bands), self._since,
+            schedule, arrivals, self._places, self._vacant, self.trace.add,
+            self.kb, self.live, self.metrics.mode_histogram, self._scan_counts, self._senses, self._transmitters,
+            self._left, self._scan_interval, draw_completions, self._neg_events, self.timeseries,
+        )
 
     # -- views ------------------------------------------------------------
 
@@ -567,55 +597,51 @@ class Engine:
 
         ``settle=False`` leaves running sessions' senses unwritten: ``run`` settles once, at the end.
         """
-        if self.step_index >= self._horizon:
-            raise EngineError("stepping past the scenario horizon")
+        (
+            horizon, m, bands,
+            chain_pass, chains, draw_chains, chain_size, since,
+            schedule, arrivals, places, vacant, add,
+            kb, live, mode_histogram, scans, senses, transmitters,
+            left, scan_interval, draw_completions, neg_events, timeseries,
+        ) = self._per_step
         t = self.step_index
-        m = self.metrics
-        bands = self.bands
+        if t >= horizon:
+            raise EngineError("stepping past the scenario horizon")
 
         # (1) occupancy chains and (2) disposition chains, ascending band id;
         # a running session on a band that rose past its Normal rows writes its
         # senses up to this step and senses again
-        for band in self._step_chains(self._chains, self._draw_chains(self._chain_size), t, self._since):
+        for band in chain_pass(chains, draw_chains(chain_size), t, since):
             session = band.su
             if session is not None and session.running and session.place[1][band.pu_used] is not _NORMAL:
                 session.running = False
                 self._settle(session, t)
 
         # (3) arrivals due now, in admission order
-        schedule = self._schedule
         ranks = schedule.pop(t, None)
         if ranks is not None:
             ranks.sort()
-            add = self.trace.add
-            vacant = self._vacant
-            places = self._places
             for rank in ranks:
-                demand, completion, stop, every = self._arrivals[rank]
+                demand, completion, stop, every = arrivals[rank]
                 if t + every < stop:
                     schedule.setdefault(t + every, []).append(rank)
                 sid = m.arrivals
                 m.arrivals += 1
-                band_id = su_fsm.admit(vacant.values(), demand, self.kb)
+                band_id = su_fsm.admit(vacant.values(), demand, kb)
                 if band_id is None:
                     m.blocked += 1
-                    add(t, EventKind.BLOCK, sid, -1, demand)
+                    add(t, _BLOCK, sid, -1, demand)
                     continue
                 m.admitted += 1
                 session = SuSession(sid, demand, completion, band_id, _ACTIVE, 0, None, 0, places[band_id][demand])
                 vacant.pop(band_id).su = session
-                self.live.append(session)
-                add(t, EventKind.ADMIT, sid, band_id, demand)
+                live.append(session)
+                add(t, _ADMIT, sid, band_id, demand)
 
         # (4-6) sense, classify, decide, act: one turn per live session
-        mode_histogram = m.mode_histogram
-        scan = t % self._scan_interval == 0
-        scans = self._scan_counts
-        senses = self._senses
-        transmitters = self._transmitters
-        left = self._left
+        scan = t % scan_interval == 0
         grants = m.grants
-        for session in tuple(self.live):
+        for session in tuple(live):
             if not session.running:
                 if session.status is _ACTIVE:
                     landed = True
@@ -663,38 +689,38 @@ class Engine:
         # the step's grants sensed Normal mode
         if transmitters:
             mode_histogram[_NORMAL_NAME] += len(transmitters) - (m.grants - grants)
-            draws = self._draw_completions(len(transmitters))
+            draws = draw_completions(len(transmitters))
             for i, session in enumerate(transmitters):
                 if draws[i] < session.completion:
                     if session.running:  # before its band turns vacant and can be scored
                         self._settle(session, t + 1)
                     self._vacate(session)
                     m.completed += 1
-                    self.trace.add(t, EventKind.COMPLETED, session.session_id, session.band_id, 0)
-                    self.live.remove(session)
+                    add(t, _COMPLETED, session.session_id, session.band_id, 0)
+                    live.remove(session)
             transmitters.clear()
 
         # (8) knowledge-base updates buffered during this step
-        if self._neg_events:
-            for band_id, granted in self._neg_events:
-                self.kb.record_negotiation(band_id, granted)
-            self._neg_events.clear()
+        if neg_events:
+            for band_id, granted in neg_events:
+                kb.record_negotiation(band_id, granted)
+            neg_events.clear()
         if scans:
             self._settle_scans()
         if senses:
-            self.kb.record_senses(senses)
+            kb.record_senses(senses)
             senses.clear()
 
         # (9) metrics and invariants; the occupancy moves counted the histograms
-        m.still_active = len(self.live)
+        m.still_active = len(live)
         if m.admitted + m.blocked != m.arrivals:
             raise EngineError("conservation violated: admitted + blocked != arrivals")
         if m.completed + m.dropped + m.still_active != m.admitted:
             raise EngineError("conservation violated: completed + dropped + active != admitted")
         if m.grants + m.refusals != m.negotiations:
             raise EngineError("conservation violated: grants + refusals != negotiations")
-        if self.timeseries is not None:  # columns: timeseries_header
-            self.timeseries.append(
+        if timeseries is not None:  # columns: timeseries_header
+            timeseries.append(
                 (t, *(b.pu_used for b in bands), m.still_active, m.arrivals, m.blocked, m.completed, m.dropped)
             )
         self.step_index = t + 1
@@ -705,7 +731,7 @@ class Engine:
 
     def _begin_negotiation(self, session: SuSession, t: int) -> bool:
         session.status = _NEGOTIATING
-        latency = self.scenario.negotiation.latency
+        latency = self._negotiation_latency
         if latency == 0:
             return self._resolve_negotiation(session, t)
         session.wait = latency
@@ -718,7 +744,7 @@ class Engine:
         position = session.place[0]
         band = self.bands[position]
         used = band.pu_used
-        outcome = negotiation.negotiate(band, self.scenario.negotiation.grant_request)
+        outcome = negotiation.negotiate(band, self._grant_request)
         m = self.metrics
         m.negotiations += 1
         self._neg_events.append((band.band_id, outcome.granted))
@@ -761,7 +787,7 @@ class Engine:
             self.metrics.failed_handovers += 1
             self._drop(session, t, DROP_NO_TARGET)
             return False
-        latency = self.scenario.handover.latency
+        latency = self._handover_latency
         session.handover_target = plan.target
         session.wait = latency
         return latency == 0 and self._arrive(session, t)
@@ -784,7 +810,7 @@ class Engine:
         session.replans += 1
         self.metrics.failed_handovers += 1
         self.trace.add(t, EventKind.HANDOVER_REPLANNED, session.session_id, target.band_id, session.replans)
-        if session.replans >= self.scenario.handover.max_replans:
+        if session.replans >= self._max_replans:
             self._drop(session, t, DROP_REPLANS_EXHAUSTED)
             return False
         return self._start_handover(session, t)

@@ -35,6 +35,7 @@ Two engines agree on a family when their manifests are equal:
     PYTHONPATH=src python tests/differential.py --family resident --count 2000 --seed 9 > c.txt
     PYTHONPATH=src python tests/differential.py --family resident --stepped --count 2000 --seed 9 > d.txt
     PYTHONPATH=src python tests/differential.py --family wide --count 2000 --seed 6 > e.txt
+    PYTHONPATH=src python tests/differential.py --family wide --stepped --count 2000 --seed 6 > f.txt
 
 prints one line per scenario (index, scenario hash prefix, digest) and a
 last line ``combined <digest>`` over all of them.

@@ -16,7 +16,8 @@ that wrote a running session's sense in every step and counted histograms
 in a pass of their own.  The ``wide_tier1``, ``wide_stepped_tier1`` and
 ``wide_ci`` digests of the ``wide`` family were recorded with an engine that
 stepped every band's chains in one Python pass and counted every band's
-occupancy in its histogram in every step.  Every ``tier1`` key (``tier1`` or ending in
+occupancy in its histogram in every step, and ``wide_stepped_ci`` with one
+whose step read its state through the engine's attributes.  Every ``tier1`` key (``tier1`` or ending in
 ``_tier1``) is checked here; CI checks every larger ``ci`` key the same way
 with ``python tests/differential.py``.
 """

@@ -11,7 +11,9 @@ engine must reproduce them exactly.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
+import weakref
 
 import differential
 import numpy as np
@@ -37,6 +39,7 @@ from crsim.scenario import (
 )
 from crsim.simcore import (
     DROP_REPLANS_EXHAUSTED,
+    WIDE_BANDS,
     ComparisonError,
     Engine,
     EngineError,
@@ -865,6 +868,46 @@ def test_a_session_filling_a_band_with_an_idle_licensed_user_transmits(caplog):
     assert m.completed == 55 and m.completed + m.still_active == m.admitted
     assert m.mode_histogram["Warning"] == m.mode_histogram["Failure"] == 0
     assert not any("idle PU" in message for message in caplog.messages)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 2(b): a negotiation resolved after its latency does not classify the mode again",
+)
+def test_a_negotiation_resolved_after_its_wait_never_meets_an_idle_licensed_user(caplog):
+    # band 7 (capacity 5) holds a demand-4 session that negotiates at
+    # occupancy 1; during the wait the licensed user falls to 0 channels
+    scenario = multiband_latency()
+    completions = (0.08, 0.15, 0.10, 0.12)
+    sessions = [dataclasses.replace(decl, completion=c) for decl, c in zip(scenario.sessions, completions)]
+    with caplog.at_level("WARNING", logger="crsim.negotiation"):
+        run(dataclasses.replace(scenario, sessions=(*sessions, *scenario.sessions[4:])))
+    assert not any("idle PU" in message for message in caplog.messages)
+
+
+@pytest.mark.parametrize("steps", [None, 5], ids=["run", "stepped"])
+@pytest.mark.parametrize("make", [canonical_short, multiband_latency, wide_mixed])
+def test_an_engine_is_freed_by_reference_counting_alone(make, steps):
+    # nothing an engine holds refers back to it, so dropping the last
+    # reference frees it without the cyclic garbage collector
+    scenario = make()
+    if make is wide_mixed:  # an engine that steps its chains with step_chains_wide
+        assert len(scenario.bands) >= WIDE_BANDS
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        engine = Engine(scenario, keep_trace=True, collect_timeseries=True)
+        if steps is None:
+            engine.run()
+        else:
+            for _ in range(steps):
+                engine.step()
+        ref = weakref.ref(engine)
+        del engine
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_compare_skips_the_row_of_a_figure_the_run_leaves_undefined():

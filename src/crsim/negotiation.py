@@ -58,7 +58,11 @@ _COOPERATIVE, _NONCOOPERATIVE = PuState.COOPERATIVE, PuState.NONCOOPERATIVE
 
 
 def step_disposition(disposition: PuDisposition, rng) -> None:
-    """Advance one willingness chain one step (in place, one uniform draw), as ``simcore.step_chains`` does."""
+    """Advance one willingness chain one step (in place, one uniform draw).
+
+    Both of the engine's passes apply this rule (``simcore.step_chains`` and
+    ``simcore.step_chains_wide``), reading the state as it is at the step.
+    """
     u = rng.random()
     if disposition.state is _COOPERATIVE:
         if u < disposition.alpha:

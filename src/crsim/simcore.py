@@ -108,6 +108,11 @@ An engine binds, when it is built, the objects that its steps read: its
 metrics, bands, live sessions, knowledge base, trace, time series and, through
 the draw functions, its stream.  A caller mutates these in place and never
 rebinds them, since a step goes on reading the objects bound at construction.
+A band's chain parameters (birth, death, capacity) and its disposition's
+alpha and beta are read when the engine is built, and a caller leaves them
+unchanged.  Its occupancy (``pu_used``), disposition state and resident
+session (``su``) are read live, by both passes of (1) and (2), so a caller
+may set them between steps.
 """
 
 from __future__ import annotations
@@ -404,36 +409,34 @@ def step_chains(rows: Sequence[tuple], draws: Sequence[float], t: int, since: li
     return risen
 
 
-def wide_rows(bands: Sequence[SpectrumBand], histograms: Sequence[list[int]]) -> tuple[np.ndarray, list]:
-    """The threshold row and the rows of ``step_chains_wide`` for ``bands``, band i counting into ``histograms[i]``.
+def wide_chains(rows: Sequence[tuple]) -> tuple[np.ndarray, list]:
+    """The threshold row and the entries of ``step_chains_wide`` for n ``chain_rows``.
 
-    Of n bands, entry i of both is band i's occupancy: birth + death, and
-    (band, birth, capacity, histogram).  Entry n + i is its disposition:
-    the switch probability of its current state, and the disposition.
+    Entry i is row i, for its band's occupancy, and entry n + i is its
+    disposition.  An entry moves only on a draw under its threshold: birth +
+    death for a band, and max(alpha, beta) for a disposition, since a draw at
+    or above both switches neither state.  The row is read-only.
     """
-    dispositions = [b.disposition for b in bands]
-    thresholds = [b.chain.birth + b.chain.death for b in bands]
-    thresholds += [d.alpha if d.state is _COOPERATIVE else d.beta for d in dispositions]
-    rows = [(b, b.chain.birth, b.chain.capacity, histograms[i]) for i, b in enumerate(bands)]
-    return np.array(thresholds), rows + dispositions
+    thresholds = np.array([row[4] for row in rows] + [max(row[6].alpha, row[6].beta) for row in rows])
+    thresholds.flags.writeable = False
+    return thresholds, [*rows, *(row[6] for row in rows)]
 
 
 def step_chains_wide(chains: tuple[np.ndarray, list], draws: np.ndarray, t: int, since: list[int]) -> list[SpectrumBand]:
-    """``step_chains`` for the ``wide_rows`` of n bands and exactly 2n draws: one comparison, then only the entries that move.
+    """``step_chains`` for the ``wide_chains`` of n rows and exactly 2n draws: one comparison, then only the entries that may move.
 
-    Entry k moves when ``draws[k]`` falls under its threshold, and the moving
-    entries are visited in ascending order, so the bands that rose come in
-    row order.  A disposition that switches writes the other state's switch
-    probability into its threshold, which therefore holds only while this is
-    the one writer of the disposition's state, as it is in a wide engine.
+    The entries under their thresholds are visited in ascending order, so the
+    bands that rose come in row order, and each takes the rule of
+    ``step_chains``: a disposition compares its draw with the switch
+    probability of its state as it is now.
     """
-    thresholds, rows = chains
-    n = len(rows) >> 1
+    thresholds, entries = chains
+    n = len(entries) >> 1
     risen = []
     moving = (draws < thresholds).nonzero()[0]
     for k, u in zip(moving.tolist(), draws[moving].tolist()):
         if k < n:
-            band, birth, capacity, histogram = rows[k]
+            _, _, band, birth, _, capacity, _, histogram = entries[k]
             used = band.pu_used
             if u < birth:
                 if used == capacity:
@@ -447,13 +450,12 @@ def step_chains_wide(chains: tuple[np.ndarray, list], draws: np.ndarray, t: int,
             histogram[used] += t - since[k]
             since[k] = t
         else:
-            disposition = rows[k]
+            disposition = entries[k]
             if disposition.state is _COOPERATIVE:
-                disposition.state = _NONCOOPERATIVE
-                thresholds[k] = disposition.beta
-            else:
+                if u < disposition.alpha:
+                    disposition.state = _NONCOOPERATIVE
+            elif u < disposition.beta:
                 disposition.state = _COOPERATIVE
-                thresholds[k] = disposition.alpha
     return risen
 
 
@@ -463,6 +465,10 @@ class Engine:
     ``step`` reads the objects bound at construction (``metrics``, ``bands``,
     ``live``, ``kb``, ``trace``, ``timeseries`` and ``stream``), not the
     attributes that name them: mutate these in place, never rebind them.
+    A band's chain parameters and its disposition's alpha and beta are read
+    here, and a caller leaves them unchanged; its occupancy, disposition
+    state and resident session are read live, whichever pass steps its
+    chains.
     """
 
     def __init__(
@@ -495,11 +501,12 @@ class Engine:
         self._since = [0] * len(self.bands)
         # (1) and (2), which read two draws a band, and (7)'s draws: a Python
         # pass over every band, or for a wide band set one numpy comparison
+        chains = chain_rows(self.bands, self._hists)
         if len(self.bands) < WIDE_BANDS:
-            chain_pass, chains = step_chains, chain_rows(self.bands, self._hists)
+            chain_pass = step_chains
             draw_chains = draw_completions = self.stream.take
         else:
-            chain_pass, chains = step_chains_wide, wide_rows(self.bands, self._hists)
+            chain_pass, chains = step_chains_wide, wide_chains(chains)
             draw_chains = block = self.stream.block
 
             def draw_completions(k: int) -> list[float]:

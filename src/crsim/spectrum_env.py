@@ -52,7 +52,9 @@ def step_band(band: SpectrumBand, rng) -> None:
 
     A draw in [0, birth) raises occupancy, [birth, birth+death) lowers it,
     the rest holds, with moves off the 0..capacity range suppressed.  The
-    engine steps every band at once (``simcore.step_chains``), by this rule.
+    engine steps every band at once by this rule, in either of its passes
+    (``simcore.step_chains``, or ``simcore.step_chains_wide`` for a wide
+    band set).
     """
     u = rng.random()
     chain = band.chain

@@ -20,6 +20,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -32,11 +33,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crsim
-from crsim import __version__, qos
+from crsim import __version__, qos, simcore
 from crsim.cli import main
-from crsim.scenario import INT_MAX
+from crsim.scenario import INT_MAX, Scenario
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text(encoding="utf-8"))
+README = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
 
 
 def band(band_id: int = 0, capacity: int = 8, p: float = 0.2, q: float = 0.2, **disposition) -> dict:
@@ -218,6 +220,19 @@ def test_goldens_cover_each_regime():
     timeseries = GOLDEN["simulate --timeseries multiband"]["export"]
     assert timeseries["lines"] == 1 + SCENARIOS["multiband"]["horizon"]
     assert timeseries["head"][0] == "step,band0_pu_used,band1_pu_used,active_sessions,arrivals,blocked,completed,dropped"
+
+
+def test_the_readme_quotes_the_blocking_that_compare_gives():
+    """The README's blocking figures, closed form then simulated, to its three places."""
+    text = " ".join(README.split())
+    quoted = re.search(r"prints blocking (\S+) \(closed form\) against (\S+) \(simulated\)", text).groups()
+    one_band = README.split("$ cat one-band.json\n", 1)[1].split("```", 1)[0]
+    row = simcore.compare(Scenario.from_dict(json.loads(one_band))).row("blocking")
+    assert quoted == (f"{row.analytic:.3f}", f"{row.simulated:.3f}")
+    # the canonical run takes 400k steps, so its figures come from its golden
+    quoted = re.search(r"On the canonical preset, .*? the run prints (\S+) against (\S+?);", text).groups()
+    (row,) = json.loads(GOLDEN["compare --json canonical"]["stdout"])["rows"]
+    assert quoted == (f"{row['analytic']:.3f}", f"{row['simulated']:.3f}")
 
 
 def test_analyze_and_compare_agree_on_a_static_band(tmp_path, capsys):

@@ -18,8 +18,10 @@ in a pass of their own.  The ``wide_tier1``, ``wide_stepped_tier1`` and
 stepped every band's chains in one Python pass and counted every band's
 occupancy in its histogram in every step, and ``wide_stepped_ci`` with one
 whose step read its state through the engine's attributes.  Every ``tier1`` key (``tier1`` or ending in
-``_tier1``) is checked here; CI checks every larger ``ci`` key the same way
-with ``python tests/differential.py``.
+``_tier1``) is checked here, also with every engine stepping its chains on
+the numpy pass (``simcore.WIDE_BANDS`` 1) and with every one on the Python
+pass; CI checks every larger ``ci`` key the same way with ``python
+tests/differential.py``, and the non-stepped ones on either pass too.
 """
 
 from __future__ import annotations
@@ -30,16 +32,30 @@ from pathlib import Path
 import differential
 import pytest
 
+from crsim import simcore
 from crsim.simcore import _DROP_REASONS, _KINDS
 
 PINNED = json.loads((Path(__file__).parent / "data" / "differential.json").read_text(encoding="utf-8"))
+TIER1 = [key for key in PINNED if key.split("_")[-1] == "tier1"]
 
 
-@pytest.mark.parametrize("key", [key for key in PINNED if key.split("_")[-1] == "tier1"])
-def test_the_pinned_digest_is_unchanged(key):
+def combined(key: str) -> str:
     run = PINNED[key]
-    manifest = differential.manifest(run["count"], run["seed"], run.get("family", "mixed"), run.get("stepped", False))
-    assert manifest[-1] == f"combined {run['combined']}"
+    return differential.manifest(run["count"], run["seed"], run.get("family", "mixed"), run.get("stepped", False))[-1]
+
+
+@pytest.mark.parametrize("key", TIER1)
+def test_the_pinned_digest_is_unchanged(key):
+    assert combined(key) == f"combined {PINNED[key]['combined']}"
+
+
+@pytest.mark.parametrize("wide", [1, 1 << 30], ids=["numpy_pass", "python_pass"])
+@pytest.mark.parametrize("key", TIER1)
+def test_the_pinned_digest_is_the_same_on_either_chain_pass(key, wide, monkeypatch):
+    # which pass steps (1) and (2) is a matter of speed alone: every engine,
+    # one-band ones included, on the numpy pass, or every one on the Python pass
+    monkeypatch.setattr(simcore, "WIDE_BANDS", wide)
+    assert combined(key) == f"combined {PINNED[key]['combined']}"
 
 
 def test_the_family_reaches_every_event_kind_and_both_drop_reasons():

@@ -22,7 +22,7 @@ from conftest import Draws
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crsim import su_fsm
+from crsim import simcore, su_fsm
 from crsim.learning import BandRecord, KnowledgeBase
 from crsim.markov import ChainError, OccupancyChain
 from crsim.negotiation import PuDisposition, PuState, step_disposition
@@ -51,7 +51,7 @@ from crsim.simcore import (
     run,
     step_chains,
     step_chains_wide,
-    wide_rows,
+    wide_chains,
 )
 from crsim.spectrum_env import SpectrumBand, step_band
 from crsim.su_fsm import Mode, SessionStatus, mode_table
@@ -1032,6 +1032,24 @@ def test_ndjson_lines_need_a_kept_trace():
         list(result.trace.ndjson_lines())
 
 
+def test_both_chain_passes_read_a_disposition_state_set_between_steps(monkeypatch):
+    # a caller may set a band's disposition state between steps (the engine's
+    # contract), and the Python pass and the numpy pass then run alike
+    assert len(wide_mixed().bands) >= WIDE_BANDS
+    outcomes = []
+    for wide in (1 << 30, WIDE_BANDS):
+        monkeypatch.setattr(simcore, "WIDE_BANDS", wide)
+        engine = Engine(wide_mixed())
+        for t in range(200):
+            if t == 3:
+                for band in engine.bands:
+                    disposition = band.disposition
+                    disposition.state = NONCOOP if disposition.state is COOP else COOP
+            engine.step()
+        outcomes.append((engine.trace_hash, engine.kb.to_json_dict(), engine.band_histograms))
+    assert outcomes[0] == outcomes[1]
+
+
 chain_params = st.tuples(
     st.integers(1, 8),
     st.sampled_from([0.0, 0.1, 0.25, 0.5]),
@@ -1062,10 +1080,14 @@ def test_step_chains_matches_step_band_and_step_disposition_draw_for_draw(params
     counted = [[0] * (b.capacity + 1) for b in single]
     # the Python pass and the numpy pass on the same drawn rows, each moving its own bands
     passes = []
-    for rows, stepper in ((chain_rows, step_chains), (wide_rows, step_chains_wide)):
+    for stepper, chains in ((step_chains, lambda rows: rows), (step_chains_wide, wide_chains)):
         bands = build()
         hists = [[0] * (b.capacity + 1) for b in bands]
-        passes.append((stepper, rows(bands, hists), bands, hists, [0] * n))
+        passes.append((stepper, chains(chain_rows(bands, hists)), bands, hists, [0] * n))
+    # the numpy pass's threshold row is constant: a write to it raises
+    thresholds, _ = passes[1][1]
+    with pytest.raises(ValueError, match="read-only"):
+        thresholds[0] = 0.0
     for k in range(steps):
         block = draws[2 * n * k:2 * n * (k + 1)]
         before = [b.pu_used for b in single]

@@ -23,7 +23,11 @@ class PuState(Enum):
 
 @dataclass(slots=True)
 class PuDisposition:
-    """Two-state willingness chain with switch probabilities alpha and beta."""
+    """Two-state willingness chain with switch probabilities alpha and beta.
+
+    An engine reads alpha and beta once, when it is built, and neither of
+    its chain passes sees later changes to them; it reads ``state`` live.
+    """
 
     state: PuState
     alpha: float  # cooperative -> non-cooperative
@@ -61,7 +65,8 @@ def step_disposition(disposition: PuDisposition, rng) -> None:
     """Advance one willingness chain one step (in place, one uniform draw).
 
     Both of the engine's passes apply this rule (``simcore.step_chains`` and
-    ``simcore.step_chains_wide``), reading the state as it is at the step.
+    ``simcore.step_chains_wide``), reading the state as it is at the step
+    and alpha and beta as they were when the engine was built.
     """
     u = rng.random()
     if disposition.state is _COOPERATIVE:

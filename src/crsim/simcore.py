@@ -109,10 +109,10 @@ metrics, bands, live sessions, knowledge base, trace, time series and, through
 the draw functions, its stream.  A caller mutates these in place and never
 rebinds them, since a step goes on reading the objects bound at construction.
 A band's chain parameters (birth, death, capacity) and its disposition's
-alpha and beta are read when the engine is built, and a caller leaves them
-unchanged.  Its occupancy (``pu_used``), disposition state and resident
-session (``su``) are read live, by both passes of (1) and (2), so a caller
-may set them between steps.
+alpha and beta are read once, when the engine is built (``chain_rows``), and
+neither pass of (1) and (2) sees later changes to them.  Its occupancy
+(``pu_used``), disposition state and resident session (``su``) are read
+live, by both passes alike, so a caller may set them between steps.
 """
 
 from __future__ import annotations
@@ -366,11 +366,15 @@ WIDE_BANDS = 32
 
 
 def chain_rows(bands: Sequence[SpectrumBand], histograms: Sequence[list[int]]) -> list[tuple]:
-    """The rows of ``step_chains`` for ``bands``, band i counting into ``histograms[i]``."""
+    """The rows of ``step_chains`` for ``bands``, band i counting into ``histograms[i]``.
+
+    A row binds its band's chain parameters and its disposition's alpha and
+    beta as they are now: neither pass sees later changes to them.
+    """
     n = len(bands)
     return [
-        (i, n + i, b, b.chain.birth, b.chain.birth + b.chain.death, b.chain.capacity, b.disposition, histograms[i])
-        for i, b in enumerate(bands)
+        (i, n + i, b, c.birth, c.birth + c.death, c.capacity, histograms[i], d, d.alpha, d.beta)
+        for i, (b, c, d) in enumerate((b, b.chain, b.disposition) for b in bands)
     ]
 
 
@@ -378,15 +382,15 @@ def step_chains(rows: Sequence[tuple], draws: Sequence[float], t: int, since: li
     """(1) and (2) of step ``t`` in one pass, by the rules of ``spectrum_env.step_band`` and ``negotiation.step_disposition``.
 
     Of n rows (``chain_rows``), row i is (i, n + i, band, birth, birth +
-    death, capacity, disposition, histogram): its occupancy reads
-    ``draws[i]`` and its disposition ``draws[n + i]``, and draws past the
-    first 2n go unread.  A band whose occupancy moves adds the steps it held
-    the old one, from ``since[i]`` to ``t``, to its histogram, and holds the
-    new one since ``t``.  Returns the bands whose occupancy rose, in row
+    death, capacity, histogram, disposition, alpha, beta): its occupancy
+    reads ``draws[i]`` and its disposition ``draws[n + i]``, and draws past
+    the first 2n go unread.  A band whose occupancy moves adds the steps it
+    held the old one, from ``since[i]`` to ``t``, to its histogram, and holds
+    the new one since ``t``.  Returns the bands whose occupancy rose, in row
     order.
     """
     risen = []
-    for i, j, band, birth, birth_death, capacity, disposition, histogram in rows:
+    for i, j, band, birth, birth_death, capacity, histogram, disposition, alpha, beta in rows:
         u = draws[i]
         if u < birth:
             used = band.pu_used
@@ -402,41 +406,43 @@ def step_chains(rows: Sequence[tuple], draws: Sequence[float], t: int, since: li
                 since[i] = t
                 band.pu_used = used - 1
         if disposition.state is _COOPERATIVE:
-            if draws[j] < disposition.alpha:
+            if draws[j] < alpha:
                 disposition.state = _NONCOOPERATIVE
-        elif draws[j] < disposition.beta:
+        elif draws[j] < beta:
             disposition.state = _COOPERATIVE
     return risen
 
 
-def wide_chains(rows: Sequence[tuple]) -> tuple[np.ndarray, list]:
-    """The threshold row and the entries of ``step_chains_wide`` for n ``chain_rows``.
+def wide_chains(rows: list[tuple]) -> tuple[np.ndarray, list[tuple]]:
+    """The read-only threshold row of ``step_chains_wide`` for n ``chain_rows``, and the rows themselves.
 
-    Entry i is row i, for its band's occupancy, and entry n + i is its
-    disposition.  An entry moves only on a draw under its threshold: birth +
-    death for a band, and max(alpha, beta) for a disposition, since a draw at
-    or above both switches neither state.  The row is read-only.
+    Entry i of the row is band i's birth + death, and entry n + i its
+    disposition's max(alpha, beta), since a draw at or above both switches
+    neither state.  Both come from the rows, so, as in ``step_chains``, a
+    later change to a band's chain or its disposition's alpha or beta is not
+    seen.
     """
-    thresholds = np.array([row[4] for row in rows] + [max(row[6].alpha, row[6].beta) for row in rows])
+    thresholds = np.array([row[4] for row in rows] + [max(row[8], row[9]) for row in rows])
     thresholds.flags.writeable = False
-    return thresholds, [*rows, *(row[6] for row in rows)]
+    return thresholds, rows
 
 
-def step_chains_wide(chains: tuple[np.ndarray, list], draws: np.ndarray, t: int, since: list[int]) -> list[SpectrumBand]:
+def step_chains_wide(chains: tuple[np.ndarray, list[tuple]], draws: np.ndarray, t: int, since: list[int]) -> list[SpectrumBand]:
     """``step_chains`` for the ``wide_chains`` of n rows and exactly 2n draws: one comparison, then only the entries that may move.
 
     The entries under their thresholds are visited in ascending order, so the
-    bands that rose come in row order, and each takes the rule of
-    ``step_chains``: a disposition compares its draw with the switch
-    probability of its state as it is now.
+    bands that rose come in row order.  Entry k < n is band k's occupancy and
+    entry k >= n the disposition of row k - n, and each takes the rule of
+    ``step_chains``, with the row's alpha and beta: a disposition compares
+    its draw with the switch probability of its state as it is now.
     """
-    thresholds, entries = chains
-    n = len(entries) >> 1
+    thresholds, rows = chains
+    n = len(rows)
     risen = []
     moving = (draws < thresholds).nonzero()[0]
     for k, u in zip(moving.tolist(), draws[moving].tolist()):
         if k < n:
-            _, _, band, birth, _, capacity, _, histogram = entries[k]
+            _, _, band, birth, _, capacity, histogram, _, _, _ = rows[k]
             used = band.pu_used
             if u < birth:
                 if used == capacity:
@@ -450,11 +456,11 @@ def step_chains_wide(chains: tuple[np.ndarray, list], draws: np.ndarray, t: int,
             histogram[used] += t - since[k]
             since[k] = t
         else:
-            disposition = entries[k]
+            _, _, _, _, _, _, _, disposition, alpha, beta = rows[k - n]
             if disposition.state is _COOPERATIVE:
-                if u < disposition.alpha:
+                if u < alpha:
                     disposition.state = _NONCOOPERATIVE
-            elif u < disposition.beta:
+            elif u < beta:
                 disposition.state = _COOPERATIVE
     return risen
 
@@ -466,9 +472,9 @@ class Engine:
     ``live``, ``kb``, ``trace``, ``timeseries`` and ``stream``), not the
     attributes that name them: mutate these in place, never rebind them.
     A band's chain parameters and its disposition's alpha and beta are read
-    here, and a caller leaves them unchanged; its occupancy, disposition
-    state and resident session are read live, whichever pass steps its
-    chains.
+    once, here, and neither chain pass sees later changes to them; its
+    occupancy, disposition state and resident session are read live,
+    whichever pass steps its chains.
     """
 
     def __init__(

@@ -21,7 +21,7 @@ whose step read its state through the engine's attributes.  Every ``tier1`` key 
 ``_tier1``) is checked here, also with every engine stepping its chains on
 the numpy pass (``simcore.WIDE_BANDS`` 1) and with every one on the Python
 pass; CI checks every larger ``ci`` key the same way with ``python
-tests/differential.py``, and the non-stepped ones on either pass too.
+tests/differential.py``, and on either pass too.
 """
 
 from __future__ import annotations

@@ -795,6 +795,40 @@ def test_every_score_read_of_the_differential_family_sees_the_counters_of_the_st
     assert reads > 0
 
 
+def test_a_band_left_earlier_in_the_step_is_ranked_by_the_counters_of_the_step_start():
+    # Static bands; both sessions arrive at step 1, which has no scan.  Session
+    # 0 (demand 4) is admitted to band 2, the only one it fits, and session 1
+    # (demand 2) to band 0, which outscores band 1.  Both meet a
+    # non-cooperative licensed user in Warning mode: session 0 is refused,
+    # leaves band 2 with its sense buffered and finds no target; then session
+    # 1 is refused and ranks band 2 against band 1, which tie at the step's
+    # start, so the lower id wins
+    scenario = Scenario(
+        bands=(
+            BandDecl(0, 4, 0.0, 0.0, 2, DispositionDecl(NONCOOP)),
+            BandDecl(1, 8, 0.0, 0.0, 5),
+            BandDecl(2, 8, 0.0, 0.0, 4, DispositionDecl(NONCOOP)),
+        ),
+        sessions=(SessionDecl(T.EMAIL, 0.5, arrival=1, demand=4), SessionDecl(T.EMAIL, 0.5, arrival=1, demand=2)),
+        horizon=2,
+        seed=1,
+        negotiation=NegotiationParams(grant_request=1, latency=0),
+        handover=HandoverParams(latency=0, max_replans=1, scan_interval=50),
+    )
+    tied = {"attempts": 2, "grants": 1, "sensed": 4, "available": 2}
+    warm = {"0": {"attempts": 2, "grants": 2, "sensed": 4, "available": 4}, "1": tied, "2": tied}
+    kb = KnowledgeBase.from_json_dict(warm)
+    # session 0's Warning sense of band 2, written at once, would break the tie for band 2
+    ahead = KnowledgeBase.from_json_dict(warm)
+    ahead.record_sense(2, 1, 1)
+    assert kb.score(1) == kb.score(2) and ahead.score(2) > ahead.score(1)
+    engine = Engine(scenario, kb=kb, keep_trace=True).run()
+    admits = [(a, b) for _, kind, a, b, _ in engine.trace.records if kind == EventKind.ADMIT]
+    assert admits == [(0, 2), (1, 0)]
+    started = [(t, a, b, c) for t, kind, a, b, c in engine.trace.records if kind == EventKind.HANDOVER_STARTED]
+    assert started == [(1, 0, 2, -1), (1, 1, 0, 1)]
+
+
 def test_replan_exhaustion_scenario_exhausts_replans():
     engine = Engine(replan_exhaustion(), keep_trace=True)
     engine.run()
@@ -1048,6 +1082,22 @@ def test_both_chain_passes_read_a_disposition_state_set_between_steps(monkeypatc
             engine.step()
         outcomes.append((engine.trace_hash, engine.kb.to_json_dict(), engine.band_histograms))
     assert outcomes[0] == outcomes[1]
+
+
+def test_neither_chain_pass_sees_alpha_or_beta_set_after_construction(monkeypatch):
+    # a disposition's alpha and beta are read once, when the engine is built:
+    # set afterwards, they change the run on neither pass
+    outcomes = []
+    for wide, mutate in ((1 << 30, False), (1 << 30, True), (1, True)):
+        monkeypatch.setattr(simcore, "WIDE_BANDS", wide)
+        engine = Engine(wide_mixed())
+        if mutate:
+            for band in engine.bands:
+                band.disposition.alpha = band.disposition.beta = 0.9
+        for _ in range(100):
+            engine.step()
+        outcomes.append((engine.trace_hash, engine.kb.to_json_dict(), engine.band_histograms))
+    assert outcomes[1] == outcomes[2] == outcomes[0]
 
 
 chain_params = st.tuples(

@@ -44,7 +44,10 @@ last line ``combined <digest>`` over all of them.
 (``mixed`` when absent), count, seed, whether it is stepped, and the
 combined digest.  Tier-1 checks every ``tier1`` key (50 scenarios each,
 ``tests/test_differential.py``) and CI every ``ci`` key (2,000 each, the
-runs above).
+runs above), each once per chain pass: in-process through ``manifest``,
+with ``simcore.WIDE_BANDS`` at 1 (every engine on the numpy pass) and at
+``1 << 30`` (every one on the Python pass).  The default width only picks
+one of these two passes per scenario, so it is not run again.
 """
 
 from __future__ import annotations

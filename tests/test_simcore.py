@@ -788,9 +788,11 @@ def test_every_score_read_sees_the_counters_of_the_step_start(scenario):
 
 
 def test_every_score_read_of_the_differential_family_sees_the_counters_of_the_step_start():
+    # the vacant_tier1 set: its refused sessions leave their bands in the step
+    # they sensed them, for a later handover of that step to rank
     reads = 0
     for index in range(50):
-        scenario, kb = differential.scenario(1, index)
+        scenario, kb = differential.vacant_scenario(3, index)
         reads += score_reads(scenario, None if kb is None else KnowledgeBase.from_json_dict(kb))
     assert reads > 0
 
@@ -1113,6 +1115,8 @@ chain_params = st.tuples(
 
 @given(params=st.lists(chain_params, min_size=1, max_size=6), steps=st.integers(1, 5), data=st.data())
 def test_step_chains_matches_step_band_and_step_disposition_draw_for_draw(params, steps, data):
+    # both chain passes move occupancy as spectrum_env.step_band does and
+    # dispositions as negotiation.step_disposition does
     def build():
         return [
             SpectrumBand(i, OccupancyChain(c, p, q), min(used, c), PuDisposition(COOP if coop else NONCOOP, a, b))
@@ -1128,6 +1132,8 @@ def test_step_chains_matches_step_band_and_step_disposition_draw_for_draw(params
     )
     single = build()
     counted = [[0] * (b.capacity + 1) for b in single]
+    # the step each band's occupancy last moved in, 0 before its first move
+    moved = [0] * n
     # the Python pass and the numpy pass on the same drawn rows, each moving its own bands
     passes = []
     for stepper, chains in ((step_chains, lambda rows: rows), (step_chains_wide, wide_chains)):
@@ -1147,8 +1153,10 @@ def test_step_chains_matches_step_band_and_step_disposition_draw_for_draw(params
             step_band(band, occupancy)
         for band in single:
             step_disposition(band.disposition, willingness)
-        for band, row in zip(single, counted):
+        for i, (band, row) in enumerate(zip(single, counted)):
             row[band.pu_used] += 1
+            if band.pu_used != before[i]:
+                moved[i] = k
         for stepper, chains, bands, hists, since in passes:
             # step_chains leaves draws past the first 2n unread; step_chains_wide reads exactly 2n
             risen = stepper(chains, block + [0.0] if stepper is step_chains else np.array(block), k, since)
@@ -1162,6 +1170,11 @@ def test_step_chains_matches_step_band_and_step_disposition_draw_for_draw(params
             for band, row, start in zip(bands, through, since):
                 row[band.pu_used] += k + 1 - start
             assert through == counted
+            # a band holds its occupancy since the step it last moved in, so
+            # one whose occupancy has not moved keeps since at 0 and has
+            # stored nothing in its histogram
+            assert since == moved
+            assert not any(any(row) for row, start in zip(hists, since) if start == 0)
 
 
 BLOCK = RandomStream._BLOCK

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import crsim
 from conftest import Draws
@@ -16,6 +18,7 @@ from crsim.negotiation import (
     stationary_cooperative_probability,
     step_disposition,
 )
+from crsim.simcore import chain_rows, step_chains
 from crsim.spectrum_env import SpectrumBand
 from crsim.su_fsm import Mode, classify_mode
 
@@ -165,3 +168,39 @@ def test_step_disposition_boundary_draws(state, u, expected):
     disp = PuDisposition(state, 0.2, 0.3)
     step_disposition(disp, Draws([u]))
     assert disp.state is expected
+
+
+dispositions = st.tuples(
+    st.booleans(), st.sampled_from([0.0, 0.2, 0.5, 1.0]), st.sampled_from([0.0, 0.3, 0.5, 1.0])
+)
+
+
+@given(chains=st.lists(dispositions, min_size=1, max_size=6), steps=st.integers(1, 5), data=st.data())
+def test_step_dispositions_matches_step_disposition_draw_for_draw(chains, steps, data):
+    # the engine's one band pass, simcore.step_chains, moves dispositions as step_disposition does
+    def build():
+        return [
+            PuDisposition(PuState.COOPERATIVE if coop else PuState.NONCOOPERATIVE, alpha, beta)
+            for coop, alpha, beta in chains
+        ]
+
+    # draws at alpha and at beta exactly, and at the ends of [0, 1)
+    boundaries = sorted({v for _, alpha, beta in chains for v in (alpha, beta)} | {0.0, 0.999})
+    n = len(chains)
+    size = n * steps
+    draws = data.draw(st.lists(st.sampled_from(boundaries) | st.floats(0.0, 0.999), min_size=size, max_size=size))
+    batched, single = build(), build()
+    # frozen bands (birth = death = 0): their occupancy draws move nothing
+    bands = [band_with(d) for d in batched]
+    hists = [[0] * 9 for _ in batched]
+    rows, since = chain_rows(bands, hists), [0] * n
+    for k in range(steps):
+        willingness = draws[k * n:(k + 1) * n]
+        # n occupancy draws, then the dispositions' draws, then an extra draw left unread
+        step_chains(rows, [0.0] * n + willingness + [0.0], k, since)
+        rng = Draws(willingness)
+        for disp in single:
+            step_disposition(disp, rng)
+        assert [d.state for d in batched] == [d.state for d in single]
+        # a frozen band's occupancy never moves, so nothing is added to its histogram
+        assert hists == [[0] * 9 for _ in bands] and since == [0] * n

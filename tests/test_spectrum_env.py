@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import Draws, tv_distance
 from crsim.markov import OccupancyChain, stationary
 from crsim.negotiation import PuDisposition, PuState
+from crsim.simcore import chain_rows, step_chains
 from crsim.spectrum_env import SpectrumBand, sense, step_band
 
 
@@ -105,3 +108,43 @@ def test_step_band_boundary_draws():
         band = make_band(p=0.25, q=0.5, used=used)
         step_band(band, Draws([u]))
         assert band.pu_used == expected
+
+
+chains = st.tuples(
+    st.integers(1, 8),
+    st.sampled_from([0.0, 0.1, 0.25, 0.5]),
+    st.sampled_from([0.0, 0.2, 0.5]),
+    st.integers(0, 8),
+)
+
+
+@given(bands=st.lists(chains, min_size=1, max_size=6), steps=st.integers(1, 5), data=st.data())
+def test_step_bands_matches_step_band_draw_for_draw(bands, steps, data):
+    # the engine's one band pass, simcore.step_chains, moves occupancy as step_band does
+    def build():
+        return [make_band(c, p, q, min(used, c)) for c, p, q, used in bands]
+
+    # draws at birth and at birth + death exactly, and at the ends of [0, 1)
+    boundaries = sorted({v for _, p, q, _ in bands for v in (p, p + q)} | {0.0, 0.999})
+    n = len(bands)
+    size = n * steps
+    draws = data.draw(st.lists(st.sampled_from(boundaries) | st.floats(0.0, 0.999), min_size=size, max_size=size))
+    batched, single = build(), build()
+    hists = [[0] * (b.capacity + 1) for b in batched]
+    rows, since = chain_rows(batched, hists), [0] * n
+    counted = [[0] * (b.capacity + 1) for b in single]
+    for k in range(steps):
+        occupancy = draws[k * n:(k + 1) * n]
+        # n disposition draws (alpha = 0: never a switch), then an extra draw left unread
+        step_chains(rows, occupancy + [0.0] * n + [0.0], k, since)
+        rng = Draws(occupancy)
+        for band, row in zip(single, counted):
+            step_band(band, rng)
+            row[band.pu_used] += 1
+        assert [b.pu_used for b in batched] == [b.pu_used for b in single]
+        # each band's histogram, with the steps at its occupancy since its
+        # last move, counted its occupancy once a step
+        through = [row.copy() for row in hists]
+        for band, row, start in zip(batched, through, since):
+            row[band.pu_used] += k + 1 - start
+        assert through == counted

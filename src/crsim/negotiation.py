@@ -25,8 +25,7 @@ class PuState(Enum):
 class PuDisposition:
     """Two-state willingness chain with switch probabilities alpha and beta.
 
-    An engine reads alpha and beta once, when it is built, and neither of
-    its chain passes sees later changes to them; it reads ``state`` live.
+    An engine reads alpha and beta once, when it is built, and ``state`` live.
     """
 
     state: PuState
@@ -64,9 +63,8 @@ _COOPERATIVE, _NONCOOPERATIVE = PuState.COOPERATIVE, PuState.NONCOOPERATIVE
 def step_disposition(disposition: PuDisposition, rng) -> None:
     """Advance one willingness chain one step (in place, one uniform draw).
 
-    Both of the engine's passes apply this rule (``simcore.step_chains`` and
-    ``simcore.step_chains_wide``), reading the state as it is at the step
-    and alpha and beta as they were when the engine was built.
+    Both of the engine's chain passes apply this rule (``simcore.step_chains``
+    and ``simcore.step_chains_wide``).
     """
     u = rng.random()
     if disposition.state is _COOPERATIVE:

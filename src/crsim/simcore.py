@@ -62,33 +62,34 @@ session is never handed back to a band it has already left in that step,
 so a turn visits each band at most once and ends by itself; a session that
 every band it can still reach refuses is dropped for want of a target.
 
-A session whose turn ends in transmitting is *running* until (1) raises
-its band past the Normal rows of its demand.  At its place in the
-session-id loop, (4-6) takes a running session's turn without reading its
-band: one Normal sense, its scan counted on a scan step, and a transmit.
-This is exact.  A running session's band changes in (4-6) only through its
-own grant, and (3) admits only onto vacant bands, so between two of its
-turns only (1) moves the band's occupancy, by at most one.  The Normal
-occupancies of a mode row run from 0 to a boundary (``su_fsm.mode_table``),
-so a band that did not rise keeps its running session in Normal mode;
-the pass of (1) reports the bands that rose, and a running session on one
-of them whose mode row no longer says Normal stops running and takes a
-full turn.  A grant may leave the band past Normal (the licensed user can
-take channels during the wait), so it makes the session running only when
-the mode row at the granted occupancy says Normal.  Running sessions keep
-their session-id place in the loop, so a running session's scan is
-written against the bands as they are at that place.
+A session is *running* while its ``SuSession.since`` is set: from a turn
+that ends in transmitting until (1) raises its band past the Normal rows
+of its demand.  At its place in the session-id loop, (4-6) takes a running
+session's turn without reading its band: one Normal sense, its scan
+counted on a scan step, and a transmit.  This is exact.  A running
+session's band changes in (4-6) only through its own grant, and (3) admits
+only onto vacant bands, so between two of its turns only (1) moves the
+band's occupancy, by at most one.  The Normal occupancies of a mode row
+run from 0 to a boundary (``su_fsm.mode_table``), so a band that did not
+rise keeps its running session in Normal mode; the pass of (1) reports the
+bands that rose, and a running session on one of them whose mode row no
+longer says Normal stops running and takes a full turn.  A grant may leave
+the band past Normal (the licensed user can take channels during the
+wait), so it makes the session running only when the mode row at the
+granted occupancy says Normal.  Running sessions keep their session-id
+place in the loop, so a running session's scan is written against the
+bands as they are at that place.
 
-A running session's senses have one writer.  The session keeps the step
-its unwritten senses start at (``SuSession.since``): the step of the turn
-that sensed Normal mode and started its run, or the step after a grant,
-whose own sense (8) applies.  Each step without a scan from there on is
-one (1, 1) sense, added to the record of the session's band, which a
-running session never leaves, when the session *settles*.  No score reads
-a band its session holds, so a session settles before its band turns
-vacant and before any caller can read the record: when a rise in (1) ends
-its run at step t (through t - 1), when it completes in (7) (through t),
-and when ``step`` or ``run`` returns.
+A running session's senses have one writer.  Its ``since`` is the step its
+unwritten senses start at: the step of the turn that sensed Normal mode
+and started its run, or the step after a grant, whose own sense (8)
+applies.  Each step without a scan from there on is one (1, 1) sense,
+added to the record of the session's band, which a running session never
+leaves, when the session *settles*.  No score reads a band its session
+holds, so a session settles before its band turns vacant and before any
+caller can read the record: when a rise in (1) ends its run at step t
+(through t - 1), when it completes in (7) (through t), and when ``step``
+or ``run`` returns.
 
 Determinism contract: a single uniform stream seeded from the scenario
 seed is consumed in a documented order — bands by ascending id, then
@@ -104,10 +105,10 @@ as an array (``RandomStream.block``) with one numpy comparison, and turns
 only its completion draws into floats, so most of its draws never become
 Python objects.
 
-An engine binds, when it is built, the objects that its steps read: its
-metrics, bands, live sessions, knowledge base, trace, time series and, through
-the draw functions, its stream.  A caller mutates these in place and never
-rebinds them, since a step goes on reading the objects bound at construction.
+An engine binds, when it is built, the objects that its steps read:
+``metrics``, ``bands``, ``live``, ``kb``, ``trace`` and ``timeseries``.  A
+caller mutates these in place and never rebinds them, since a step goes on
+reading the objects bound at construction.
 A band's chain parameters (birth, death, capacity) and its disposition's
 alpha and beta are read once, when the engine is built (``chain_rows``), and
 neither pass of (1) and (2) sees later changes to them.  Its occupancy
@@ -366,11 +367,7 @@ WIDE_BANDS = 32
 
 
 def chain_rows(bands: Sequence[SpectrumBand], histograms: Sequence[list[int]]) -> list[tuple]:
-    """The rows of ``step_chains`` for ``bands``, band i counting into ``histograms[i]``.
-
-    A row binds its band's chain parameters and its disposition's alpha and
-    beta as they are now: neither pass sees later changes to them.
-    """
+    """The rows of ``step_chains`` for ``bands``, band i counting into ``histograms[i]``."""
     n = len(bands)
     return [
         (i, n + i, b, c.birth, c.birth + c.death, c.capacity, histograms[i], d, d.alpha, d.beta)
@@ -418,9 +415,7 @@ def wide_chains(rows: list[tuple]) -> tuple[np.ndarray, list[tuple]]:
 
     Entry i of the row is band i's birth + death, and entry n + i its
     disposition's max(alpha, beta), since a draw at or above both switches
-    neither state.  Both come from the rows, so, as in ``step_chains``, a
-    later change to a band's chain or its disposition's alpha or beta is not
-    seen.
+    neither state.
     """
     thresholds = np.array([row[4] for row in rows] + [max(row[8], row[9]) for row in rows])
     thresholds.flags.writeable = False
@@ -433,8 +428,7 @@ def step_chains_wide(chains: tuple[np.ndarray, list[tuple]], draws: np.ndarray, 
     The entries under their thresholds are visited in ascending order, so the
     bands that rose come in row order.  Entry k < n is band k's occupancy and
     entry k >= n the disposition of row k - n, and each takes the rule of
-    ``step_chains``, with the row's alpha and beta: a disposition compares
-    its draw with the switch probability of its state as it is now.
+    ``step_chains``.
     """
     thresholds, rows = chains
     n = len(rows)
@@ -466,16 +460,7 @@ def step_chains_wide(chains: tuple[np.ndarray, list[tuple]], draws: np.ndarray, 
 
 
 class Engine:
-    """Owns all mutable world state for one run.
-
-    ``step`` reads the objects bound at construction (``metrics``, ``bands``,
-    ``live``, ``kb``, ``trace``, ``timeseries`` and ``stream``), not the
-    attributes that name them: mutate these in place, never rebind them.
-    A band's chain parameters and its disposition's alpha and beta are read
-    once, here, and neither chain pass sees later changes to them; its
-    occupancy, disposition state and resident session are read live,
-    whichever pass steps its chains.
-    """
+    """Owns all mutable world state for one run; what it reads once and what live: see the module docstring."""
 
     def __init__(
         self,
@@ -487,7 +472,6 @@ class Engine:
     ):
         self.scenario = scenario
         self.seed = scenario.seed if seed is None else seed
-        self.stream = RandomStream(self.seed)
         self.bands: list[SpectrumBand] = sorted(
             (decl.build() for decl in scenario.bands), key=lambda b: b.band_id
         )
@@ -508,12 +492,13 @@ class Engine:
         # (1) and (2), which read two draws a band, and (7)'s draws: a Python
         # pass over every band, or for a wide band set one numpy comparison
         chains = chain_rows(self.bands, self._hists)
+        stream = RandomStream(self.seed)
         if len(self.bands) < WIDE_BANDS:
             chain_pass = step_chains
-            draw_chains = draw_completions = self.stream.take
+            draw_chains = draw_completions = stream.take
         else:
             chain_pass, chains = step_chains_wide, wide_chains(chains)
-            draw_chains = block = self.stream.block
+            draw_chains = block = stream.block
 
             def draw_completions(k: int) -> list[float]:
                 return block(k).tolist()
@@ -563,7 +548,7 @@ class Engine:
         self._grant_request = scenario.negotiation.grant_request
         self._handover_latency = scenario.handover.latency
         self._max_replans = scenario.handover.max_replans
-        # what ``step`` reads, bound once (see the class docstring).  Nothing
+        # what ``step`` reads, bound once (see the module docstring).  Nothing
         # here refers back to the engine, so reference counting frees it
         self._per_step = (
             self._horizon, self.metrics, self.bands,
@@ -626,9 +611,9 @@ class Engine:
         # senses up to this step and senses again
         for band in chain_pass(chains, draw_chains(chain_size), t, since):
             session = band.su
-            if session is not None and session.running and session.place[1][band.pu_used] is not _NORMAL:
-                session.running = False
+            if session is not None and session.since is not None and session.place[1][band.pu_used] is not _NORMAL:
                 self._settle(session, t)
+                session.since = None
 
         # (3) arrivals due now, in admission order
         ranks = schedule.pop(t, None)
@@ -655,7 +640,7 @@ class Engine:
         scan = t % scan_interval == 0
         grants = m.grants
         for session in tuple(live):
-            if not session.running:
+            if session.since is None:
                 if session.status is _ACTIVE:
                     landed = True
                 else:
@@ -674,7 +659,6 @@ class Engine:
                     if mode is _NORMAL:
                         # Normal mode, which only a rise in (1) can end: the run
                         # and its unwritten senses start with this turn
-                        session.running = True
                         session.since = t
                         break
                     mode_histogram[MODE_NAMES[mode]] += 1
@@ -705,7 +689,7 @@ class Engine:
             draws = draw_completions(len(transmitters))
             for i, session in enumerate(transmitters):
                 if draws[i] < session.completion:
-                    if session.running:  # before its band turns vacant and can be scored
+                    if session.since is not None:  # before its band turns vacant and can be scored
                         self._settle(session, t + 1)
                     self._vacate(session)
                     m.completed += 1
@@ -771,7 +755,6 @@ class Engine:
             self.trace.add(t, EventKind.NEGOTIATION_GRANTED, session.session_id, band.band_id, outcome.channels)
             # a grant can leave the band past Normal: the mode row decides
             if session.place[1][band.pu_used] is _NORMAL:
-                session.running = True
                 session.since = t + 1  # (8) applies this step's sense
             self._transmitters.append(session)
             return False
@@ -864,7 +847,7 @@ class Engine:
     def _settle_running(self) -> None:
         """Settle every running session up to the current step."""
         for session in self.live:
-            if session.running:
+            if session.since is not None:
                 self._settle(session, self.step_index)
 
     def _vacate(self, session: SuSession) -> None:

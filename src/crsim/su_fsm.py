@@ -111,12 +111,11 @@ class SuSession:
     # the ``mode_table`` row of this demand on that band); the engine writes
     # it wherever it writes ``band_id`` and reads both through it
     place: tuple | None = field(default=None, repr=False)
-    # True from a turn that ends in transmitting until (1) raises the band past
-    # this demand's Normal rows: (4-6) then settles the session without sensing
-    running: bool = False
-    # while running, the step its unwritten senses start at: the engine
-    # settles them, adding them to its band's knowledge-base record in bulk
-    since: int = 0
+    # None, unless the session is running: from a turn that ends in
+    # transmitting until (1) raises the band past this demand's Normal rows.
+    # Then the step its unwritten senses start at, which the engine settles,
+    # adding them to its band's knowledge-base record in bulk
+    since: int | None = None
 
 
 def decide(session: SuSession, mode: Mode) -> Action:

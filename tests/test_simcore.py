@@ -487,18 +487,19 @@ def test_every_live_session_sits_in_the_place_of_its_band(scenario):
 
 
 def running_sessions(engine: Engine) -> int:
-    """Check the running flag of every live session after a step; the number of running sessions.
+    """Check the run state of every live session after a step; the number of running sessions.
 
-    A session runs exactly when it is active and its mode row at its band's
-    occupancy says Normal; a running session is resident on its band.
+    A session runs (its ``since`` is set) exactly when it is active and its
+    mode row at its band's occupancy says Normal; a running session is
+    resident on its band.
     """
     running = 0
     for session in engine.live:
         position, modes = session.place
         band = engine.bands[position]
         transmits = session.status is SessionStatus.ACTIVE and modes[band.pu_used] is Mode.NORMAL
-        assert session.running == transmits
-        if session.running:
+        assert (session.since is not None) == transmits
+        if transmits:
             assert band.su is session
             running += 1
     return running
@@ -1100,6 +1101,37 @@ def test_neither_chain_pass_sees_alpha_or_beta_set_after_construction(monkeypatc
             engine.step()
         outcomes.append((engine.trace_hash, engine.kb.to_json_dict(), engine.band_histograms))
     assert outcomes[1] == outcomes[2] == outcomes[0]
+
+
+def stream_stub(serve):
+    """A ``RandomStream`` that serves ``serve`` of each array of real uniforms.
+
+    ``take`` reads through ``block``: ``RandomStream.take`` calls ``block``
+    itself for a read that spans a refill, so a transform in both methods
+    would apply twice there.
+    """
+
+    class Stub(RandomStream):
+        def take(self, n: int) -> list[float]:
+            return self.block(n).tolist()
+
+        def block(self, n: int) -> np.ndarray:
+            return serve(super().block(n))
+
+    return Stub
+
+
+@pytest.mark.parametrize("name", ["canonical_short", "wide_warm_start"])
+def test_a_stream_stub_goes_in_by_patching_the_class_before_construction(monkeypatch, name):
+    # an engine holds its stream only through the draw functions it binds, so
+    # a stub replaces simcore.RandomStream before the engine is built; the
+    # canonical run steps its chains on the Python pass, the wide one on numpy's
+    monkeypatch.setattr(simcore, "RandomStream", stream_stub(lambda u: u))
+    result = golden_run(name)
+    assert not hasattr(result, "stream")
+    assert result.trace_hash == GOLDEN[name]["trace_hash"]
+    monkeypatch.setattr(simcore, "RandomStream", stream_stub(lambda u: 1 - u))
+    assert golden_run(name).trace_hash != GOLDEN[name]["trace_hash"]
 
 
 chain_params = st.tuples(

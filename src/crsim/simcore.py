@@ -108,7 +108,10 @@ Python objects.
 An engine binds, when it is built, the objects that its steps read:
 ``metrics``, ``bands``, ``live``, ``kb``, ``trace`` and ``timeseries``.  A
 caller mutates these in place and never rebinds them, since a step goes on
-reading the objects bound at construction.
+reading the objects bound at construction.  ``step`` writes the trace
+events it records itself (admit, block, completed) as packed records
+through ``EventTrace.write``, and the turn handlers theirs through
+``EventTrace.add``; both hash the same bytes.
 A band's chain parameters (birth, death, capacity) and its disposition's
 alpha and beta are read once, when the engine is built (``chain_rows``), and
 neither pass of (1) and (2) sees later changes to them.  Its occupancy
@@ -160,7 +163,7 @@ class ComparisonError(ValueError):
 # metrics and trace
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class Metrics:
     """Run counters; see module docstring for when each one moves.
 
@@ -240,7 +243,9 @@ _DROP_REASONS = {
     DROP_REPLANS_EXHAUSTED: "replans_exhausted",
 }
 
-_EVENT_PACK = struct.Struct("<IBqqq").pack
+_EVENT = struct.Struct("<IBqqq")
+_EVENT_PACK = _EVENT.pack
+_EVENT_UNPACK = _EVENT.unpack
 
 
 class EventTrace:
@@ -248,21 +253,34 @@ class EventTrace:
 
     The trace hash is a blake2b-128 over a fixed little-endian packing of
     (scenario hash, seed) followed by every (step, kind, a, b, c) record,
-    so it is stable across platforms and runs.
+    so it is stable across platforms and runs.  ``write`` takes one record
+    packed by ``_EVENT_PACK`` and ``add`` packs one and writes it, so both
+    hash the same bytes.  ``Engine.step`` writes its own events (admit,
+    block, completed) through ``write``, and the turn handlers theirs
+    through ``add``.  ``write`` is bound at construction: without kept
+    records it is the hasher's own ``update``, which runs no Python frame.
     """
 
     def __init__(self, scenario_hash_hex: str, seed: int, keep_records: bool = False):
-        self._hasher = hashlib.blake2b(digest_size=16)
-        self._hasher.update(b"crsim-trace-v1")
-        self._hasher.update(bytes.fromhex(scenario_hash_hex))
-        self._hasher.update(struct.pack("<q", seed))
+        self._hasher = hasher = hashlib.blake2b(digest_size=16)
+        hasher.update(b"crsim-trace-v1")
+        hasher.update(bytes.fromhex(scenario_hash_hex))
+        hasher.update(struct.pack("<q", seed))
         self.keep_records = keep_records
         self.records: list[tuple[int, int, int, int, int]] = []
+        if keep_records:
+            update, append = hasher.update, self.records.append
+
+            def _keep(packed: bytes) -> None:
+                update(packed)
+                append(_EVENT_UNPACK(packed))
+
+            self.write = _keep
+        else:
+            self.write = hasher.update
 
     def add(self, step: int, kind: int, a: int, b: int, c: int) -> None:
-        self._hasher.update(_EVENT_PACK(step, kind, a, b, c))
-        if self.keep_records:
-            self.records.append((step, kind, a, b, c))
+        self.write(_EVENT_PACK(step, kind, a, b, c))
 
     def hash_hex(self) -> str:
         return self._hasher.hexdigest()
@@ -320,7 +338,7 @@ class RandomStream:
         j = i + n
         if j > self._listed:
             if j > self._BLOCK:
-                return self.block(n).tolist()
+                return self._span(n).tolist()
             self._floats = self._block.tolist()
             self._listed = self._BLOCK
         self._idx = j
@@ -333,6 +351,15 @@ class RandomStream:
         if j <= self._BLOCK:
             self._idx = j
             return self._block[i:j]
+        return self._span(n)
+
+    def _span(self, n: int) -> np.ndarray:
+        """The next ``n`` uniforms, which run past the current block, as a new array.
+
+        ``take`` and ``block`` both read through it, so neither depends on
+        the other: a subclass that overrides one does not change the other.
+        """
+        i = self._idx
         out = [self._block[i:]]
         n -= self._BLOCK - i
         while n > 0:
@@ -553,7 +580,7 @@ class Engine:
         self._per_step = (
             self._horizon, self.metrics, self.bands,
             chain_pass, chains, draw_chains, 2 * len(self.bands), self._since,
-            schedule, arrivals, self._places, self._vacant, self.trace.add,
+            schedule, arrivals, self._places, self._vacant, self.trace.write,
             self.kb, self.live, self.metrics.mode_histogram, self._scan_counts, self._senses, self._transmitters,
             self._left, self._scan_interval, draw_completions, self._neg_events, self.timeseries,
         )
@@ -598,7 +625,7 @@ class Engine:
         (
             horizon, m, bands,
             chain_pass, chains, draw_chains, chain_size, since,
-            schedule, arrivals, places, vacant, add,
+            schedule, arrivals, places, vacant, write,
             kb, live, mode_histogram, scans, senses, transmitters,
             left, scan_interval, draw_completions, neg_events, timeseries,
         ) = self._per_step
@@ -628,13 +655,13 @@ class Engine:
                 band_id = su_fsm.admit(vacant.values(), demand, kb)
                 if band_id is None:
                     m.blocked += 1
-                    add(t, _BLOCK, sid, -1, demand)
+                    write(_EVENT_PACK(t, _BLOCK, sid, -1, demand))
                     continue
                 m.admitted += 1
                 session = SuSession(sid, demand, completion, band_id, _ACTIVE, 0, None, 0, places[band_id][demand])
                 vacant.pop(band_id).su = session
                 live.append(session)
-                add(t, _ADMIT, sid, band_id, demand)
+                write(_EVENT_PACK(t, _ADMIT, sid, band_id, demand))
 
         # (4-6) sense, classify, decide, act: one turn per live session
         scan = t % scan_interval == 0
@@ -693,7 +720,7 @@ class Engine:
                         self._settle(session, t + 1)
                     self._vacate(session)
                     m.completed += 1
-                    add(t, _COMPLETED, session.session_id, session.band_id, 0)
+                    write(_EVENT_PACK(t, _COMPLETED, session.session_id, session.band_id, 0))
                     live.remove(session)
             transmitters.clear()
 

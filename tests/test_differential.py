@@ -37,6 +37,7 @@ import differential
 import pytest
 
 from crsim import simcore
+from crsim.learning import KnowledgeBase
 from crsim.simcore import _DROP_REASONS, _KINDS
 
 PINNED = json.loads((Path(__file__).parent / "data" / "differential.json").read_text(encoding="utf-8"))
@@ -55,6 +56,20 @@ def test_the_pinned_digest_is_the_same_on_either_chain_pass(key, wide, monkeypat
     # one-band ones included, on the numpy pass, or every one on the Python pass
     monkeypatch.setattr(simcore, "WIDE_BANDS", wide)
     assert combined(key) == f"combined {PINNED[key]['combined']}"
+
+
+@pytest.mark.parametrize("wide", [1, 1 << 30], ids=["numpy_pass", "python_pass"])
+def test_a_kept_trace_hashes_as_the_plain_run(wide, monkeypatch):
+    # keep_trace binds another EventTrace.write; the hashed bytes stay the same
+    monkeypatch.setattr(simcore, "WIDE_BANDS", wide)
+    family = PINNED["vacant_tier1"]
+    for index in range(family["count"]):
+        scenario, kb = differential.vacant_scenario(family["seed"], index)
+        hashes = {
+            simcore.run(scenario, keep_trace=keep, kb=None if kb is None else KnowledgeBase.from_json_dict(kb)).trace_hash
+            for keep in (False, True)
+        }
+        assert len(hashes) == 1
 
 
 def test_the_family_reaches_every_event_kind_and_both_drop_reasons():

@@ -38,12 +38,15 @@ from crsim.scenario import (
     canonical_preset,
 )
 from crsim.simcore import (
+    _EVENT_PACK,
     DROP_REPLANS_EXHAUSTED,
     WIDE_BANDS,
     ComparisonError,
     Engine,
     EngineError,
     EventKind,
+    EventTrace,
+    Metrics,
     RandomStream,
     analytic_figures,
     chain_rows,
@@ -1069,6 +1072,39 @@ def test_ndjson_lines_need_a_kept_trace():
         list(result.trace.ndjson_lines())
 
 
+event_records = st.lists(
+    st.tuples(
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 255),
+        *[st.integers(-(2**63), 2**63 - 1)] * 3,
+    ),
+    max_size=20,
+)
+
+
+@given(records=event_records, seed=st.integers(-(2**63), 2**63 - 1))
+def test_a_packed_write_and_an_add_hash_the_same_bytes(records, seed):
+    scenario_hash = canonical_preset().sha256()
+    hashes = set()
+    for keep in (False, True):
+        added, written = EventTrace(scenario_hash, seed, keep), EventTrace(scenario_hash, seed, keep)
+        for record in records:
+            added.add(*record)
+            written.write(_EVENT_PACK(*record))
+        hashes |= {added.hash_hex(), written.hash_hex()}
+        assert added.records == written.records == (records if keep else [])
+    assert len(hashes) == 1
+
+
+def test_a_misspelled_metrics_counter_cannot_be_assigned():
+    # a slotted Metrics has no room for a counter it does not declare
+    m = Metrics()
+    with pytest.raises(AttributeError):
+        m.admited = 1
+    m.admitted += 1
+    assert m.to_dict()["admitted"] == 1 and not hasattr(m, "admited")
+
+
 def test_both_chain_passes_read_a_disposition_state_set_between_steps(monkeypatch):
     # a caller may set a band's disposition state between steps (the engine's
     # contract), and the Python pass and the numpy pass then run alike
@@ -1104,16 +1140,11 @@ def test_neither_chain_pass_sees_alpha_or_beta_set_after_construction(monkeypatc
 
 
 def stream_stub(serve):
-    """A ``RandomStream`` that serves ``serve`` of each array of real uniforms.
-
-    ``take`` reads through ``block``: ``RandomStream.take`` calls ``block``
-    itself for a read that spans a refill, so a transform in both methods
-    would apply twice there.
-    """
+    """A ``RandomStream`` that serves ``serve`` of each array of real uniforms, from ``take`` and ``block`` alike."""
 
     class Stub(RandomStream):
         def take(self, n: int) -> list[float]:
-            return self.block(n).tolist()
+            return serve(np.array(super().take(n))).tolist()
 
         def block(self, n: int) -> np.ndarray:
             return serve(super().block(n))
@@ -1238,3 +1269,12 @@ def test_take_returns_what_scalar_draws_would(ops, seed):
         at += n
     # both streams stand at the same place afterwards
     assert blocks.take(3) == [scalar.random() for _ in range(3)] == uniforms[at:at + 3]
+
+
+def test_a_stub_of_take_and_block_transforms_a_read_across_a_refill_once():
+    # neither method reads through the other, so a subclass that transforms
+    # both serves each value transformed once, across a refill too
+    real, stub = RandomStream(7), stream_stub(lambda u: 1 - u)(7)
+    assert stub.take(BLOCK - 2) == [1 - u for u in real.take(BLOCK - 2)]
+    assert stub.take(4) == [1 - u for u in real.take(4)]
+    assert stub.block(BLOCK).tolist() == [1 - u for u in real.take(BLOCK)]
